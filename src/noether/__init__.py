@@ -21,7 +21,6 @@ from .cyclotomic import (
     cyclotomic_polynomial,
     generating_period,
     period_element,
-    ramanujan_sum,
     subfield_minpoly,
     subfields,
 )
@@ -107,7 +106,6 @@ __all__ = [
     "principal_cycle",
     "principal_form",
     "quadratic_subfield_discs",
-    "ramanujan_sum",
     "scan",
     "solve_norm",
     "subfield_minpoly",

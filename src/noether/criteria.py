@@ -95,10 +95,16 @@ class FixtureSets:
     result_rows: dict[int, ResultRow]
 
 
+def _require(ok: bool, what: str) -> None:
+    """Reject malformed reference data; unlike assert, survives python -O."""
+    if not ok:
+        raise ValueError(f"bundled reference data: {what}")
+
+
 def _read_primes(name: str) -> tuple[int, ...]:
     text = resources.files("noether.data").joinpath(name).read_text()
     vals = tuple(int(line) for line in text.split() if line)
-    assert vals == tuple(sorted(vals)), f"{name} must be sorted"
+    _require(vals == tuple(sorted(vals)), f"{name} must be sorted")
     return vals
 
 
@@ -136,22 +142,27 @@ def load_fixtures() -> FixtureSets:
         em_table_ii=_read_primes("em_table_ii.txt"),
         result_rows=_read_rows("classification.txt"),
     )
-    assert len(fx.known_rational) == 17
-    # 18 as transcribed, less three provable 8q+1 entries (README "Errata")
-    assert len(fx.undetermined) == 15
-    assert len(fx.grh_conditional) == 28
-    assert len(fx.hard_unconditional) == 40
-    assert len(fx.hard_grh) == 8
-    assert len(fx.hardest_unconditional) == 20
-    assert len(fx.hardest_grh) == 1
-    assert len(fx.result_rows) == 2262
-    assert set(fx.hard_grh) <= set(fx.grh_conditional)
-    assert set(fx.hardest_grh) <= set(fx.grh_conditional)
-    for p in fx.known_rational:
-        assert fx.result_rows[p] == RATIONAL, p
-    for p in fx.undetermined:
-        assert fx.result_rows[p] == UNDETERMINED, p
-    for p, row in fx.result_rows.items():
-        if isinstance(row, tuple):
-            assert (row[2] == 1) == (p in set(fx.grh_conditional)), p
+    grh = set(fx.grh_conditional)
+    sizes = {
+        "known_rational": 17,
+        # 18 as transcribed, less three provable 8q+1 entries (README "Errata")
+        "undetermined": 15,
+        "grh_conditional": 28,
+        "hard_unconditional": 40,
+        "hard_grh": 8,
+        "hardest_unconditional": 20,
+        "hardest_grh": 1,
+        "result_rows": 2262,
+    }
+    for field, size in sizes.items():
+        got = len(getattr(fx, field))
+        _require(got == size, f"{field} has {got} entries, expected {size}")
+    _require(set(fx.hard_grh) <= grh, "hard_grh must lie in grh_conditional")
+    _require(set(fx.hardest_grh) <= grh, "hardest_grh must lie in grh_conditional")
+    for marker, primes in ((RATIONAL, fx.known_rational), (UNDETERMINED, fx.undetermined)):
+        bad = [p for p in primes if fx.result_rows.get(p) != marker]
+        _require(not bad, f"rows {bad} must be {marker}")
+    bad = [p for p, row in fx.result_rows.items()
+           if isinstance(row, tuple) and (row[2] == 1) != (p in grh)]
+    _require(not bad, f"GRH flags of rows {bad} disagree with grh_conditional")
     return fx

@@ -1,9 +1,10 @@
-"""Subfields of the n-th cyclotomic field via exact Gaussian-period
-arithmetic.
+"""Subfields of the n-th cyclotomic field via Gaussian periods.
 
-Elements live in Z[x]/(x^n - 1): reduction is free (fold exponents mod n)
-and rational numbers are extracted exactly through Ramanujan sums, so no
-floating point enters any minimal polynomial.
+A subfield's minimal polynomial is the product of its period's conjugates,
+evaluated in Z/M for a prime power M in which Φ_f has a root and lifted
+to Z through a coefficient bound, so no floating point enters any minimal
+polynomial. Exact elements of Z[x]/(x^n - 1) (CycElement) remain for
+presenting and checking the generating periods.
 """
 from __future__ import annotations
 
@@ -13,26 +14,8 @@ from itertools import product
 from math import gcd
 
 from .abelian import Subgroup, subgroup_elements, subgroups, unit_group
-from .arith import divisors, euler_phi, factor, moebius
-from .polyops import (
-    Poly,
-    discriminant,
-    normalize,
-    poly_divmod_monic,
-    poly_mul,
-)
-
-
-def ramanujan_sum(n: int, j: int) -> int:
-    """c_n(j): sum of ζ_n^(j*k) over k coprime to n. Exact closed form."""
-    if n < 1:
-        raise ValueError("ramanujan_sum() requires n >= 1")
-    g = gcd(j % n if n > 1 else 0, n) or n
-    m = n // g
-    mu = moebius(m)
-    if mu == 0:
-        return 0
-    return mu * euler_phi(n) // euler_phi(m)
+from .arith import divisors, euler_phi, factor, is_prime
+from .polyops import Poly, discriminant, poly_divmod_monic, poly_mul
 
 
 @dataclass(frozen=True)
@@ -77,25 +60,6 @@ class CycElement:
             out[a * j % n] += c
         return CycElement(n, tuple(out))
 
-    def trace(self) -> int:
-        """Trace to the rationals: sum of all Galois images' values."""
-        n = self.n
-        cache = _ramanujan_by_gcd(n)
-        return sum(c * cache[gcd(j, n)] for j, c in enumerate(self.coeffs) if c)
-
-    def rational_value(self) -> int:
-        """The element's value, provided it is rational (trace/degree).
-
-        Raises if the trace is not divisible by the field degree; a rational
-        class always passes.
-        """
-        t = self.trace()
-        phi = euler_phi(self.n)
-        q, r = divmod(t, phi)
-        if r:
-            raise ValueError("element is not rational")
-        return q
-
     def is_zero_value(self) -> bool:
         """True iff the class maps to 0 in Z[ζ_n]."""
         _, rem = poly_divmod_monic(list(self.coeffs), cyclotomic_polynomial(self.n))
@@ -104,11 +68,6 @@ class CycElement:
     def _check(self, other: "CycElement") -> None:
         if self.n != other.n:
             raise ValueError("mixed moduli")
-
-
-@lru_cache(maxsize=None)
-def _ramanujan_by_gcd(n: int) -> dict[int, int]:
-    return {g: ramanujan_sum(n, g) for g in divisors(n)}
 
 
 @lru_cache(maxsize=None)
@@ -206,6 +165,54 @@ def _shape_schedule(max_len: int, budget: int = 100_000):
                     return
 
 
+@lru_cache(maxsize=None)
+def _prime_and_root(f: int) -> tuple[int, int]:
+    """The least prime ℓ ≡ 1 (mod f), and z of exact order f modulo ℓ."""
+    ell = f + 1
+    while ell < 1 << 64 and not is_prime(ell):
+        ell += f
+    if ell >= 1 << 64:
+        raise ArithmeticError(f"least prime = 1 mod {f} is not below 2^64")
+    cofactors = [f // q for q, _ in factor(f)] if f > 1 else []
+    a = 1
+    while True:
+        z = pow(a, (ell - 1) // f, ell)
+        if all(pow(z, c, ell) != 1 for c in cofactors):
+            return ell, z
+        a += 1
+
+
+def _root_of_unity_mod(f: int, bound: int) -> tuple[int, int]:
+    """(M, z) with M = ℓ^(2^j) > bound for the ℓ of _prime_and_root(f),
+    and Φ_f(z) ≡ 0 (mod M).
+
+    z is the Hensel lift, on x^f - 1, of a root of Φ_f modulo ℓ. As
+    ℓ ≡ 1 (mod f), ℓ ∤ f: x^f - 1 is separable modulo ℓ and f z^(f-1) is
+    a unit, so each Newton step doubles the precision and the lift is
+    unique. The other factors Φ_e (e | f, e < f) are units at z, because
+    z has exact order f modulo ℓ, so z stays a root of Φ_f.
+    """
+    ell, z = _prime_and_root(f)
+    m = ell
+    while m <= bound:
+        m *= m
+        zf1 = pow(z, f - 1, m)
+        z = (z - (z * zf1 - 1) * pow(f * zf1, -1, m)) % m
+    return m, z
+
+
+def _coset_representatives(f: int, residues: list[int]) -> list[int]:
+    """The least unit of each coset of the subgroup `residues` of (Z/f)*."""
+    seen = bytearray(f)
+    reps = []
+    for u in range(1, f):
+        if not seen[u] and gcd(u, f) == 1:
+            reps.append(u)
+            for r in residues:
+                seen[u * r % f] = 1
+    return reps
+
+
 def subfield_minpoly(n: int, h: Subgroup) -> SubfieldDescriptor:
     """Monic integer minimal polynomial of the fixed field of h.
 
@@ -213,41 +220,39 @@ def subfield_minpoly(n: int, h: Subgroup) -> SubfieldDescriptor:
     subfields of a non-squarefree modulus every coset-sum period at the
     full modulus vanishes identically (the sum telescopes over reduction
     kernels), while at the conductor the periods are small and faithful.
-    There, power sums of the period's conjugates are read off exactly
-    through traces, Newton's identities produce the coefficients, and a
-    nonzero polynomial discriminant certifies the period was primitive.
-    Degenerate shapes are skipped deterministically.
+    There the characteristic polynomial of a period θ is the product of
+    x - σ_c(θ) over one c per coset of h, and a nonzero polynomial
+    discriminant certifies the period was primitive. Degenerate shapes
+    are skipped deterministically.
+
+    The product is formed in Z/M, not in Z[ζ_f]. It is exact: ℓ is a
+    proven prime (below 2^64, where is_prime is deterministic) and
+    ℓ ≡ 1 (mod f), so ζ_f ↦ z (see _root_of_unity_mod) is a ring map
+    Z[ζ_f] → Z/M and carries the integer coefficients to their residues.
+    Every conjugate has |σ_c(θ)| <= B = |h| * Σ shape, so the k-th
+    coefficient is at most C(d, k) B^k <= (B+1)^d < M/2 in absolute
+    value, and the symmetric lift recovers it.
     """
     phi = euler_phi(n)
     d = phi // h.order
     f = n if d == 1 else conductor(n, h)
     residues = _reduced_residues(h, f)
-    phi_f = euler_phi(f)
-    assert phi_f == d * len(residues), "conductor reduction must preserve degree"
+    if euler_phi(f) != d * len(residues):
+        raise ArithmeticError(f"conductor {f} of an index-{d} subgroup mod {n} loses degree")
+    reps = _coset_representatives(f, residues)
+    if len(reps) != d:
+        raise ArithmeticError(f"{len(reps)} cosets of an index-{d} subgroup mod {f}")
     for shape in _shape_schedule(f - 1):
-        theta = _period_from_residues(f, residues, shape)
-        power = theta
-        psums = [0] * (d + 1)
-        for k in range(1, d + 1):
-            if k > 1:
-                power = power * theta
-            num = d * power.trace()
-            assert num % phi_f == 0, "conjugate power sum must be rational"
-            psums[k] = num // phi_f
-        # Newton: k e_k = sum_{i=1..k} (-1)^(i-1) e_{k-i} p_i
-        es = [1] + [0] * d
-        for k in range(1, d + 1):
-            acc = 0
-            for i in range(1, k + 1):
-                term = es[k - i] * psums[i]
-                acc += term if i % 2 else -term
-            q, r = divmod(acc, k)
-            if r:
-                raise AssertionError("Newton identity division failed")
-            es[k] = q
-        g = [0] * (d + 1)
-        for k in range(d + 1):
-            g[d - k] = es[k] if k % 2 == 0 else -es[k]
+        m, z = _root_of_unity_mod(f, 2 * (len(residues) * sum(shape) + 1) ** d)
+        zpow = [1] * f
+        for e in range(1, f):
+            zpow[e] = zpow[e - 1] * z % m
+        g = [1]
+        for c in reps:
+            eta = sum(s * sum(zpow[c * k * u % f] for u in residues)
+                      for k, s in enumerate(shape, start=1) if s)
+            g = [(lo - eta * hi) % m for lo, hi in zip([0] + g, g + [0])]
+        g = [a - m if 2 * a > m else a for a in g]
         disc = discriminant(g)
         if disc != 0:
             return SubfieldDescriptor(n, h, d, tuple(g), disc, shape, f)

@@ -1,24 +1,8 @@
 """Exact arithmetic on integer polynomials (coefficient lists, low degree
-first).
-
-Multiplication of large polynomials goes through Kronecker substitution:
-coefficients are packed into fixed-width byte slots of one huge integer and
-the whole product becomes a single big-int multiply. That keeps the
-1-second-per-field budget for minimal polynomials at modulus ~20000.
-"""
+first)."""
 from __future__ import annotations
 
-try:
-    from gmpy2 import mpz
-
-    _HAVE_GMPY2 = True
-except ImportError:  # pragma: no cover - gmpy2 is a hard dep, belt and braces
-    mpz = int
-    _HAVE_GMPY2 = False
-
 Poly = list[int]
-
-_SCHOOLBOOK_CUTOFF = 48
 
 
 def normalize(p: Poly) -> Poly:
@@ -53,61 +37,17 @@ def poly_scale(a: Poly, k: int) -> Poly:
     return [c * k for c in a]
 
 
-def _conv_schoolbook(a: Poly, b: Poly) -> Poly:
+def poly_mul(a: Poly, b: Poly) -> Poly:
+    """Exact product of integer polynomials (schoolbook)."""
+    a = normalize(a)
+    b = normalize(b)
+    if not a or not b:
+        return []
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
                 out[i + j] += ai * bj
-    return out
-
-
-def _conv_kronecker_nonneg(a: Poly, b: Poly) -> Poly:
-    """Convolution of nonnegative-coefficient polynomials via byte packing."""
-    max_a = max(a)
-    max_b = max(b)
-    if max_a == 0 or max_b == 0:
-        return [0] * (len(a) + len(b) - 1)
-    bound = min(len(a), len(b)) * max_a * max_b
-    slot = (bound.bit_length() + 8) // 8  # slot width in bytes, with headroom
-
-    def pack(p: Poly) -> int:
-        buf = bytearray(len(p) * slot)
-        for i, c in enumerate(p):
-            buf[i * slot:i * slot + (c.bit_length() + 7) // 8] = c.to_bytes(
-                (c.bit_length() + 7) // 8, "little")
-        return int.from_bytes(buf, "little")
-
-    prod = int(mpz(pack(a)) * mpz(pack(b)))
-    out_len = len(a) + len(b) - 1
-    data = prod.to_bytes(out_len * slot + slot, "little")
-    return [
-        int.from_bytes(data[i * slot:(i + 1) * slot], "little")
-        for i in range(out_len)
-    ]
-
-
-def poly_mul(a: Poly, b: Poly) -> Poly:
-    """Exact product of integer polynomials."""
-    a = normalize(a)
-    b = normalize(b)
-    if not a or not b:
-        return []
-    if min(len(a), len(b)) <= _SCHOOLBOOK_CUTOFF:
-        return normalize(_conv_schoolbook(a, b))
-    if min(a) >= 0 and min(b) >= 0:
-        return normalize(_conv_kronecker_nonneg(a, b))
-    # split into nonnegative parts: a = ap - an, b = bp - bn
-    ap = [c if c > 0 else 0 for c in a]
-    an = [-c if c < 0 else 0 for c in a]
-    bp = [c if c > 0 else 0 for c in b]
-    bn = [-c if c < 0 else 0 for c in b]
-    out = [0] * (len(a) + len(b) - 1)
-    for pa, pb, sign in ((ap, bp, 1), (an, bn, 1), (ap, bn, -1), (an, bp, -1)):
-        if max(pa, default=0) and max(pb, default=0):
-            part = _conv_kronecker_nonneg(pa, pb)
-            for i, c in enumerate(part):
-                out[i] += sign * c
     return normalize(out)
 
 

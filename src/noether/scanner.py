@@ -191,7 +191,8 @@ def classify_prime(p: int, cfg: ScanConfig = ScanConfig()) -> Verdict:
     if em_i or em_ii:
         # the congruence shapes are two-sided degree-2 obstructions in
         # disguise, so the scan above must have proven both signs
-        assert sides[1].proven and sides[-1].proven, p
+        if not (sides[1].proven and sides[-1].proven):
+            raise RuntimeError(f"{p} meets a congruence criterion but has no two-sided degree-2 obstruction")
         return Verdict(
             p,
             STATUS_NOT_STABLY_RATIONAL,
@@ -225,7 +226,8 @@ def classify_prime(p: int, cfg: ScanConfig = ScanConfig()) -> Verdict:
                 continue  # that sign is impossible in a subfield, so skip it
             witness = certificate_search(NormProblem(g, sign * p), cfg.certificate_bound)
             if witness is not None:
-                assert norm_of(list(g), list(witness)) == sign * p
+                if norm_of(list(g), list(witness)) != sign * p:
+                    raise RuntimeError(f"certificate {list(witness)} does not have norm {sign * p}")
                 return Verdict(
                     p,
                     STATUS_RATIONAL,

@@ -6,9 +6,11 @@ buys obviousness.
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 from math import gcd, isqrt
 
+import mpmath
 import numpy as np
 
 
@@ -180,3 +182,47 @@ def companion_det_norm(g: list[int], a: list[int]) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[d - 1][d - 1]
+
+
+# ---------------------------------------------------------------- cyclotomic
+@lru_cache(maxsize=4)
+def _roots_of_unity(f: int, dps: int) -> list:
+    """exp(2πi e/f) for e = 0..f-1, using ζ^(f-e) = conj(ζ^e)."""
+    roots = [mpmath.mpc(1)] * f
+    with mpmath.workdps(dps):
+        for e in range(1, f // 2 + 1):
+            roots[e] = mpmath.expjpi(mpmath.mpf(2 * e) / f)
+            roots[f - e] = mpmath.conj(roots[e])
+    return roots
+
+
+def period_charpoly_oracle(f: int, residues, shape) -> list[int]:
+    """Characteristic polynomial over Q, low degree first, of the period
+    θ = Σ_k shape[k-1] Σ_{u in residues} ζ_f^(k u), residues being a
+    subgroup of (Z/fZ)*.
+
+    Its roots are the conjugates σ_c(θ), one unit c per coset of the
+    subgroup, each summed in the complex embedding ζ_f = exp(2πi/f). The
+    working precision covers the coefficient bound (|H| Σ|shape| + 1)^d
+    with 30 digits to spare, and the product is rounded to integers.
+    """
+    h = sorted(set(residues))
+    reps: list[int] = []
+    covered: set[int] = set()
+    for c in unit_residues(f):
+        if c not in covered:
+            reps.append(c)
+            covered.update(c * u % f for u in h)
+    bound = (len(h) * sum(abs(s) for s in shape) + 1) ** len(reps)
+    dps = -(-(len(str(bound)) + 30) // 50) * 50  # shares roots between fields
+    with mpmath.workdps(dps):
+        roots = _roots_of_unity(f, dps)
+        poly = [mpmath.mpc(1)]
+        for c in reps:
+            eta = mpmath.fsum(s * roots[c * k * u % f]
+                              for k, s in enumerate(shape, start=1) if s for u in h)
+            poly = [lo - eta * hi for lo, hi in zip([0] + poly, poly + [0])]
+        out = [int(mpmath.nint(c.real)) for c in poly]
+        if any(abs(c - r) > 1e-10 for c, r in zip(poly, out)):
+            raise ArithmeticError("characteristic polynomial is not integral")
+    return out

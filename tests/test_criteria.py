@@ -1,5 +1,7 @@
 from math import isqrt
 
+import pytest
+
 from noether.criteria import (
     RATIONAL,
     UNDETERMINED,
@@ -108,3 +110,56 @@ def test_row_grh_flags_match_conditional_set():
     fx = load_fixtures()
     flagged = {p for p, row in fx.result_rows.items() if isinstance(row, tuple) and row[2] == 1}
     assert flagged == set(fx.grh_conditional)
+
+
+def _data_with_extra_undetermined(tmp_path):
+    """A copy of the bundled tables whose undetermined list has 16 primes."""
+    from importlib import resources
+
+    for entry in resources.files("noether.data").iterdir():
+        if entry.name.endswith(".txt"):
+            (tmp_path / entry.name).write_text(entry.read_text())
+    primes = sorted(load_fixtures().undetermined + (14281,))
+    (tmp_path / "undetermined.txt").write_text("".join(f"{p}\n" for p in primes))
+    return tmp_path
+
+
+_FEED_TABLES = """
+import types
+from pathlib import Path
+import noether.criteria as criteria
+criteria.resources = types.SimpleNamespace(files=lambda package: Path(sys.argv[1]))
+criteria.load_fixtures()
+"""
+
+
+def test_wrong_size_table_is_rejected(tmp_path, monkeypatch):
+    import types
+
+    import noether.criteria as criteria
+    from optimized import run_optimized
+
+    data = _data_with_extra_undetermined(tmp_path)
+    monkeypatch.setattr(criteria, "resources", types.SimpleNamespace(files=lambda package: data))
+    load_fixtures.cache_clear()
+    try:
+        with pytest.raises(ValueError, match="undetermined has 16 entries, expected 15"):
+            load_fixtures()
+    finally:
+        load_fixtures.cache_clear()
+
+    proc = run_optimized(_FEED_TABLES, str(data))
+    assert proc.returncode == 1, proc
+    assert "ValueError: bundled reference data: undetermined has 16 entries" in proc.stderr
+
+
+def test_unsorted_table_is_rejected(tmp_path, monkeypatch):
+    import types
+
+    import noether.criteria as criteria
+
+    data = _data_with_extra_undetermined(tmp_path)
+    (data / "hard_grh.txt").write_text("\n".join(reversed((data / "hard_grh.txt").read_text().split())))
+    monkeypatch.setattr(criteria, "resources", types.SimpleNamespace(files=lambda package: data))
+    with pytest.raises(ValueError, match="hard_grh.txt must be sorted"):
+        criteria._read_primes("hard_grh.txt")

@@ -1,33 +1,22 @@
-from math import gcd
-
-import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noether.abelian import subgroups, unit_group
 from noether.arith import euler_phi, moebius, primes_below
 from noether.cyclotomic import (
     CycElement,
+    _prime_and_root,
+    _root_of_unity_mod,
     conductor,
     cyclotomic_polynomial,
     generating_period,
     period_element,
-    ramanujan_sum,
     subfield_minpoly,
     subfields,
 )
 from noether.polyops import discriminant, poly_eval
-
-
-def complex_ramanujan(n: int, j: int) -> int:
-    """High-precision complex oracle for c_n(j)."""
-    mpmath.mp.dps = 40
-    total = mpmath.mpc(0)
-    for k in range(1, n + 1):
-        if gcd(k, n) == 1:
-            total += mpmath.e ** (2j * mpmath.pi * k * j / n)
-    val = mpmath.nint(total.real)
-    assert abs(total.real - val) < 1e-20 and abs(total.imag) < 1e-20
-    return int(val)
+from oracles import naive_is_prime, period_charpoly_oracle
 
 
 def full_subgroup(n):
@@ -41,31 +30,12 @@ def subgroup_with_elements(n, els):
     raise AssertionError(f"no subgroup of (Z/{n})* with elements {els}")
 
 
-def test_ramanujan_examples():
-    assert ramanujan_sum(5, 1) == -1
-    assert ramanujan_sum(5, 5) == 4
-    assert ramanujan_sum(6, 2) == -1
-
-
-def test_ramanujan_matches_complex_oracle():
-    for n in range(1, 51):
-        for j in range(n):
-            assert ramanujan_sum(n, j) == complex_ramanujan(n, j), (n, j)
-
-
 def test_cyc_element_ring_ops():
     a = CycElement(5, (0, 1, 0, 0, 1))  # ζ + ζ^4
     b = a * a
     assert b.coeffs == (2, 0, 1, 1, 0)  # ζ^2 + 2 + ζ^3
     assert (a + a).coeffs == (0, 2, 0, 0, 2)
     assert a.galois_image(2).coeffs == (0, 0, 1, 1, 0)
-
-
-def test_cyc_element_rational_value():
-    full = CycElement(5, (0, 1, 1, 1, 1))
-    assert full.rational_value() == -1
-    with pytest.raises(ValueError):
-        CycElement(5, (0, 1, 0, 0, 0)).rational_value()
 
 
 def test_cyclotomic_polynomial_small():
@@ -84,7 +54,7 @@ def test_period_element_examples():
     full5 = full_subgroup(5)
     t2 = period_element(5, full5, (1,))
     assert t2.coeffs == (0, 1, 1, 1, 1)
-    assert t2.rational_value() == -1
+    assert (t2 - CycElement(5, (-1, 0, 0, 0, 0))).is_zero_value()  # θ = μ(5)
 
     h12 = subgroup_with_elements(12, [1, 7])
     degenerate = period_element(12, h12, (1,))
@@ -267,3 +237,64 @@ def test_performance_contract_large_modulus():
         count += 1
     elapsed = time.monotonic() - start
     assert elapsed < 1.0 * count, f"{elapsed:.2f}s for {count} fields"
+
+
+# Fields whose conductor needs a multi-step Hensel lift: (n, max index, indices)
+_LARGE_CONDUCTORS = {
+    "19996-index-4-8-12": (19996, 12, {4, 8, 12}),
+    "8836-index-le-46": (8836, 46, None),  # all three quadratics are imprimitive
+    "19948-index-le-12": (19948, 12, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LARGE_CONDUCTORS))
+def test_minpoly_matches_complex_oracle_large_conductors(case):
+    n, max_index, indices = _LARGE_CONDUCTORS[case]
+    checked = 0
+    for h in subgroups(unit_group(n), max_index=max_index):
+        if indices is not None and h.index not in indices:
+            continue
+        desc = subfield_minpoly(n, h)
+        pm = desc.period_modulus
+        residues = sorted({u % pm for u in h.elements()})
+        assert desc.degree == h.index
+        assert list(desc.minpoly) == period_charpoly_oracle(pm, residues, desc.shape), (n, h.hnf)
+        checked += 1
+    assert checked >= 2
+
+
+@given(st.integers(min_value=1, max_value=400), st.integers(min_value=0, max_value=10**300))
+@settings(max_examples=60, deadline=None)
+def test_root_of_unity_modulus(f, bound):
+    ell, _ = _prime_and_root(f)
+    m, z = _root_of_unity_mod(f, bound)
+    assert naive_is_prime(ell) and ell < 2**64
+    assert ell % f == 1 % f and not any(naive_is_prime(k * f + 1) for k in range(1, (ell - 1) // f))
+    power = m
+    while power % ell == 0:
+        power //= ell
+    assert power == 1 and m > bound
+    acc = 0
+    for c in reversed(cyclotomic_polynomial(f)):
+        acc = (acc * z + c) % m
+    assert acc == 0
+
+
+def test_root_of_unity_modulus_stays_below_2_64():
+    with pytest.raises(ArithmeticError, match="2\\^64"):
+        _root_of_unity_mod(2**64 - 1, 10)
+
+
+def test_subfield_minpoly_degree_checks_raise(monkeypatch):
+    import noether.cyclotomic as cyc
+
+    quartic = [s for s in subgroups(unit_group(13)) if s.index == 4][0]
+    # a conductor too small for the field loses degree
+    monkeypatch.setattr(cyc, "conductor", lambda n, h: 5)
+    with pytest.raises(ArithmeticError, match="loses degree"):
+        subfield_minpoly(13, quartic)
+    monkeypatch.undo()
+    # {1, 2} is no subgroup of (Z/5)*: the right size, but three cosets
+    monkeypatch.setattr(cyc, "_reduced_residues", lambda h, f: [1, 2])
+    with pytest.raises(ArithmeticError, match="3 cosets"):
+        subfield_minpoly(5, subgroup_with_elements(5, [1, 4]))

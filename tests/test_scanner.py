@@ -1,4 +1,5 @@
 import os
+import re
 import sys
 
 import pytest
@@ -197,3 +198,33 @@ def test_cross_check_accepts_row_dicts(full_scan):
     assert rep.ok
     assert rep.failures == ()
     assert rep == cross_check(full_scan)
+
+
+
+# Each check that decides a verdict must fire with assert stripped, too.
+_BROKEN_STAGES = {
+    # 47 = 2*23 + 1 meets criterion i, so both signs must have been proven
+    "em-without-obstruction": (
+        "_scan_quadratic", "lambda p, sides: None", 47,
+        "47 meets a congruence criterion but has no two-sided degree-2 obstruction"),
+    # (1, 0) is 1 in Z[i], not an element of norm 5
+    "wrong-certificate": (
+        "certificate_search", "lambda prob, bound: (1, 0)", 5,
+        "certificate [1, 0] does not have norm 5"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BROKEN_STAGES))
+def test_verdict_checks_survive_optimize(case, monkeypatch):
+    import noether.scanner as scanner
+    from optimized import run_optimized
+
+    name, stub, p, message = _BROKEN_STAGES[case]
+    monkeypatch.setattr(scanner, name, eval(stub))
+    with pytest.raises(RuntimeError, match=re.escape(message)):
+        scanner.classify_prime(p)
+
+    proc = run_optimized(
+        f"import noether.scanner as scanner\nscanner.{name} = {stub}\nscanner.classify_prime({p})\n")
+    assert proc.returncode == 1, proc
+    assert f"RuntimeError: {message}" in proc.stderr
