@@ -196,23 +196,26 @@ def subgroups(g: UnitGroup, max_index: int | None = None) -> list[Subgroup]:
 
 
 def subgroup_elements(h: Subgroup) -> list[int]:
-    """Residues mod n in the subgroup, sorted ascending."""
+    """Residues mod n in the subgroup, sorted ascending.
+
+    Let img_i be the residue of HNF row i and m_i = d_i / h_ii. The
+    elements are the products of img_i^(c_i), 0 <= c_i < m_i, each met
+    exactly once: the basis is upper triangular, so column i of
+    sum_j c_j row_j depends only on c_0..c_i, and with c_0..c_(i-1) fixed,
+    distinct c_i give distinct values mod d_i. The map is injective and
+    both sides have |h| = prod m_i elements.
+    """
     g = h.group
     n = g.n
-    gen_images = []
-    for row in h.hnf:
+    out = [1]
+    for i, row in enumerate(h.hnf):
         img = 1
         for e, base in zip(row, g.generators):
             img = img * pow(base, e, n) % n
-        gen_images.append(img)
-    seen = {1}
-    frontier = [1]
-    while frontier:
-        x = frontier.pop()
-        for gi in gen_images:
-            y = x * gi % n
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    assert len(seen) == h.order
-    return sorted(seen)
+        powers = [1]
+        for _ in range(g.cyclic_orders[i] // row[i] - 1):
+            powers.append(powers[-1] * img % n)
+        out = [x * y % n for x in out for y in powers]
+    if len(out) != h.order:
+        raise ArithmeticError(f"HNF {h.hnf} mod {n} gives {len(out)} elements, not {h.order}")
+    return sorted(out)

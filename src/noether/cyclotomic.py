@@ -123,7 +123,11 @@ def conductor(n: int, h: Subgroup) -> int:
     Minimality means the result is never ≡ 2 (mod 4): such an f shares its
     kernel with f/2, which divides n and is checked first.
     """
-    hset = frozenset(subgroup_elements(h))
+    return _conductor(n, set(subgroup_elements(h)))
+
+
+def _conductor(n: int, hset: set[int]) -> int:
+    """conductor() from the element set of the subgroup."""
     if len(hset) == euler_phi(n):
         return 1
     for f in divisors(n):
@@ -134,16 +138,18 @@ def conductor(n: int, h: Subgroup) -> int:
     return n
 
 
-def _reduced_residues(h: Subgroup, modulus: int) -> list[int]:
-    if modulus == h.group.n:
-        return subgroup_elements(h)
-    return sorted({u % modulus for u in subgroup_elements(h)})
+def _reduced_residues(elems: list[int], n: int, modulus: int) -> list[int]:
+    """The subgroup with elements `elems` mod n, reduced mod a divisor."""
+    if modulus == n:
+        return elems
+    return sorted({u % modulus for u in elems})
 
 
 def generating_period(sd: SubfieldDescriptor) -> CycElement:
     """The exact period element whose minimal polynomial is sd.minpoly."""
     pm = sd.period_modulus
-    return _period_from_residues(pm, _reduced_residues(sd.subgroup, pm), sd.shape)
+    residues = _reduced_residues(subgroup_elements(sd.subgroup), sd.n, pm)
+    return _period_from_residues(pm, residues, sd.shape)
 
 
 def _shape_schedule(max_len: int, budget: int = 100_000):
@@ -235,8 +241,9 @@ def subfield_minpoly(n: int, h: Subgroup) -> SubfieldDescriptor:
     """
     phi = euler_phi(n)
     d = phi // h.order
-    f = n if d == 1 else conductor(n, h)
-    residues = _reduced_residues(h, f)
+    elems = subgroup_elements(h)
+    f = n if d == 1 else _conductor(n, set(elems))
+    residues = _reduced_residues(elems, n, f)
     if euler_phi(f) != d * len(residues):
         raise ArithmeticError(f"conductor {f} of an index-{d} subgroup mod {n} loses degree")
     reps = _coset_representatives(f, residues)
@@ -261,12 +268,14 @@ def subfield_minpoly(n: int, h: Subgroup) -> SubfieldDescriptor:
         f"index {h.index}: schedule budget exhausted at conductor {f}")
 
 
-def subfields(n: int, max_degree: int) -> list[SubfieldDescriptor]:
-    """One descriptor per subfield of Q(ζ_n) of degree <= max_degree,
-    ordered by degree then by minimal polynomial coefficients."""
+def subfields(n: int, max_degree: int, min_degree: int = 1) -> list[SubfieldDescriptor]:
+    """One descriptor per subfield of Q(ζ_n) of degree in
+    [min_degree, max_degree], ordered by degree then by minimal polynomial
+    coefficients. Subfields below min_degree are never built."""
     if n < 3:
         raise ValueError("subfields() requires n >= 3")
     g = unit_group(n)
-    out = [subfield_minpoly(n, h) for h in subgroups(g, max_index=max_degree)]
+    out = [subfield_minpoly(n, h) for h in subgroups(g, max_index=max_degree)
+           if h.index >= min_degree]
     out.sort(key=lambda s: (s.degree, s.minpoly))
     return out

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 
+# divisors is unused here, but scanbench/layers.py wraps it in every module
+# that imports it, this one included, so the import stays
 from .arith import divisors, factor, is_square, jacobi, sqrt_mod_prime
 
 
@@ -33,6 +35,7 @@ def fundamental_discriminant(d: int) -> int:
     return d0
 
 
+@lru_cache(maxsize=None)
 def is_fundamental(d: int) -> bool:
     if d == 1 or d == 0:
         return False
@@ -44,17 +47,27 @@ def is_fundamental(d: int) -> bool:
 
 def quadratic_subfield_discs(n: int) -> list[int]:
     """Fundamental discriminants of the quadratic subfields of the n-th
-    cyclotomic field: exactly the fundamental D != 1 with |D| dividing n."""
+    cyclotomic field: exactly the fundamental D != 1 with |D| dividing n.
+
+    A fundamental discriminant is a product of distinct prime
+    discriminants q* = ±q ≡ 1 (mod 4) (q odd) and at most one of -4, 8,
+    -8; |D| divides n iff each odd q divides n, and 4 | n for -4, 8 | n
+    for ±8. So the list is read off the factorisation of n.
+    """
     if n < 3:
         raise ValueError("quadratic_subfield_discs() requires n >= 3")
-    out = []
-    for m in divisors(n):
-        if m == 1:
-            continue
-        for d in (m, -m):
-            if d % 4 in (0, 1) and is_fundamental(d):
-                out.append(d)
-    return sorted(out)
+    odd = [1]  # products of the odd prime discriminants
+    even = [1]  # at most one even prime discriminant
+    for q, e in factor(n):
+        if q == 2:
+            if e >= 2:
+                even.append(-4)
+            if e >= 3:
+                even += [8, -8]
+        else:
+            qs = q if q % 4 == 1 else -q
+            odd += [d * qs for d in odd]
+    return sorted(d * t for d in odd for t in even if d * t != 1)
 
 
 @dataclass(frozen=True)

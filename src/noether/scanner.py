@@ -153,9 +153,7 @@ def _scan_quadratic(p: int, sides: dict[int, _SignScan]) -> None:
 
 def _scan_backend(p: int, cfg: ScanConfig, sides: dict[int, _SignScan]) -> None:
     client = _get_client(cfg.backend)
-    for desc in subfields(p - 1, cfg.max_degree):
-        if desc.degree <= 2:
-            continue
+    for desc in subfields(p - 1, cfg.max_degree, min_degree=3):
         if all(state.proven for state in sides.values()):
             return
         for sign, state in sides.items():

@@ -97,7 +97,59 @@ def all_subgroups_brute(n: int) -> set[frozenset[int]]:
     return subs
 
 
+# (n, max index) pairs whose subgroups are checked against the oracles
+# below: every subgroup of small moduli, and index <= 12 at large moduli near
+# the top of the scanned range (8836 = 4 * 47^2 has imprimitive subfields)
+SUBGROUP_CASES = [(n, None) for n in range(3, 301)] + [(n, 12) for n in (19926, 19948, 19996, 8836)]
+
+
+def hnf_subgroup_closure(n: int, generators, hnf) -> list[int]:
+    """Elements of the subgroup of (Z/nZ)* whose exponent lattice over
+    `generators` has the rows of `hnf` as a basis: the breadth-first
+    closure of the rows' images, sorted."""
+    images = []
+    for row in hnf:
+        img = 1
+        for e, g in zip(row, generators):
+            img = img * pow(g, e, n) % n
+        images.append(img)
+    return sorted(closure(n, tuple(images)))
+
+
+def conductor_oracle(n: int, elems) -> int:
+    """The least f | n such that every unit u ≡ 1 (mod f) lies in the
+    subgroup with elements `elems`."""
+    hset = set(elems)
+    units = unit_residues(n)
+    for f in range(1, n + 1):
+        if n % f == 0 and all(u in hset for u in units if u % f == 1 % f):
+            return f
+    raise AssertionError("unreachable: f = n always qualifies")
+
+
 # ------------------------------------------------------------------ quadforms
+@lru_cache(maxsize=None)
+def _squarefree(m: int) -> bool:
+    return all(e == 1 for _, e in naive_factor(abs(m)))
+
+
+def naive_is_fundamental(d: int) -> bool:
+    """D != 1 with D ≡ 1 (mod 4) squarefree, or D = 4m with m ≡ 2, 3
+    (mod 4) squarefree."""
+    if d in (0, 1):
+        return False
+    if d % 4 == 1:
+        return _squarefree(d)
+    return d % 4 == 0 and (d // 4) % 4 in (2, 3) and _squarefree(d // 4)
+
+
+def quadratic_discs_oracle(n: int) -> list[int]:
+    """Fundamental D with |D| dividing n, by testing ±m for every divisor m."""
+    small = [m for m in range(1, isqrt(n) + 1) if n % m == 0]
+    divs = set(small) | {n // m for m in small}
+    return sorted(d for m in divs for d in (m, -m) if naive_is_fundamental(d))
+
+
 def principal_form_coeffs(D: int) -> tuple[int, int, int]:
     b = D & 1
     return 1, b, (b - D) // 4

@@ -4,7 +4,7 @@ import pytest
 
 from noether.abelian import Subgroup, subgroup_elements, subgroups, unit_group
 from noether.arith import divisors, euler_phi, factor
-from oracles import all_subgroups_brute, closure, unit_residues
+from oracles import SUBGROUP_CASES, all_subgroups_brute, closure, hnf_subgroup_closure, unit_residues
 
 
 def test_unit_group_examples():
@@ -102,6 +102,13 @@ def test_elements_group_closure_property():
             for a in els:
                 for b in els:
                     assert a * b % n in el_set
+
+
+def test_elements_match_closure_oracle():
+    for n, max_index in SUBGROUP_CASES:
+        g = unit_group(n)
+        for s in subgroups(g, max_index=max_index):
+            assert subgroup_elements(s) == hnf_subgroup_closure(n, g.generators, s.hnf), (n, s.hnf)
 
 
 def test_subgroup_counts_match_brute_force():

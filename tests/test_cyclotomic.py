@@ -1,8 +1,9 @@
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noether.abelian import subgroups, unit_group
+from noether.abelian import subgroup_elements, subgroups, unit_group
 from noether.arith import euler_phi, moebius, primes_below
 from noether.cyclotomic import (
     CycElement,
@@ -16,7 +17,7 @@ from noether.cyclotomic import (
     subfields,
 )
 from noether.polyops import discriminant, poly_eval
-from oracles import naive_is_prime, period_charpoly_oracle
+from oracles import SUBGROUP_CASES, conductor_oracle, naive_is_prime, period_charpoly_oracle
 
 
 def full_subgroup(n):
@@ -90,6 +91,12 @@ def test_conductor_examples():
         assert conductor(46, h) in (1, 23)
 
 
+def test_conductor_matches_definition_oracle():
+    for n, max_index in SUBGROUP_CASES:
+        for h in subgroups(unit_group(n), max_index=max_index):
+            assert conductor(n, h) == conductor_oracle(n, subgroup_elements(h)), (n, h.hnf)
+
+
 def test_subfield_minpoly_degenerate_period_recovery():
     # index-2 subgroup {1,7} of (Z/12)*: the mod-12 period ζ + ζ^7 is 0,
     # but the field is Q(ζ3), where the plain period works at once
@@ -131,6 +138,8 @@ def test_subfields_examples():
 
     descs12 = subfields(12, 2)
     assert sorted(d.degree for d in descs12) == [1, 2, 2, 2]
+    assert subfields(12, 2, min_degree=2) == descs12[1:]
+    assert subfields(60, 4, min_degree=3) == [d for d in subfields(60, 4) if d.degree >= 3]
 
     descs3 = subfields(3, 8)
     assert [d.degree for d in descs3] == [1, 2]
@@ -193,32 +202,13 @@ def test_degree2_minpolys_match_quadratic_discs():
         assert found == set(quadratic_subfield_discs(n)), n
 
 
-def test_minpoly_irreducible_at_desk_scale():
-    # squarefree is certified; spot-check irreducibility by scanning for
-    # monic integer factors up to half the degree via root bounds
-    import itertools
-
-    def has_small_factor(g):
-        d = len(g) - 1
-        for fd in range(1, d // 2 + 1):
-            # candidate factors with coefficients bounded by the largest
-            # coefficient of g (crude but sufficient at this scale)
-            bound = min(4, max(abs(c) for c in g) + 1)
-            rng = range(-bound, bound + 1)
-            for combo in itertools.product(rng, repeat=fd):
-                cand = list(combo) + [1]
-                from noether.polyops import poly_divmod_monic
-
-                _, rem = poly_divmod_monic(list(g), cand)
-                if rem == []:
-                    return True
-        return False
-
-    for n in (5, 7, 12, 13, 16, 17):
+def test_minpoly_irreducible_over_q():
+    # exact factorisation over Q, for every subfield of every small modulus
+    x = sympy.symbols("x")
+    for n in range(3, 61):
         for h in subgroups(unit_group(n)):
             desc = subfield_minpoly(n, h)
-            if desc.degree > 1:
-                assert not has_small_factor(list(desc.minpoly)), (n, desc)
+            assert sympy.Poly(desc.minpoly[::-1], x, domain="QQ").is_irreducible, (n, h.hnf)
 
 
 def test_performance_contract_large_modulus():
@@ -290,11 +280,11 @@ def test_subfield_minpoly_degree_checks_raise(monkeypatch):
 
     quartic = [s for s in subgroups(unit_group(13)) if s.index == 4][0]
     # a conductor too small for the field loses degree
-    monkeypatch.setattr(cyc, "conductor", lambda n, h: 5)
+    monkeypatch.setattr(cyc, "_conductor", lambda n, hset: 5)
     with pytest.raises(ArithmeticError, match="loses degree"):
         subfield_minpoly(13, quartic)
     monkeypatch.undo()
     # {1, 2} is no subgroup of (Z/5)*: the right size, but three cosets
-    monkeypatch.setattr(cyc, "_reduced_residues", lambda h, f: [1, 2])
+    monkeypatch.setattr(cyc, "_reduced_residues", lambda elems, n, f: [1, 2])
     with pytest.raises(ArithmeticError, match="3 cosets"):
         subfield_minpoly(5, subgroup_with_elements(5, [1, 4]))

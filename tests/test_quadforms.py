@@ -10,7 +10,7 @@ from noether.quadforms import (
     quadratic_subfield_discs,
     solve_norm,
 )
-from oracles import represents_oracle
+from oracles import quadratic_discs_oracle, represents_oracle
 
 
 def test_fundamental_discriminant():
@@ -43,6 +43,12 @@ def test_quadratic_subfield_discs_examples():
     assert quadratic_subfield_discs(12) == [-4, -3, 12]
     assert quadratic_subfield_discs(5) == [5]
     assert quadratic_subfield_discs(8836) == [-47, -4, 188]
+
+
+def test_quadratic_subfield_discs_match_divisor_scan_oracle():
+    moduli = set(range(3, 5001)) | {p - 1 for p in primes_below(20000) if p > 3}
+    for n in sorted(moduli):
+        assert quadratic_subfield_discs(n) == quadratic_discs_oracle(n), n
 
 
 def test_quadratic_subfield_disc_count_matches_unit_group():

@@ -5,7 +5,8 @@ import sys
 import pytest
 
 from noether.criteria import load_fixtures
-from noether.normsearch import BackendUnavailableError, BackendVerificationError, norm_of
+from noether.cyclotomic import subfields
+from noether.normsearch import BackendClient, BackendUnavailableError, BackendVerificationError, norm_of
 from noether.quadforms import solve_norm
 from noether.scanner import (
     STATUS_NOT_STABLY_RATIONAL,
@@ -228,3 +229,57 @@ def test_verdict_checks_survive_optimize(case, monkeypatch):
         f"import noether.scanner as scanner\nscanner.{name} = {stub}\nscanner.classify_prime({p})\n")
     assert proc.returncode == 1, proc
     assert f"RuntimeError: {message}" in proc.stderr
+
+
+def test_backend_stage_builds_no_quadratic_fields(monkeypatch):
+    import noether.cyclotomic as cyc
+    import noether.scanner as scanner
+
+    built = []
+    minpoly = cyc.subfield_minpoly
+
+    def counting_minpoly(n, h):
+        sd = minpoly(n, h)
+        built.append(sd.degree)
+        return sd
+
+    entered = []  # (p, signs proven before the backend stage)
+    stage = scanner._scan_backend
+
+    def recording_stage(p, cfg, sides):
+        entered.append((p, {sign for sign, state in sides.items() if state.proven}))
+        stage(p, cfg, sides)
+
+    sent, answers = [], {}
+    decide = BackendClient.decide
+
+    def recording_decide(self, prob, grh_allowed=False):
+        dec = decide(self, prob, grh_allowed=grh_allowed)
+        sent.append((tuple(prob.minpoly), prob.target))
+        answers[sent[-1]] = dec.outcome
+        return dec
+
+    monkeypatch.setattr(cyc, "subfield_minpoly", counting_minpoly)
+    monkeypatch.setattr(scanner, "_scan_backend", recording_stage)
+    monkeypatch.setattr(BackendClient, "decide", recording_decide)
+    cfg = ScanConfig(max_degree=8, backend=fake_backend("scripted"))
+    scan(2, 100, cfg)
+    assert classify_prime(5507, cfg).d_plus == 8
+    monkeypatch.undo()
+    assert len(entered) > 5 and built and min(built) >= 3
+
+    # replay the stage: fields of degree 3..8 in subfields() order, each
+    # sign asked until the backend proves it, none once both are proven
+    expected = []
+    for p, proven in entered:
+        for desc in subfields(p - 1, 8):
+            if desc.degree < 3:
+                continue
+            if proven == {1, -1}:
+                break
+            for sign in (1, -1):
+                if sign not in proven:
+                    expected.append((desc.minpoly, sign * p))
+                    if answers.get(expected[-1]) == "unsolvable":
+                        proven = proven | {sign}
+    assert sent == expected
