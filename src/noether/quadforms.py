@@ -2,16 +2,17 @@
 quadratic forms.
 
 Representability of sign*p by the principal form of discriminant D is
-decided by Gauss reduction: build a form (sign*p, b, c) of discriminant D
-from a modular square root, reduce, and compare against the reduced
-principal form (definite case) or walk the principal cycle (indefinite
-case). Witnesses are recovered by threading the 2x2 change-of-basis matrix
-through every reduction step, and every Solvable answer is re-verified by
-direct evaluation before it is returned.
+decided by reduction: build a form (sign*p, b, c) of discriminant D from a
+modular square root, reduce it (Gauss reduction if D < 0, rho-steps if
+D > 0), and compare against the principal form (definite case) or look it
+up in the principal cycle (indefinite case). Witnesses are recovered by
+threading the 2x2 change-of-basis matrix through every reduction step, and
+every Solvable answer is re-verified by direct evaluation before it is
+returned.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import isqrt
 
@@ -91,96 +92,89 @@ def principal_form(D: int) -> QuadraticForm:
     fundamental discriminant D: x^2 - (D/4) y^2 or x^2 + xy - ((D-1)/4) y^2."""
     if not is_fundamental(D):
         raise ValueError(f"{D} is not a fundamental discriminant")
+    return QuadraticForm(*_principal(D))
+
+
+def _principal(D: int) -> tuple[int, int, int]:
     b = D & 1
-    return QuadraticForm(1, b, (b - D) // 4)
+    return 1, b, (b - D) // 4
 
 
-# A reduction step rewrites the form through a unimodular change of basis;
-# the accumulated matrix M sends coordinates of the new form to coordinates
-# of the original one: original(M @ (x, y)) = new(x, y).
+# A reduction step rewrites a form (a, b, c) through a unimodular change of
+# basis; the accumulated matrix M = (p, q, r, s) sends coordinates of the new
+# form to coordinates of the original one: original(M @ (x, y)) = new(x, y).
+# The reduction walks run on plain integer triples and 4-tuples.
+Form = tuple[int, int, int]
 Mat = tuple[int, int, int, int]
 
 _ID: Mat = (1, 0, 0, 1)
 
 
-def _mat_mul(m: Mat, k: Mat) -> Mat:
-    a, b, c, d = m
-    e, f, g, h = k
-    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-
-
-def _transform(f: QuadraticForm, m: Mat) -> QuadraticForm:
-    p, q, r, s = m
-    a = f.value(p, r)
-    c = f.value(q, s)
-    b = 2 * f.a * p * q + f.b * (p * s + q * r) + 2 * f.c * r * s
-    return QuadraticForm(a, b, c)
-
-
-def _reduce_definite(f: QuadraticForm) -> tuple[QuadraticForm, Mat]:
+def _reduce_definite(a: int, b: int, c: int) -> tuple[Form, Mat]:
     """Gauss reduction of a positive definite form; returns (reduced, M)
     with f(M @ z) = reduced(z)."""
-    m = _ID
-    a, b, c = f.a, f.b, f.c
+    p, q, r, s = _ID
     while True:
         if c < a:
             a, b, c = c, -b, a
-            m = _mat_mul(m, (0, -1, 1, 0))
-            continue
-        if b > a or b <= -a:
-            # translate x -> x - ky to land b in (-a, a]
+            p, q, r, s = q, -p, s, -r  # M @ (0, -1, 1, 0)
+        elif b > a or b <= -a:
+            # translate x -> x - ky to land b in (-a, a]: M @ (1, -k, 0, 1)
             k = (b + a) // (2 * a)
             if b - 2 * k * a == -a:
                 k -= 1
-            b2 = b - 2 * k * a
-            c2 = a * k * k - b * k + c
-            b, c = b2, c2
-            m = _mat_mul(m, (1, -k, 0, 1))
-            continue
-        if a == c and b < 0:
+            b, c = b - 2 * k * a, a * k * k - b * k + c
+            q -= k * p
+            s -= k * r
+        elif a == c and b < 0:
             a, b, c = c, -b, a
-            m = _mat_mul(m, (0, -1, 1, 0))
-            continue
-        return QuadraticForm(a, b, c), m
+            p, q, r, s = q, -p, s, -r
+        else:
+            return (a, b, c), (p, q, r, s)
 
 
-def _is_reduced_indefinite(f: QuadraticForm, s: int) -> bool:
+def _is_reduced_indefinite(a: int, b: int, s: int) -> bool:
     """Reduced for D > 0, via s = isqrt(D): 0 < b < sqrt(D) and
     sqrt(D) - b < 2|a| < sqrt(D) + b, all compared exactly."""
-    a, b = f.a, f.b
-    if b <= 0:
-        return False
     # b < sqrt(D) <=> b <= s unless b*b = D (excluded: D non-square)
-    if b > s:
+    if b <= 0 or b > s:
         return False
     t = 2 * abs(a)
     # sqrt(D) - b < t <=> s - b + 1 <= t (integers, sqrt irrational)
     # t < sqrt(D) + b <=> t <= s + b
-    return s - b + 1 <= t and t <= s + b
+    return s - b + 1 <= t <= s + b
 
 
-def _rho_step(f: QuadraticForm, s: int) -> tuple[QuadraticForm, Mat]:
-    """One reduction step for indefinite forms: (a,b,c) -> (c, b', c') with
-    b' ≡ -b (mod 2c), chosen in the standard window."""
-    a, b, c = f.a, f.b, f.c
+def _rho_step(a: int, b: int, c: int, D: int, s: int) -> tuple[int, int, int, int]:
+    """One reduction step for indefinite forms: (a, b, c) -> (c, b', c')
+    with b' ≡ -b (mod 2c), chosen in the standard window, through the
+    matrix (0, -1, 1, k). Returns (c, b', c', k)."""
     ac = abs(c)
-    # b' ≡ -b (mod 2|c|), maximal with b' <= s when |c| < s, else in (-|c|, |c|]
+    b2 = (-b) % (2 * ac)
     if ac > s:
         # choose b' in (-|c|, |c|]
-        b2 = (-b) % (2 * ac)
         if b2 > ac:
             b2 -= 2 * ac
     else:
-        # choose largest b' <= s
-        b2 = (-b) % (2 * ac)
+        # choose the largest b' <= s
         b2 += ((s - b2) // (2 * ac)) * 2 * ac
-    c2 = (b2 * b2 - f.disc) // (4 * c)
+    c2 = (b2 * b2 - D) // (4 * c)
     k = (b + b2) // (2 * c)
-    # matrix for (x, y) -> (k x - y? ) : rho = T^k S with S=(0,-1;1,0) effect
-    m: Mat = (0, -1, 1, k)
-    out = QuadraticForm(c, b2, c2)
-    assert _transform(f, m) == out, "rho bookkeeping broken"
-    return out, m
+    # (a, b, c) through (0, -1, 1, k) is (c, 2ck - b, a - bk + ck^2)
+    if b2 != 2 * c * k - b or c2 != a - b * k + c * k * k:
+        raise ArithmeticError(f"rho step of {(a, b, c)} (disc {D}) is not a "
+                              f"change of basis by (0, -1, 1, {k})")
+    return c, b2, c2, k
+
+
+def _reduce_indefinite(a: int, b: int, c: int, D: int, s: int) -> tuple[Form, Mat]:
+    """rho-steps until the form is reduced; returns (reduced, M) with
+    f(M @ z) = reduced(z)."""
+    p, q, r, t = _ID
+    while not _is_reduced_indefinite(a, b, s):
+        a, b, c, k = _rho_step(a, b, c, D, s)
+        p, q, r, t = q, k * q - p, t, k * t - r  # M @ (0, -1, 1, k)
+    return (a, b, c), (p, q, r, t)
 
 
 @dataclass(frozen=True)
@@ -189,10 +183,18 @@ class FormCycle:
     of a positive non-square fundamental discriminant."""
 
     disc: int
-    forms: tuple[QuadraticForm, ...]
-    # transform[i] maps coordinates of forms[i] back to principal-form
-    # coordinates: principal(M_i @ z) = forms[i](z)
-    transforms: tuple[Mat, ...]
+    # every form (a, b, c) of the cycle, in cycle order, to the transform M
+    # that maps its coordinates back to principal-form coordinates:
+    # principal(M @ z) = form(z)
+    transform_of: dict[Form, Mat] = field(hash=False)
+
+    @property
+    def forms(self) -> tuple[QuadraticForm, ...]:
+        return tuple(QuadraticForm(*f) for f in self.transform_of)
+
+    @property
+    def transforms(self) -> tuple[Mat, ...]:
+        return tuple(self.transform_of.values())
 
 
 @lru_cache(maxsize=None)
@@ -202,24 +204,21 @@ def principal_cycle(D: int) -> FormCycle:
         raise ValueError("principal_cycle() needs a positive non-square "
                          "fundamental discriminant")
     s = isqrt(D)
-    f = principal_form(D)
-    m = _ID
     # bring the principal form onto the cycle first
-    while not _is_reduced_indefinite(f, s):
-        f, step = _rho_step(f, s)
-        m = _mat_mul(m, step)
-    first = f
-    forms = [f]
-    mats = [m]
+    first, m = _reduce_indefinite(*_principal(D), D, s)
+    transform_of = {first: m}
+    a, b, c = first
+    p, q, r, t = m
+    limit = 10 * (s + 2) * len(bin(D))
     while True:
-        f, step = _rho_step(f, s)
-        m = _mat_mul(m, step)
-        if f == first:
-            break
-        forms.append(f)
-        mats.append(m)
-        assert len(forms) < 10 * (s + 2) * (len(bin(D))), "runaway cycle"
-    return FormCycle(D, tuple(forms), tuple(mats))
+        a, b, c, k = _rho_step(a, b, c, D, s)
+        p, q, r, t = q, k * q - p, t, k * t - r
+        if (a, b, c) == first:
+            return FormCycle(D, transform_of)
+        transform_of[a, b, c] = (p, q, r, t)
+        if len(transform_of) >= limit:
+            raise ArithmeticError(f"principal cycle of {D} does not close "
+                                  f"within {limit} forms")
 
 
 @dataclass(frozen=True)
@@ -237,8 +236,9 @@ class NormDecision:
 
 
 def _verify(D: int, sign: int, p: int, xy: tuple[int, int]) -> None:
-    form = principal_form(D)
-    if form.value(*xy) != sign * p:
+    _, b, c = _principal(D)
+    x, y = xy
+    if x * x + b * x * y + c * y * y != sign * p:
         raise AssertionError(
             f"witness check failed: disc {D}, target {sign * p}, xy {xy}")
 
@@ -267,70 +267,38 @@ def solve_norm(D: int, p: int, sign: int) -> NormDecision:
     b = sqrt_mod_prime(D % p, p)
     if (b - D) % 2:
         b += p
-    assert (b * b - D) % (4 * p) == 0
+    if (b * b - D) % (4 * p):
+        raise ArithmeticError(f"{b} is not a square root of {D} mod {4 * p}")
 
+    # a form with leading coefficient sign*p, reduced: sign*p is a norm iff
+    # it is properly equivalent to the principal form. The reduced
+    # principal form of D < 0 is the principal form itself; for D > 0 the
+    # reduced forms of its class are exactly its rho-cycle.
+    t = sign * p
     if D < 0:
-        principal_reduced, _ = _reduce_definite(principal_form(D))
-        cand = QuadraticForm(p, b, (b * b - D) // (4 * p))
-        red, m = _reduce_definite(cand)
-        if red == principal_reduced:
-            # principal(z0) = p for z0 = M_principal^{-1}? track instead:
-            # cand(1, 0) = p and reduced = cand after basis change; map the
-            # representation through the other direction below.
-            x, y = _witness_from_chain(D, cand, m)
-            _verify(D, sign, p, (x, y))
-            return NormDecision(D, sign, True, (x, y))
-        return NormDecision(D, sign, False)
-
-    # indefinite: sign*p as leading coefficient, then cycle membership
-    # (proper classes of reduced forms are exactly the rho-cycles, disjoint)
-    cand = QuadraticForm(sign * p, b, (b * b - D) // (4 * sign * p))
-    s = isqrt(D)
-    m = _ID
-    f = cand
-    while not _is_reduced_indefinite(f, s):
-        f, step = _rho_step(f, s)
-        m = _mat_mul(m, step)
-    cyc = principal_cycle(D)
-    if f not in cyc.forms:
-        return NormDecision(D, sign, False)
-    idx = cyc.forms.index(f)
-    # principal(M_idx @ z) = f(z) and cand(M @ z) = f(z):
-    # cand(1,0) = sign*p, so z with M @ z = (1,0) has f(z)=? invert instead:
-    x, y = _witness_indefinite(cyc, idx, m)
-    _verify(D, sign, p, (x, y))
-    return NormDecision(D, sign, True, (x, y))
+        red, m = _reduce_definite(t, b, (b * b - D) // (4 * t))
+        if red != _principal(D):
+            return NormDecision(D, sign, False)
+        mp = _ID
+    else:
+        red, m = _reduce_indefinite(t, b, (b * b - D) // (4 * t), D, isqrt(D))
+        mp = principal_cycle(D).transform_of.get(red)
+        if mp is None:
+            return NormDecision(D, sign, False)
+    # cand(M @ z) = red(z) = principal(Mp @ z) and cand(1, 0) = sign*p, so
+    # z = M^{-1} @ (1, 0) gives principal(Mp @ z) = sign*p
+    inv = _mat_inv_unimodular(m)
+    z0, z1 = inv[0], inv[2]
+    xy = (mp[0] * z0 + mp[1] * z1, mp[2] * z0 + mp[3] * z1)
+    _verify(D, sign, p, xy)
+    return NormDecision(D, sign, True, xy)
 
 
 def _mat_inv_unimodular(m: Mat) -> Mat:
     a, b, c, d = m
     det = a * d - b * c
-    assert det in (1, -1)
     if det == 1:
         return (d, -b, -c, a)
-    return (-d, b, c, -a)
-
-
-def _witness_from_chain(D: int, cand: QuadraticForm, m: Mat) -> tuple[int, int]:
-    """Definite case: cand(1,0) = p, cand(M z) = reduced(z) = principal
-    after reduction; recover (x, y) with principal(x, y) = p."""
-    principal, mp = _reduce_definite(principal_form(D))
-    # principal_form(M_p @ z) = principal(z) and cand(M_c @ z) = principal(z)
-    # cand represents p at (1,0); express (1,0) in reduced coordinates:
-    # (1,0) = M_c @ z  =>  z = M_c^{-1} (1,0); then x,y = M_p @ z
-    inv = _mat_inv_unimodular(m)
-    z = (inv[0], inv[2])  # first column of M_c^{-1}
-    x = mp[0] * z[0] + mp[1] * z[1]
-    y = mp[2] * z[0] + mp[3] * z[1]
-    return x, y
-
-
-def _witness_indefinite(cyc: FormCycle, idx: int, m: Mat) -> tuple[int, int]:
-    """Indefinite case: cand(M_c z) = f = cyc.forms[idx] =
-    principal(M_i z)."""
-    inv = _mat_inv_unimodular(m)
-    z = (inv[0], inv[2])
-    mi = cyc.transforms[idx]
-    x = mi[0] * z[0] + mi[1] * z[1]
-    y = mi[2] * z[0] + mi[3] * z[1]
-    return x, y
+    if det == -1:
+        return (-d, b, c, -a)
+    raise ArithmeticError(f"{m} is not unimodular (determinant {det})")

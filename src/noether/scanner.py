@@ -322,7 +322,8 @@ def cross_check(results: Iterable, fixtures: Optional[FixtureSets] = None) -> Cr
     row is (2, 2, 0) is classified NotStablyRational with degrees (2, 2)
     unconditionally; (d) every undetermined-set prime passes all its
     degree-2 norm tests in both signs (recomputed here, not taken from the
-    stream).
+    stream); (e) for every reference row with degrees (d+, d-), d_s = 2
+    exactly when some quadratic subfield obstructs sign s (recomputed).
     """
     fx = fixtures or load_fixtures()
     rows: dict[int, dict] = {}
@@ -382,5 +383,22 @@ def cross_check(results: Iterable, fixtures: Optional[FixtureSets] = None) -> Cr
                 f"(d) undetermined-set prime {p} fails {len(bad)} degree-2 "
                 f"tests (first: discriminant {disc}, sign {sign:+d})"
             )
+
+    for p, ref in sorted(fx.result_rows.items()):
+        if not isinstance(ref, tuple):
+            continue
+        obstructed = {
+            sign
+            for disc in quadratic_subfield_discs(p - 1)
+            for sign in (1, -1)
+            if not solve_norm(disc, p, sign).solvable
+        }
+        for sign, d in ((1, ref[0]), (-1, ref[1])):
+            if (d == 2) != (sign in obstructed):
+                failures.append(
+                    f"(e) prime {p}: reference d{'+' if sign > 0 else '-'} = {d}, but "
+                    f"sign {sign:+d} is {'' if sign in obstructed else 'not '}"
+                    f"obstructed by a quadratic subfield"
+                )
 
     return CrossCheckReport(not failures, tuple(failures), len(rows))

@@ -6,6 +6,7 @@ buys obviousness.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import gcd, isqrt
@@ -153,6 +154,90 @@ def quadratic_discs_oracle(n: int) -> list[int]:
 def principal_form_coeffs(D: int) -> tuple[int, int, int]:
     b = D & 1
     return 1, b, (b - D) // 4
+
+
+@dataclass(frozen=True)
+class OracleForm:
+    """Integral binary quadratic form a x^2 + b xy + c y^2."""
+
+    a: int
+    b: int
+    c: int
+
+    @property
+    def disc(self) -> int:
+        return self.b * self.b - 4 * self.a * self.c
+
+    def value(self, x: int, y: int) -> int:
+        return self.a * x * x + self.b * x * y + self.c * y * y
+
+    def transform(self, m: tuple[int, int, int, int]) -> "OracleForm":
+        """The form z -> self(M @ z), by substitution."""
+        p, q, r, s = m
+        b = 2 * self.a * p * q + self.b * (p * s + q * r) + 2 * self.c * r * s
+        return OracleForm(self.value(p, r), b, self.value(q, s))
+
+
+def rho_step_oracle(f: OracleForm) -> tuple[OracleForm, tuple[int, int, int, int]]:
+    """One reduction step for an indefinite form: b' ≡ -b (mod 2|c|), in
+    (-|c|, |c|] when |c| > sqrt(D), else the largest b' <= sqrt(D); the new
+    form is f through M = (0, -1, 1, k) with k = (b + b') / 2c, by
+    substitution."""
+    s = isqrt(f.disc)
+    ac = abs(f.c)
+    b2 = (-f.b) % (2 * ac)
+    if ac > s:
+        if b2 > ac:
+            b2 -= 2 * ac
+    else:
+        b2 += ((s - b2) // (2 * ac)) * 2 * ac
+    k, r = divmod(f.b + b2, 2 * f.c)
+    assert r == 0
+    m = (0, -1, 1, k)
+    out = f.transform(m)
+    assert out == OracleForm(f.c, b2, out.c) and out.disc == f.disc
+    return out, m
+
+
+def is_reduced_indefinite_oracle(f: OracleForm) -> bool:
+    """0 < b < sqrt(D) and sqrt(D) - b < 2|a| < sqrt(D) + b, by squaring."""
+    D, t = f.disc, 2 * abs(f.a)
+    return 0 < f.b and f.b * f.b < D and (t + f.b) ** 2 > D and (t - f.b < 0 or (t - f.b) ** 2 < D)
+
+
+def norm_decision_oracle(D: int, target: int) -> bool:
+    """Whether x^2 + bxy + cy^2 = target (the principal form of D > 0) has
+    an integer solution, decided by sympy's diop_DN on u^2 - D v^2 =
+    4 target: u = 2x + by, v = y, so a solution (u, v) gives one of the
+    form iff u ≡ bv (mod 2), b = D mod 2."""
+    from sympy.solvers.diophantine.diophantine import diop_DN
+
+    return any((u - D * v) % 2 == 0 for u, v in diop_DN(D, 4 * target))
+
+
+def nagell_search(D: int, target: int, unit: tuple[int, int]) -> tuple[int, int] | None:
+    """A solution of x^2 + bxy + cy^2 = target > 0 (principal form of
+    D > 0), or None if there is none.
+
+    With u = 2x + by, v = y this is u^2 - D v^2 = N = 4 target; every
+    solution has u ≡ bv (mod 2), as u^2 ≡ D v^2 (mod 4). For a unit
+    ε = x1 + y1 sqrt(D) of norm 1, x1 > 1, Nagell (Introduction to Number
+    Theory, Thm. 108) puts a member of every class of solutions under ε at
+    0 <= v <= y1 sqrt(N) / sqrt(2 (x1 + 1)). So a search of v up to that
+    bound decides the equation.
+    """
+    x1, y1 = unit
+    N = 4 * target
+    assert target > 0 and x1 > 1 and x1 * x1 - D * y1 * y1 == 1
+    b = D % 2
+    # v^2 <= y1^2 N / (2 (x1 + 1))
+    vmax = isqrt(y1 * y1 * N // (2 * (x1 + 1))) + 1
+    for v in range(vmax + 1):
+        u2 = N + D * v * v
+        u = isqrt(u2)
+        if u * u == u2 and (u - b * v) % 2 == 0:
+            return (u - b * v) // 2, v
+    return None
 
 
 def represents_oracle(D: int, target: int, bound: int) -> tuple[int, int] | None:

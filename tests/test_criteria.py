@@ -11,7 +11,7 @@ from noether.criteria import (
     load_fixtures,
 )
 from noether.quadforms import quadratic_subfield_discs, solve_norm
-from oracles import naive_factor, represents_oracle
+from oracles import nagell_search, naive_factor, naive_is_fundamental, naive_is_prime, represents_oracle
 
 
 def test_em_criterion_i_examples():
@@ -60,6 +60,7 @@ def test_fixture_shapes():
     assert fx.result_rows[47] == (2, 2, 0)
     assert fx.result_rows[59] == (28, 4, 1)
     assert fx.result_rows[5507] == (8, 8, 0)
+    assert fx.result_rows[5987] == (2, 8, 0)
     assert fx.result_rows[8837] == (46, 2, 1)
     assert fx.result_rows[5] == RATIONAL
     assert fx.result_rows[251] == UNDETERMINED
@@ -86,6 +87,26 @@ def test_errata_primes_are_not_undetermined():
         assert represents_oracle(-4 * q, -p, bound) is None, p
         assert p not in fx.undetermined
         assert fx.result_rows[p] == (2, 2, 0)
+
+
+def test_row_5987_has_d_plus_2():
+    # Independent proof that the reference row of 5987 has d+ = 2 (README
+    # "Errata"), using only the oracles and sympy.  2993 = 41*73 is a
+    # fundamental discriminant dividing 5986, so Q(sqrt(2993)) lies in
+    # Q(zeta_5986); its norm form is x^2 + xy - 748 y^2.  Below the Nagell
+    # bound of the unit 1313 + 24 sqrt(2993) that form does not represent
+    # 5987, so +5987 is not a norm from it; it does represent -5987.
+    from sympy.solvers.diophantine.diophantine import diop_DN
+
+    p, D = 5987, 2993
+    assert naive_is_prime(p) and naive_factor(D) == [(41, 1), (73, 1)]
+    assert naive_is_fundamental(D) and (p - 1) % D == 0
+    assert nagell_search(D, p, (1313, 24)) is None
+    assert diop_DN(D, 4 * p) == []
+    x, y = 313, 12
+    assert x * x + x * y - 748 * y * y == -p
+    assert (2 * x + y, y) in diop_DN(D, -4 * p)
+    assert load_fixtures().result_rows[p] == (2, 8, 0)
 
 
 def test_criterion_hits_are_quadratic_obstructions():

@@ -1,5 +1,8 @@
+from math import isqrt
+
 import pytest
 
+import noether.quadforms as qf
 from noether.arith import is_prime, jacobi, primes_below
 from noether.quadforms import (
     QuadraticForm,
@@ -10,7 +13,15 @@ from noether.quadforms import (
     quadratic_subfield_discs,
     solve_norm,
 )
-from oracles import quadratic_discs_oracle, represents_oracle
+from oracles import (
+    OracleForm,
+    is_reduced_indefinite_oracle,
+    norm_decision_oracle,
+    quadratic_discs_oracle,
+    represents_oracle,
+    rho_step_oracle,
+)
+from optimized import run_optimized
 
 
 def test_fundamental_discriminant():
@@ -83,6 +94,68 @@ def test_principal_cycle_examples():
         c = pf.value(m[1], m[3])
         b = 2 * pf.a * m[0] * m[1] + pf.b * (m[0] * m[3] + m[1] * m[2]) + 2 * pf.c * m[2] * m[3]
         assert (a, b, c) == (f.a, f.b, f.c)
+
+
+def _real_fundamental(lo, hi):
+    return [D for D in range(lo, hi + 1) if is_fundamental(D)]
+
+
+def test_principal_cycle_structure():
+    # every fundamental D in 5..3000: the stored forms are reduced, of
+    # discriminant D and distinct; each transform is unimodular and carries
+    # the principal form to its form; the rho-step of the last form closes
+    # the cycle; the dict and the tuples list the same forms in one order
+    for D in _real_fundamental(5, 3000):
+        cyc = principal_cycle(D)
+        forms = [OracleForm(f.a, f.b, f.c) for f in cyc.forms]
+        assert list(cyc.transform_of) == [(f.a, f.b, f.c) for f in forms], D
+        assert tuple(cyc.transform_of.values()) == cyc.transforms, D
+        assert len(set(forms)) == len(forms), D
+        pf = principal_form(D)
+        pf = OracleForm(pf.a, pf.b, pf.c)
+        for f, m in zip(forms, cyc.transforms):
+            assert f.disc == D and is_reduced_indefinite_oracle(f), (D, f)
+            assert m[0] * m[3] - m[1] * m[2] == 1, (D, m)
+            assert pf.transform(m) == f, (D, f, m)
+        assert rho_step_oracle(forms[-1])[0] == forms[0], D
+
+
+def test_rho_step_matches_oracle_along_cycles():
+    # the integer-triple step against the substitution-based oracle step:
+    # the same form and the same k at every step, from the principal form
+    # and from candidate forms (±p, b, c), through two full cycles
+    for D in _real_fundamental(5, 3000)[::7] + [2993, 8969, 9689]:
+        s = isqrt(D)
+        pf = principal_form(D)
+        starts = [(pf.a, pf.b, pf.c)]
+        for p in (101, 1009, 5987):
+            if D % p and jacobi(D % p, p) == 1:
+                b = next(b for b in range(D % 2, 2 * p, 2) if (b * b - D) % (4 * p) == 0)
+                starts += [(p, b, (b * b - D) // (4 * p)), (-p, b, -(b * b - D) // (4 * p))]
+        for start in starts:
+            f = OracleForm(*start)
+            a, b, c = start
+            for _ in range(2 * len(principal_cycle(D).transform_of) + 20):
+                g, m = rho_step_oracle(f)
+                a, b, c, k = qf._rho_step(a, b, c, D, s)
+                assert (a, b, c) == (g.a, g.b, g.c) and m == (0, -1, 1, k), (D, start, f)
+                f = g
+
+
+def test_solve_norm_on_long_cycles_against_diop_dn():
+    # real D > 1000 from the quadratic subfields of Q(zeta_{p-1}), p < 20000,
+    # both signs, against an independent Pell-type decision: the three
+    # longest principal cycles (all six norms solvable), and three long
+    # cycles where +p or -p is not a norm. diop_DN takes ~0.5 s per D.
+    pairs = [(D, p) for p in primes_below(20000) if p > 3
+             for D in quadratic_subfield_discs(p - 1) if D > 1000]
+    pairs.sort(key=lambda dp: -len(principal_cycle(dp[0]).transform_of))
+    for D, p in pairs[:3] + [(2545, 10181), (9489, 18979), (6609, 13219)]:
+        assert len(principal_cycle(D).transform_of) >= 50, D
+        for sign in (1, -1):
+            assert solve_norm(D, p, sign).solvable == norm_decision_oracle(D, sign * p), (D, p, sign)
+    assert not solve_norm(2545, 10181, 1).solvable
+    assert not solve_norm(9489, 18979, -1).solvable
 
 
 def test_solve_norm_examples():
@@ -167,3 +240,77 @@ def test_em_quadratic_bridge_examples():
     # 113 = 8*14+1: disc -56 blocks both signs
     assert not solve_norm(-56, 113, 1).solvable
     assert not solve_norm(-56, 113, -1).solvable
+
+
+# Each check that guards a verdict raises ArithmeticError, also under -O:
+# a wrong modular square root, a rho-step that is not the change of basis
+# (0, -1, 1, k) (here: a form of discriminant 5 stepped as if it were 13),
+# a principal cycle that never closes, and a non-unimodular transform.
+_CHECKS_UNDER_O = """
+import noether.quadforms as qf
+from noether.arith import sqrt_mod_prime
+
+
+def fires(call):
+    try:
+        call()
+    except ArithmeticError as e:
+        print(e)
+    else:
+        raise SystemExit("no ArithmeticError")
+
+
+qf.sqrt_mod_prime = lambda a, p: sqrt_mod_prime(a, p) + 1
+fires(lambda: qf.solve_norm(5, 11, 1))
+qf.sqrt_mod_prime = sqrt_mod_prime
+fires(lambda: qf._rho_step(1, 1, -1, 13, 3))
+rho_step = qf._rho_step
+qf._rho_step = lambda a, b, c, D, s: (a, b, c + 1, 0)
+fires(lambda: qf.principal_cycle(5))
+qf._rho_step = rho_step
+fires(lambda: qf._mat_inv_unimodular((2, 0, 0, 1)))
+"""
+
+
+def test_wrong_square_root_raises(monkeypatch):
+    from noether.arith import sqrt_mod_prime
+
+    monkeypatch.setattr(qf, "sqrt_mod_prime", lambda a, p: sqrt_mod_prime(a, p) + 1)
+    with pytest.raises(ArithmeticError, match="is not a square root of 5 mod 44"):
+        solve_norm(5, 11, 1)
+
+
+def test_rho_step_identity_raises():
+    assert qf._rho_step(1, 1, -1, 5, 2) == (-1, 1, 1, -1)
+    with pytest.raises(ArithmeticError, match=r"not a change of basis by \(0, -1, 1, -2\)"):
+        qf._rho_step(1, 1, -1, 13, 3)
+
+
+def test_runaway_cycle_raises(monkeypatch):
+    steps = iter(range(1000))
+
+    def never_closes(a, b, c, D, s):
+        next(steps)  # StopIteration rather than a hang if the bound is gone
+        return a, b, c + 1, 0
+
+    monkeypatch.setattr(qf, "_rho_step", never_closes)
+    with pytest.raises(ArithmeticError, match="principal cycle of 5 does not close within 200 forms"):
+        principal_cycle.__wrapped__(5)
+
+
+def test_non_unimodular_transform_raises():
+    assert qf._mat_inv_unimodular((2, 1, 1, 1)) == (1, -1, -1, 2)
+    assert qf._mat_inv_unimodular((1, 2, 1, 1)) == (-1, 2, 1, -1)
+    with pytest.raises(ArithmeticError, match="determinant 2"):
+        qf._mat_inv_unimodular((2, 0, 0, 1))
+
+
+def test_quadforms_checks_survive_optimize():
+    proc = run_optimized(_CHECKS_UNDER_O)
+    assert proc.returncode == 0, proc
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 4, proc
+    assert "is not a square root" in lines[0]
+    assert "is not a change of basis" in lines[1]
+    assert "does not close" in lines[2]
+    assert "is not unimodular" in lines[3]

@@ -187,6 +187,22 @@ def test_cross_check_flags_injected_faults(full_scan):
     assert any("(b)" in f and " 5," in f for f in rep.failures)
 
 
+def test_cross_check_rule_e_reads_every_degree_row(full_scan):
+    # a reference d_s = 2 that no quadratic subfield bears out, and a
+    # reference d_s > 2 where one does, are both flagged; 5987 as transcribed
+    import dataclasses
+
+    fx = load_fixtures()
+    rows = dict(fx.result_rows)
+    rows.update({47: (2, 4, 0), 5939: (2, 8, 0), 5987: (8, 8, 0)})
+    rep = cross_check(full_scan, dataclasses.replace(fx, result_rows=rows))
+    assert rep.failures == (
+        "(e) prime 47: reference d- = 4, but sign -1 is obstructed by a quadratic subfield",
+        "(e) prime 5939: reference d+ = 2, but sign +1 is not obstructed by a quadratic subfield",
+        "(e) prime 5987: reference d+ = 8, but sign +1 is obstructed by a quadratic subfield",
+    )
+
+
 def test_cross_check_empty_stream():
     rep = cross_check([])
     assert not rep.ok
