@@ -33,7 +33,6 @@ from .normsearch import (
     BackendUnavailableError,
     BackendVerificationError,
     NormProblem,
-    backend_decide,
     certificate_search,
     norm_of,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "SubfieldDescriptor",
     "UnitGroup",
     "Verdict",
-    "backend_decide",
     "certificate_search",
     "classify_prime",
     "conductor",

@@ -187,6 +187,12 @@ def sqrt_mod_prime(a: int, p: int) -> int:
         return 0
     if jacobi(a, p) != 1:
         raise ValueError(f"{a} is not a quadratic residue mod {p}")
+    return _sqrt_mod_residue(a, p)
+
+
+def _sqrt_mod_residue(a: int, p: int) -> int:
+    """Tonelli-Shanks for an odd prime p and a nonzero quadratic residue
+    a mod p, without checking either; the caller has decided both."""
     if p % 4 == 3:
         return pow(a, (p + 1) // 4, p)
     # write p-1 = q * 2^s with q odd

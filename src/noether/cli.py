@@ -37,8 +37,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="accept GRH-conditional backend proofs")
         p.add_argument("--backend", metavar="CMD",
                        help=f"norm solver command (fallback: ${BACKEND_ENV_VAR})")
-        p.add_argument("--bound", type=int, default=3, metavar="B",
-                       help="certificate search coefficient bound (default 3)")
 
     p_classify = sub.add_parser("classify", help="classify one prime")
     p_classify.add_argument("p", type=int)
@@ -71,7 +69,6 @@ def _config(args: argparse.Namespace, jobs: int = 1) -> ScanConfig:
         max_degree=args.max_degree,
         allow_grh=args.grh,
         backend=backend,
-        certificate_bound=args.bound,
         parallelism=jobs,
     )
 

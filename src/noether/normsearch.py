@@ -1,29 +1,25 @@
 """Norm-equation tooling: exact norms, certificate search, backend client.
 
 The norm of an element a(t) in the number field Q[x]/(g) is the product of
-a over all roots of g, computed exactly as a resultant.  A small-coefficient
-element whose norm hits a target integer is a positive certificate; searching
-the coefficient box for one is `certificate_search`.  Negative (unsolvability)
-answers for fields of degree > 2 are delegated to an external solver process
-speaking a line-delimited JSON protocol; every claim it makes is either
-re-verified locally (witnesses) or tagged with its certification flags
-(unsolvable), never trusted blindly.
+a over all roots of g, computed exactly as a resultant.  An element whose
+norm hits a target integer is a positive certificate; `certificate_search`
+looks for a sparse one inside a prime above the target.  Negative
+(unsolvability) answers for fields of degree > 2 are delegated to an
+external solver process speaking a line-delimited JSON protocol; every
+claim it makes is either re-verified locally (witnesses) or tagged with its
+certification flags (unsolvable), never trusted blindly.
 """
 
 from __future__ import annotations
 
 import json
-import math
-import os
 import shlex
 import subprocess
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-import numpy as np
-
 from .arith import is_prime
-from .polyops import degree, is_squarefree_poly, normalize, resultant
+from .polyops import degree, is_squarefree_poly, normalize, poly_eval, resultant
 
 __all__ = [
     "NormProblem",
@@ -35,7 +31,6 @@ __all__ = [
     "BackendClient",
     "norm_of",
     "certificate_search",
-    "backend_decide",
 ]
 
 BACKEND_ENV_VAR = "NOETHER_BACKEND"
@@ -110,59 +105,25 @@ class BackendVerificationError(BackendError):
     pass
 
 
-def _up(x: float) -> float:
-    return math.nextafter(x, math.inf)
-
-
-def _root_enclosures(g: list[int]) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Approximate roots of monic g with certified per-root radii.
-
-    Returns (roots, radii, paired).  The union of the closed discs
-    D(roots[j], radii[j]) contains every root of g; when the discs are
-    pairwise disjoint (paired = True) disc j contains exactly one root.
-    The radius is the classical Weierstrass bound deg(g) * |g(z_j)| /
-    prod_{k != j} |z_j - z_k|, rounded outward.
-    """
-    d = degree(g)
-    z = np.roots(list(reversed(g)))
-    radii = np.empty(d)
-    for j in range(d):
-        val = complex(0)
-        for c in reversed(g):
-            val = val * complex(z[j]) + c
-        denom = 1.0
-        for k in range(d):
-            if k != j:
-                denom *= abs(complex(z[j]) - complex(z[k]))
-        if denom == 0.0:
-            radii[j] = math.inf
-        else:
-            radii[j] = _up(_up(d * abs(val)) / denom) * (1.0 + 1e-9) + 1e-300
-    paired = True
-    for j in range(d):
-        if not math.isfinite(radii[j]):
-            paired = False
-            break
-        for k in range(j + 1, d):
-            if abs(complex(z[j]) - complex(z[k])) <= radii[j] + radii[k]:
-                paired = False
-    return z, radii, paired
-
-
 def certificate_search(prob: NormProblem, bound: int) -> Optional[tuple[int, ...]]:
-    """Search the box of coefficient vectors with entries in [-bound, bound]
-    for an element of exact norm prob.target.
+    """Search the elements 1 + a*theta^i + b*theta^j for one of exact norm
+    prob.target, where theta is the root of prob.minpoly.
 
-    Candidates are taken in descending lexicographic order over
-    (a_0, ..., a_{d-1}) and the first exact hit is returned; None means no
-    element of the box works (the box is exhausted, with pruning that only
-    discards candidates whose norm provably cannot equal the target).
+    Let q = |target| and let r be the least nonzero root of minpoly mod q,
+    of multiplicative order m.  Candidates have 0 < i < j < m and nonzero
+    a, b in [-bound, bound] with b a unit mod q; an element of norm ±q
+    generates a prime above q, so only the members of the prime
+    (q, theta - r) are tried: 1 + a*r^i + b*r^j = 0 (mod q) fixes r^j, and a
+    table of discrete logarithms of the powers of r gives j.  Candidates
+    are taken in the order of i, a, b (each ascending) and the first one of
+    exact norm target is returned as its coefficients in the power basis.
 
-    Pruning evaluates every candidate at floating-point enclosures of the
-    roots of the minimal polynomial; each |a(root)| gets a rigorous interval
-    (evaluation rounding error plus certified root-radius drift, both rounded
-    outward), and a candidate survives only if the interval product can cover
-    |target|.  Survivors are confirmed with the exact resultant norm.
+    For the cyclotomic polynomial of Q(zeta_n) and q not dividing n, r has
+    order n and the family is the set of 1 + a*zeta^i + b*zeta^j, which the
+    Galois group permutes.  The group moves the primes above q transitively
+    and keeps norms, so if a member has norm target, a conjugate member lies
+    in (q, theta - r): testing one prime is enough.  None proves nothing:
+    an element of norm target may lie outside the family.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
@@ -173,53 +134,34 @@ def certificate_search(prob: NormProblem, bound: int) -> Optional[tuple[int, ...
         # norm of the constant a0 is a0 itself
         return (t,) if abs(t) <= bound else None
 
-    z, radii, paired = _root_enclosures(g)
-    base = 2 * bound + 1
-    total = base**d
-
-    # uniform per-root margin over the whole box (|a_i| <= bound):
-    #   evaluation error of the numpy dot product, plus the worst drift of
-    #   a(theta) as theta moves within its certified disc
-    eps = math.ulp(1.0)
-    margins = np.empty(d)
-    for j in range(d):
-        r = abs(complex(z[j]))
-        big = _up(r + radii[j]) if paired else _up(r + float(np.max(radii)))
-        s = 0.0
-        drift = 0.0
-        power = 1.0
-        for i in range(d):
-            s = _up(s + _up(bound * power))
-            if i >= 1:
-                drift = _up(drift + _up(bound * i * _up(big ** (i - 1))))
-            power = _up(power * max(r, big))
-        evalerr = _up(16.0 * d * eps * s)
-        rootrad = radii[j] if paired else float(np.max(radii))
-        if not math.isfinite(rootrad):
-            # give up on pruning entirely: infinite margin keeps everything
-            margins[j] = math.inf
-        else:
-            margins[j] = _up(evalerr + _up(drift * rootrad))
-
-    vand = np.vander(z, N=d, increasing=True).T  # vand[i, j] = z_j ** i
-    abs_t = abs(t)
-    chunk = 1 << 15
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        digits = np.empty((len(idx), d), dtype=np.int64)
-        rem = idx
-        for i in range(d - 1, -1, -1):
-            rem, digits[:, i] = np.divmod(rem, base)
-        cand = bound - digits  # index order == descending lex over coeffs
-        vals = cand.astype(np.float64) @ vand
-        mags = np.abs(vals)
-        lo = np.prod(np.maximum(mags - margins, 0.0), axis=1) * (1.0 - 1e-9)
-        hi = (np.prod(mags + margins, axis=1) + 1e-300) * (1.0 + 1e-9)
-        keep = np.nonzero((lo <= abs_t) & (abs_t <= hi))[0]
-        for k in keep:
-            a = [int(c) for c in cand[k]]
-            if norm_of(g, a) == t:
-                return tuple(a)
+    q = abs(t)
+    r = next((x for x in range(1, q) if poly_eval(g, x) % q == 0), None)
+    if r is None:
+        # no prime (q, theta - r) with r a unit, and (q, theta) holds no
+        # member: 1 + a*0 + b*0 = 1
+        return None
+    log = {1: 0}
+    powers = [[1] + [0] * (d - 1)]  # theta^k reduced mod minpoly
+    x = r
+    while x != 1:
+        log[x] = len(powers)
+        top = powers[-1][-1]
+        shifted = [0] + powers[-1][:-1]
+        powers.append([c - top * gc for c, gc in zip(shifted, g)] if top else shifted)
+        x = x * r % q
+    coeffs = [c for c in range(-bound, bound + 1) if c]
+    inverse = {b: pow(b, -1, q) for b in coeffs if b % q}
+    for i in range(1, len(powers)):
+        ri = pow(r, i, q)
+        for a in coeffs:
+            for b, b_inv in inverse.items():
+                j = log.get(-(1 + a * ri) * b_inv % q)
+                if j is None or j <= i:
+                    continue
+                alpha = [a * u + b * v for u, v in zip(powers[i], powers[j])]
+                alpha[0] += 1
+                if norm_of(g, alpha) == t:
+                    return tuple(alpha)
     return None
 
 
@@ -346,18 +288,3 @@ class BackendClient:
         except Exception:
             pass
 
-
-def backend_decide(
-    prob: NormProblem,
-    grh_allowed: bool = False,
-    command: Union[str, Sequence[str], None] = None,
-) -> BackendDecision:
-    """One-shot backend query; command falls back to $NOETHER_BACKEND."""
-    if command is None:
-        command = os.environ.get(BACKEND_ENV_VAR)
-    if not command:
-        raise BackendUnavailableError(
-            f"no backend configured (set {BACKEND_ENV_VAR} or pass a command)"
-        )
-    with BackendClient(command) as client:
-        return client.decide(prob, grh_allowed)

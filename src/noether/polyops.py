@@ -102,7 +102,11 @@ def _pseudo_rem(a: Poly, b: Poly) -> Poly:
 
 
 def resultant(f: Poly, g: Poly) -> int:
-    """Res(f, g) by the subresultant PRS, exact integer arithmetic."""
+    """Res(f, g) by the subresultant PRS, exact integer arithmetic.
+
+    Every division the recurrence makes is exact in theory; each is checked,
+    and a remainder raises ArithmeticError, also under `python -O`.
+    """
     a = normalize(f)
     b = normalize(g)
     if not a or not b:
@@ -130,18 +134,22 @@ def resultant(f: Poly, g: Poly) -> int:
             return 0
         a = b
         denom = gg * hh**delta
+        if any(c % denom for c in r):
+            raise ArithmeticError(f"subresultant remainder is not divisible by {denom}")
         b = [c // denom for c in r]
-        assert [c * denom for c in b] == r, "subresultant divisibility broken"
         gg = a[-1]
         if delta >= 1:
             num = gg**delta
-            assert num % hh ** (delta - 1) == 0 or delta == 1
-            hh = num // hh ** (delta - 1) if delta > 1 else num
+            denom = hh ** (delta - 1)
+            if num % denom:
+                raise ArithmeticError(f"subresultant scale {num} is not divisible by {denom}")
+            hh = num // denom
         if len(b) - 1 == 0:
             da = len(a) - 1  # >= 1: degrees strictly decrease from deg >= 1
             num = b[0] ** da
             denom = hh ** (da - 1)
-            assert num % denom == 0, "subresultant divisibility broken"
+            if num % denom:
+                raise ArithmeticError(f"resultant {num} is not divisible by {denom}")
             return s * (num // denom)
 
 

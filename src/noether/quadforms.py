@@ -18,7 +18,7 @@ from math import isqrt
 
 # divisors is unused here, but scanbench/layers.py wraps it in every module
 # that imports it, this one included, so the import stays
-from .arith import divisors, factor, is_square, jacobi, sqrt_mod_prime
+from .arith import _sqrt_mod_residue, divisors, factor, is_square, jacobi
 
 
 def fundamental_discriminant(d: int) -> int:
@@ -263,8 +263,9 @@ def solve_norm(D: int, p: int, sign: int) -> NormDecision:
     if D < 0 and sign == -1:
         return NormDecision(D, sign, False)  # positive definite norm form
 
-    # square root of D mod 4p with the parity of D
-    b = sqrt_mod_prime(D % p, p)
+    # square root of D mod 4p with the parity of D; (D/p) = 1 was decided
+    # above, as p does not divide D
+    b = _sqrt_mod_residue(D % p, p)
     if (b - D) % 2:
         b += p
     if (b * b - D) % (4 * p):

@@ -9,8 +9,8 @@ for the other sign, means it is not even stably rational.
 The pipeline tries, in order: the elementary congruence criteria, per-sign
 obstructions in subfields of ascending degree (degree 2 natively by
 quadratic-form reduction, higher degrees through the external backend),
-a direct full-field certificate search for small fields, and finally the
-known-rational reference table.  Anything left over is Undetermined.
+and a search of the full field for an element of norm p when the field is
+small.  Anything left over is Undetermined.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Union
 
 from .arith import euler_phi, is_prime, primes_below
-from .criteria import RATIONAL, UNDETERMINED, FixtureSets, em_criterion_i, em_criterion_ii, load_fixtures
+from .criteria import FixtureSets, em_criterion_i, em_criterion_ii, load_fixtures
 from .cyclotomic import cyclotomic_polynomial, subfields
 from .normsearch import BackendClient, NormProblem, certificate_search, norm_of
 from .quadforms import quadratic_subfield_discs, solve_norm
@@ -49,11 +49,14 @@ METHOD_EM_II = "EM_II"
 METHOD_QUADRATIC = "QUADRATIC"
 METHOD_BACKEND = "BACKEND"
 METHOD_CERTIFICATE = "CERTIFICATE"
-METHOD_KNOWN_TABLE = "KNOWN_TABLE"
 
-# full-field certificate search is only honest for small fields; beyond
-# this degree the coefficient box is no longer exhaustible
-CERTIFICATE_DEGREE_LIMIT = 8
+# a cost bound on the full-field certificate search: phi(70) = 24 is the
+# largest field degree among the rational primes of the paper's range
+CERTIFICATE_DEGREE_LIMIT = 24
+# coefficients of the searched elements lie in [-1, 1]; that finds every
+# rational prime of the paper's range, and a wider box only makes each
+# failing search longer
+CERTIFICATE_BOUND = 1
 
 
 @dataclass(frozen=True)
@@ -91,7 +94,6 @@ class ScanConfig:
     max_degree: int = 2
     allow_grh: bool = False
     backend: Optional[str] = None
-    certificate_bound: int = 3
     parallelism: int = 1
 
     def __post_init__(self) -> None:
@@ -102,8 +104,6 @@ class ScanConfig:
                 "max_degree > 2 needs a backend command: degree-2 tests are "
                 "the only ones decided natively"
             )
-        if self.certificate_bound < 1:
-            raise ValueError("certificate_bound must be >= 1")
         if self.parallelism < 1:
             raise ValueError("parallelism must be >= 1")
 
@@ -171,6 +171,17 @@ def _scan_backend(p: int, cfg: ScanConfig, sides: dict[int, _SignScan]) -> None:
                 }
 
 
+def _certified(p: int, g: tuple[int, ...], witness: tuple[int, ...]) -> Verdict:
+    if norm_of(list(g), list(witness)) != p:
+        raise RuntimeError(f"certificate {list(witness)} does not have norm {p}")
+    return Verdict(
+        p,
+        STATUS_RATIONAL,
+        method=METHOD_CERTIFICATE,
+        witnesses={"minpoly": list(g), "coefficients": list(witness), "target": p},
+    )
+
+
 def classify_prime(p: int, cfg: ScanConfig = ScanConfig()) -> Verdict:
     """Classify one prime.  See the module docstring for the pipeline; the
     reported d_plus/d_minus are the minimal subfield degrees at which each
@@ -179,7 +190,8 @@ def classify_prime(p: int, cfg: ScanConfig = ScanConfig()) -> Verdict:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if p in (2, 3):
-        return Verdict(p, STATUS_RATIONAL, method=METHOD_KNOWN_TABLE)
+        # Q(zeta_{p-1}) = Q, where p itself has norm p
+        return _certified(p, tuple(cyclotomic_polynomial(p - 1)), (p,))
 
     em_i = em_criterion_i(p)
     em_ii = em_criterion_ii(p)
@@ -216,29 +228,13 @@ def classify_prime(p: int, cfg: ScanConfig = ScanConfig()) -> Verdict:
             witnesses={"plus": sides[1].witness, "minus": sides[-1].witness},
         )
 
-    n = p - 1
-    if euler_phi(n) <= CERTIFICATE_DEGREE_LIMIT:
-        g = tuple(cyclotomic_polynomial(n))
-        for sign in (1, -1):
-            if sides[sign].proven:
-                continue  # that sign is impossible in a subfield, so skip it
-            witness = certificate_search(NormProblem(g, sign * p), cfg.certificate_bound)
-            if witness is not None:
-                if norm_of(list(g), list(witness)) != sign * p:
-                    raise RuntimeError(f"certificate {list(witness)} does not have norm {sign * p}")
-                return Verdict(
-                    p,
-                    STATUS_RATIONAL,
-                    method=METHOD_CERTIFICATE,
-                    witnesses={
-                        "minpoly": list(g),
-                        "coefficients": list(witness),
-                        "target": sign * p,
-                    },
-                )
-
-    if p in set(load_fixtures().known_rational):
-        return Verdict(p, STATUS_RATIONAL, method=METHOD_KNOWN_TABLE)
+    # p - 1 >= 4, so Q(zeta_{p-1}) is totally imaginary and every norm is
+    # positive: only +p can be a norm
+    if not sides[1].proven and euler_phi(p - 1) <= CERTIFICATE_DEGREE_LIMIT:
+        g = tuple(cyclotomic_polynomial(p - 1))
+        witness = certificate_search(NormProblem(g, p), CERTIFICATE_BOUND)
+        if witness is not None:
+            return _certified(p, g, witness)
 
     return Verdict(p, STATUS_UNDETERMINED)
 

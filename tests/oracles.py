@@ -321,6 +321,47 @@ def companion_det_norm(g: list[int], a: list[int]) -> int:
     return sign * m[d - 1][d - 1]
 
 
+def prime_family_first_hit(g: list[int], target: int, bound: int) -> tuple[int, ...] | None:
+    """First element 1 + a*x^i + b*x^j of Z[x]/(g) with norm target that
+    lies in the prime (q, x - r): q = |target|, r the least nonzero root of g
+    mod q, m its multiplicative order, 0 < i < j < m, and a, b nonzero in
+    [-bound, bound] with b not divisible by q.
+
+    No pruning: every (i, a, b, j) is tried in that order, each ascending;
+    membership is tested by evaluating at r, the element is reduced mod g by
+    long division and its norm is `companion_det_norm`.  Returns the reduced
+    coefficients (length deg g), or None.
+    """
+    q, d = abs(target), len(g) - 1
+    roots = [x for x in range(1, q) if sum(c * x**k for k, c in enumerate(g)) % q == 0]
+    if not roots:
+        return None
+    r = roots[0]
+    m = 1
+    while pow(r, m, q) != 1:
+        m += 1
+    coeffs = [c for c in range(-bound, bound + 1) if c]
+    for i in range(1, m):
+        for a in coeffs:
+            for b in coeffs:
+                if b % q == 0:
+                    continue
+                for j in range(i + 1, m):
+                    if (1 + a * r**i + b * r**j) % q:
+                        continue
+                    poly = [1] + [0] * j
+                    poly[i] += a
+                    poly[j] += b
+                    for top in range(j, d - 1, -1):  # poly mod g
+                        c = poly[top]
+                        for k in range(d + 1):
+                            poly[top - d + k] -= c * g[k]
+                    alpha = tuple((poly + [0] * d)[:d])
+                    if companion_det_norm(g, list(alpha)) == target:
+                        return alpha
+    return None
+
+
 # ---------------------------------------------------------------- cyclotomic
 @lru_cache(maxsize=4)
 def _roots_of_unity(f: int, dps: int) -> list:

@@ -29,7 +29,7 @@ from noether.scanner import (
     classify_prime,
     scan,
 )
-from oracles import all_subgroups_brute, represents_oracle
+from oracles import all_subgroups_brute, companion_det_norm, prime_family_first_hit, represents_oracle
 
 FAKE_BACKEND = Path(__file__).with_name("fake_backend.py")
 
@@ -169,26 +169,10 @@ def test_criterion_4_first_nonrational_primes(capfd):
     assert ok, detail
 
 
-def exhaustive_first_hit(g: list[int], target: int, bound: int):
-    """Plain descending-lex scan of every coefficient vector, no pruning."""
-    d = len(g) - 1
-    base = 2 * bound + 1
-    for idx in range(base**d):
-        a = []
-        rem = idx
-        for _ in range(d):
-            rem, dig = divmod(rem, base)
-            a.append(bound - dig)
-        a.reverse()
-        if norm_of(g, a) == target:
-            return tuple(a)
-    return None
-
-
-def test_criterion_5_rationality_certificates(capfd):
+def test_criterion_5_rationality_certificates(fixtures, capfd):
     start = time.monotonic()
     problems = []
-    for p in (5, 7, 11, 13):
+    for p in fixtures.known_rational:
         v = classify_prime(p)
         if v.status != STATUS_RATIONAL or v.method != METHOD_CERTIFICATE:
             problems.append(f"{p}: {v.status}/{v.method}")
@@ -196,17 +180,23 @@ def test_criterion_5_rationality_certificates(capfd):
         g = v.witnesses["minpoly"]
         coeffs = v.witnesses["coefficients"]
         target = v.witnesses["target"]
-        if abs(target) != p or norm_of(g, coeffs) != target:
+        if target != p or norm_of(g, coeffs) != p or companion_det_norm(g, coeffs) != p:
             problems.append(f"{p}: witness does not re-verify")
-        if exhaustive_first_hit(g, target, 3) != tuple(coeffs):
-            problems.append(f"{p}: witness differs from the exhaustive oracle")
+        # 2 and 3 have the degree-1 witness p; the others must be the first
+        # hit of an unpruned scan of the searched family
+        want = (p,) if p in (2, 3) else prime_family_first_hit(g, p, 1)
+        if want != tuple(coeffs):
+            problems.append(f"{p}: witness differs from the unpruned scan")
     elapsed = time.monotonic() - start
+    if len(fixtures.known_rational) != 17:
+        problems.append(f"{len(fixtures.known_rational)} rational primes, not 17")
     if elapsed >= 5.0:
         problems.append(f"too slow: {elapsed:.2f}s")
 
     ok = not problems
-    detail = (f"4 explicit witnesses re-verify and match the exhaustive "
-              f"bound-3 oracle; {elapsed:.2f}s" if ok else "; ".join(problems))
+    detail = (f"all 17 rational primes carry a witness that re-verifies by "
+              f"resultant and by determinant and is the first hit of the "
+              f"unpruned scan; {elapsed:.2f}s" if ok else "; ".join(problems))
     report(capfd, 5, ok, detail)
     assert ok, detail
 

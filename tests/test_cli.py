@@ -1,8 +1,12 @@
 import json
 import os
+import subprocess
 import sys
+from pathlib import Path
 
+import noether
 from noether.cli import main
+from noether.normsearch import norm_of
 
 FAKE = os.path.join(os.path.dirname(__file__), "fake_backend.py")
 
@@ -19,8 +23,24 @@ def test_classify_json(capsys):
 def test_classify_rational_with_witness(capsys):
     assert main(["classify", "5"]) == 0
     row = json.loads(capsys.readouterr().out)
-    assert row["status"] == "Rational"
-    assert row["witnesses"]["coefficients"] == [2, 1]
+    assert row["status"] == "Rational" and row["method"] == "CERTIFICATE"
+    w = row["witnesses"]
+    assert w["target"] == 5
+    assert norm_of(w["minpoly"], w["coefficients"]) == 5
+
+
+def test_classify_without_numpy():
+    # the decision path needs no numpy: a Rational verdict of degree 24
+    script = ("import sys\nsys.modules['numpy'] = None\n"
+              "from noether.cli import main\nsys.exit(main(['classify', '71']))\n")
+    src = str(Path(noether.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    row = json.loads(proc.stdout)
+    assert row["status"] == "Rational" and row["method"] == "CERTIFICATE"
+    w = row["witnesses"]
+    assert len(w["minpoly"]) == 25 and norm_of(w["minpoly"], w["coefficients"]) == 71
 
 
 def test_classify_rejects_composite(capsys):
@@ -99,6 +119,6 @@ def test_cross_check_cli(tmp_path, capsys):
 def test_cross_check_incomplete(tmp_path, capsys):
     path = tmp_path / "partial.jsonl"
     path.write_text('{"p": 2, "status": "Rational", "d_plus": null, '
-                    '"d_minus": null, "method": "KNOWN_TABLE", "grh": false}\n')
+                    '"d_minus": null, "method": "CERTIFICATE", "grh": false}\n')
     assert main(["cross-check", "--results", str(path)]) == 1
     assert "incomplete coverage" in capsys.readouterr().out

@@ -1,5 +1,7 @@
 import random
+import re
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -125,3 +127,38 @@ def test_squarefree_detection():
 def test_derivative():
     assert derivative([5, 3, 2, 1]) == [3, 4, 3]
     assert derivative([7]) == []
+
+
+# A pseudo-remainder sequence that breaks each exact division of the
+# subresultant recurrence in turn: (f, g, remainders, message).
+_BROKEN_PRS = {
+    # second step: gg * hh^2 = 2 * 2^2 = 8 does not divide 1
+    "remainder": ([0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 2], [[0, 0, 3], [1]],
+                  "subresultant remainder is not divisible by 8"),
+    # second step: hh = 2 does not divide gg^2 = 3^2
+    "scale": ([0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 2], [[0, 0, 3], [8]],
+              "subresultant scale 9 is not divisible by 2"),
+    # last step: hh = 2 does not divide 1^2
+    "final": ([0, 0, 0, 1], [0, 0, 2], [[1]],
+              "resultant 1 is not divisible by 2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BROKEN_PRS))
+def test_resultant_divisibility_checks_raise(case, monkeypatch):
+    import noether.polyops as polyops
+    from optimized import run_optimized
+
+    f, g, rems, message = _BROKEN_PRS[case]
+    script = iter(rems)
+    monkeypatch.setattr(polyops, "_pseudo_rem", lambda a, b: next(script))
+    with pytest.raises(ArithmeticError, match=re.escape(message)):
+        polyops.resultant(f, g)
+
+    proc = run_optimized(
+        "import noether.polyops as polyops\n"
+        f"script = iter({rems!r})\n"
+        "polyops._pseudo_rem = lambda a, b: next(script)\n"
+        f"polyops.resultant({f!r}, {g!r})\n")
+    assert proc.returncode == 1, proc
+    assert f"ArithmeticError: {message}" in proc.stderr

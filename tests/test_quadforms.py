@@ -248,7 +248,7 @@ def test_em_quadratic_bridge_examples():
 # a principal cycle that never closes, and a non-unimodular transform.
 _CHECKS_UNDER_O = """
 import noether.quadforms as qf
-from noether.arith import sqrt_mod_prime
+from noether.arith import _sqrt_mod_residue
 
 
 def fires(call):
@@ -260,9 +260,9 @@ def fires(call):
         raise SystemExit("no ArithmeticError")
 
 
-qf.sqrt_mod_prime = lambda a, p: sqrt_mod_prime(a, p) + 1
+qf._sqrt_mod_residue = lambda a, p: _sqrt_mod_residue(a, p) + 1
 fires(lambda: qf.solve_norm(5, 11, 1))
-qf.sqrt_mod_prime = sqrt_mod_prime
+qf._sqrt_mod_residue = _sqrt_mod_residue
 fires(lambda: qf._rho_step(1, 1, -1, 13, 3))
 rho_step = qf._rho_step
 qf._rho_step = lambda a, b, c, D, s: (a, b, c + 1, 0)
@@ -273,9 +273,9 @@ fires(lambda: qf._mat_inv_unimodular((2, 0, 0, 1)))
 
 
 def test_wrong_square_root_raises(monkeypatch):
-    from noether.arith import sqrt_mod_prime
+    from noether.arith import _sqrt_mod_residue
 
-    monkeypatch.setattr(qf, "sqrt_mod_prime", lambda a, p: sqrt_mod_prime(a, p) + 1)
+    monkeypatch.setattr(qf, "_sqrt_mod_residue", lambda a, p: _sqrt_mod_residue(a, p) + 1)
     with pytest.raises(ArithmeticError, match="is not a square root of 5 mod 44"):
         solve_norm(5, 11, 1)
 
@@ -314,3 +314,33 @@ def test_quadforms_checks_survive_optimize():
     assert "is not a change of basis" in lines[1]
     assert "does not close" in lines[2]
     assert "is not unimodular" in lines[3]
+
+
+def test_solve_norm_computes_the_legendre_symbol_once(monkeypatch):
+    # (D/p) decides solvability mod p and licenses the square root, which
+    # computes no symbol but those of its search for a non-residue z
+    import noether.arith as arith
+
+    own, inner = [], []
+
+    def counting(log):
+        def counted(a, n):
+            log.append((a, n))
+            return jacobi(a, n)
+        return counted
+
+    monkeypatch.setattr(qf, "jacobi", counting(own))
+    monkeypatch.setattr(arith, "jacobi", counting(inner))
+    for p in primes_below(2000)[2:]:
+        z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+        search = [(x, p) for x in range(2, z + 1)] if p % 4 == 1 else []
+        for D in quadratic_subfield_discs(p - 1):
+            for sign in (1, -1):
+                own.clear()
+                inner.clear()
+                dec = solve_norm(D, p, sign)
+                assert own == [(D % p, p)], (D, p, sign)
+                assert inner in ([], search), (D, p, sign)
+                if dec.solvable:
+                    x, y = dec.witness
+                    assert principal_form(D).value(x, y) == sign * p

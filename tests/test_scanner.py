@@ -43,12 +43,34 @@ def test_classify_examples():
 
 
 def test_classify_degenerate_and_known_table():
-    for p in (2, 3):
+    # 2 and 3 have the degree-1 witness p; 61, 67 and 71 were once decided
+    # by the known-rational table alone
+    for p in (2, 3, 61, 67, 71):
         v = classify_prime(p)
-        assert v.status == STATUS_RATIONAL and v.method == "KNOWN_TABLE"
-    for p in (61, 67, 71):
-        v = classify_prime(p)
-        assert v.status == STATUS_RATIONAL and v.method == "KNOWN_TABLE"
+        assert v.status == STATUS_RATIONAL and v.method == "CERTIFICATE"
+        w = v.witnesses
+        assert w["target"] == p
+        assert norm_of(w["minpoly"], w["coefficients"]) == p
+        if p < 5:
+            assert w["coefficients"] == [p]
+
+
+def test_classify_reads_no_reference_data(monkeypatch):
+    import noether.criteria
+    import noether.scanner
+
+    rational = load_fixtures().known_rational
+
+    def refuse():
+        raise RuntimeError("reference data read")
+
+    monkeypatch.setattr(noether.criteria, "load_fixtures", refuse)
+    monkeypatch.setattr(noether.scanner, "load_fixtures", refuse)
+    recs = []
+    scan(2, 100, sink=recs.append)
+    assert all(isinstance(v, Verdict) for v in recs)
+    assert tuple(v.p for v in recs if v.status == STATUS_RATIONAL) == rational
+    assert {v.method for v in recs if v.status == STATUS_RATIONAL} == {"CERTIFICATE"}
 
 
 def test_classify_rejects_composites():
@@ -68,8 +90,6 @@ def test_scan_config_validation():
         ScanConfig(max_degree=4)  # degree > 2 needs a backend
     with pytest.raises(ValueError):
         ScanConfig(parallelism=0)
-    with pytest.raises(ValueError):
-        ScanConfig(certificate_bound=0)
     ScanConfig(max_degree=4, backend="solver --flag")
 
 
@@ -175,7 +195,7 @@ def test_cross_check_flags_injected_faults(full_scan):
     corrupted = []
     for v in full_scan:
         if v.p == 47:
-            corrupted.append(Verdict(47, STATUS_RATIONAL, method="KNOWN_TABLE"))
+            corrupted.append(Verdict(47, STATUS_RATIONAL, method="CERTIFICATE"))
         elif v.p == 5:
             corrupted.append(Verdict(5, STATUS_NOT_STABLY_RATIONAL, 2, 2, "QUADRATIC", False))
         else:
