@@ -9,7 +9,7 @@ is duplicate-free by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import product
 
 from .arith import divisors, euler_phi, factor
@@ -65,11 +65,24 @@ def _primary_components(n: int) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class UnitGroup:
-    """Invariant-factor presentation of (Z/nZ)*."""
+    """Invariant-factor presentation of (Z/nZ)*.
+
+    Construction checks what every subgroup lattice rests on: the orders
+    multiply to φ(n) and form a divisibility chain d_1, d_2, ... with
+    d_(i+1) | d_i."""
 
     n: int
     cyclic_orders: tuple[int, ...]
     generators: tuple[int, ...]
+
+    def __post_init__(self):
+        if self.order != euler_phi(self.n):
+            raise ArithmeticError(
+                f"invariant factors {self.cyclic_orders} of (Z/{self.n})* do not multiply to φ(n)")
+        for a, b in zip(self.cyclic_orders, self.cyclic_orders[1:]):
+            if a % b:
+                raise ArithmeticError(
+                    f"invariant factors {self.cyclic_orders} of (Z/{self.n})* are no divisibility chain")
 
     @property
     def order(self) -> int:
@@ -110,9 +123,6 @@ def unit_group(n: int) -> UnitGroup:
         gens.append(g)
     if not orders:  # n = 3, 4, 6 have nontrivial groups; only n<3 is trivial
         orders, gens = [1], [1]
-    assert reduce(lambda a, b: a * b, orders) == euler_phi(n)
-    for a, b in zip(orders, orders[1:]):
-        assert a % b == 0
     return UnitGroup(n, tuple(orders), tuple(gens))
 
 

@@ -1,10 +1,12 @@
 """Subfields of the n-th cyclotomic field via Gaussian periods.
 
 A subfield's minimal polynomial is the product of its period's conjugates,
-evaluated in Z/M for a prime power M in which Φ_f has a root and lifted
+evaluated in Z/M for a prime power M in which Φ_n has a root and lifted
 to Z through a coefficient bound, so no floating point enters any minimal
-polynomial. Exact elements of Z[x]/(x^n - 1) (CycElement) remain for
-presenting and checking the generating periods.
+polynomial. All subfields of one subfields() call share that ring map and
+one root-of-unity power table per conductor. Exact elements of
+Z[x]/(x^n - 1) (CycElement) remain for presenting and checking the
+generating periods.
 """
 from __future__ import annotations
 
@@ -79,7 +81,8 @@ def cyclotomic_polynomial(n: int) -> Poly:
     for d in divisors(n):
         if d < n:
             q, r = poly_divmod_monic(f, cyclotomic_polynomial(d))
-            assert r == [], "cyclotomic division must be exact"
+            if r:
+                raise ArithmeticError(f"Φ_{d} does not divide x^{n} - 1 exactly")
             f = q
     return f
 
@@ -97,7 +100,6 @@ class SubfieldDescriptor:
     subgroup: Subgroup
     degree: int
     minpoly: tuple[int, ...]
-    poly_disc: int
     shape: tuple[int, ...]
     period_modulus: int
 
@@ -121,21 +123,42 @@ def conductor(n: int, h: Subgroup) -> int:
 
     The fixed field of h embeds in Q(ζ_f); returns 1 for the full group.
     Minimality means the result is never ≡ 2 (mod 4): such an f shares its
-    kernel with f/2, which divides n and is checked first.
+    kernel with f/2.
     """
-    return _conductor(n, set(subgroup_elements(h)))
+    return _conductor(h, set(subgroup_elements(h)))
 
 
-def _conductor(n: int, hset: set[int]) -> int:
-    """conductor() from the element set of the subgroup."""
-    if len(hset) == euler_phi(n):
-        return 1
-    for f in divisors(n):
-        if f < 3 or f == n:
-            continue
-        if all(u in hset for u in range(1, n, f) if gcd(u, n) == 1):
-            return f
-    return n
+def _conductor(h: Subgroup, hset: set[int]) -> int:
+    """conductor() from the element set of the subgroup, by testing the
+    generators of one reduction kernel per prime power of n.
+
+    For q^e ∥ n and 0 <= a <= e, let K_q(a) be the units u ≡ 1 (mod n/q^e)
+    with u ≡ 1 (mod q^a). By CRT the kernel of reduction mod
+    f = ∏ q^(b_q) is the product of the K_q(b_q), and a product of
+    subgroups lies in h iff each factor does. K_q(a) shrinks as a grows, so
+    with a_q the least a such that K_q(a) ⊆ h, the divisors whose kernel
+    lies in h are those with every b_q >= a_q, and ∏ q^(a_q) is the least.
+    A subgroup lies in h iff its generators do, each lifted by CRT to
+    ≡ 1 (mod n/q^e):
+    - K_q(0) ≅ (Z/q^e)* is generated by the generators of (Z/n)* read
+      mod q^e, since reduction mod q^e is onto;
+    - K_q(a) is cyclic, generated by 1 + q^a, for 1 <= a < e at odd q and
+      for 2 <= a < e at q = 2;
+    - K_2(1) = K_2(0), every unit being odd, so a_2 = 1 is never taken;
+    - K_q(e) is trivial.
+    """
+    n = h.group.n
+    f = 1
+    for q, e in factor(n):
+        qe = q**e
+        rest = n // qe
+        inv = pow(rest, -1, qe)
+        a, gens = 0, h.group.generators
+        while a < e and not all((1 + rest * ((u - 1) * inv % qe)) % n in hset for u in gens):
+            a = 2 if q == 2 and a == 0 else a + 1
+            gens = (1 + q**a,)
+        f *= q**a
+    return f
 
 
 def _reduced_residues(elems: list[int], n: int, modulus: int) -> list[int]:
@@ -207,19 +230,70 @@ def _root_of_unity_mod(f: int, bound: int) -> tuple[int, int]:
     return m, z
 
 
-def _coset_representatives(f: int, residues: list[int]) -> list[int]:
-    """The least unit of each coset of the subgroup `residues` of (Z/f)*."""
-    seen = bytearray(f)
-    reps = []
-    for u in range(1, f):
-        if not seen[u] and gcd(u, f) == 1:
-            reps.append(u)
-            for r in residues:
-                seen[u * r % f] = 1
+class _PeriodRing:
+    """The ring map Z[ζ_n] → Z/M, ζ_n ↦ z, of one subfields() call, with
+    one table of root-of-unity powers per conductor.
+
+    (M, z) comes from _root_of_unity_mod(n, bound). For f | n the image
+    w = z^(n/f) of ζ_f has exact order f modulo ℓ, as z has exact order n,
+    and w^f = z^n ≡ 1 (mod M). The argument of _root_of_unity_mod, with f
+    in place of n, makes w a root of Φ_f modulo M, so ζ_f ↦ w is a ring
+    map Z[ζ_f] → Z/M.
+    """
+
+    def __init__(self, n: int, bound: int):
+        self.n = n
+        self.m, self.z = _root_of_unity_mod(n, bound)
+        self.tables: dict[int, list[int]] = {}
+
+    def lift(self, bound: int) -> None:
+        """Make M exceed bound; tables modulo a smaller M are dropped."""
+        if self.m <= bound:
+            self.m, self.z = _root_of_unity_mod(self.n, bound)
+            self.tables.clear()
+
+    def powers(self, f: int) -> list[int]:
+        """w^e mod M for 0 <= e < f, w the image of ζ_f."""
+        if f not in self.tables:
+            self.tables[f] = self._table(f)
+        return self.tables[f]
+
+    def _table(self, f: int) -> list[int]:
+        m = self.m
+        w = pow(self.z, self.n // f, m)
+        table = [1] * f
+        for e in range(1, f):
+            table[e] = table[e - 1] * w % m
+        return table
+
+
+def _box_representatives(h: Subgroup, modulus: int) -> list[int]:
+    """∏ g_i^(c_i) mod `modulus` over 0 <= c_i < hnf[i][i], the g_i the
+    generators of the unit group: one unit per coset of h.
+
+    The box of the HNF diagonal is a transversal of the row lattice of an
+    upper-triangular basis (reduce an exponent vector column by column;
+    two box vectors differing by a lattice vector agree column by column),
+    and that lattice is h in exponent form. Reduced mod a multiple of the
+    conductor, they stay one per coset of the image of h, since h holds
+    the kernel of that reduction.
+    """
+    reps = [1]
+    for i, base in enumerate(h.group.generators):
+        powers = [1]
+        for _ in range(h.hnf[i][i] - 1):
+            powers.append(powers[-1] * base % modulus)
+        reps = [r * p % modulus for r in reps for p in powers]
     return reps
 
 
-def subfield_minpoly(n: int, h: Subgroup) -> SubfieldDescriptor:
+def _pairwise_distinct(images: list[int]) -> bool:
+    """True if the conjugate images mod M are pairwise distinct: then so
+    are the conjugates, and the discriminant is nonzero."""
+    return len(set(images)) == len(images)
+
+
+def subfield_minpoly(n: int, h: Subgroup, ring: _PeriodRing | None = None) -> SubfieldDescriptor:
     """Monic integer minimal polynomial of the fixed field of h.
 
     The field is first cut down to its conductor f: for imprimitive
@@ -227,42 +301,50 @@ def subfield_minpoly(n: int, h: Subgroup) -> SubfieldDescriptor:
     full modulus vanishes identically (the sum telescopes over reduction
     kernels), while at the conductor the periods are small and faithful.
     There the characteristic polynomial of a period θ is the product of
-    x - σ_c(θ) over one c per coset of h, and a nonzero polynomial
-    discriminant certifies the period was primitive. Degenerate shapes
-    are skipped deterministically.
+    x - σ_c(θ) over one c per coset of h, and θ is primitive iff its
+    conjugates are distinct, i.e. iff that product has a nonzero
+    discriminant. Degenerate shapes are skipped deterministically.
 
-    The product is formed in Z/M, not in Z[ζ_f]. It is exact: ℓ is a
-    proven prime (below 2^64, where is_prime is deterministic) and
-    ℓ ≡ 1 (mod f), so ζ_f ↦ z (see _root_of_unity_mod) is a ring map
-    Z[ζ_f] → Z/M and carries the integer coefficients to their residues.
-    Every conjugate has |σ_c(θ)| <= B = |h| * Σ shape, so the k-th
-    coefficient is at most C(d, k) B^k <= (B+1)^d < M/2 in absolute
-    value, and the symmetric lift recovers it.
+    The product is formed in Z/M through `ring`, the ring map shared by a
+    subfields() call (a fresh one when none is given). It is exact: ℓ is
+    a proven prime (below 2^64, where is_prime is deterministic) and
+    ζ_f ↦ z^(n/f) is a ring map Z[ζ_f] → Z/M (see _PeriodRing), so it
+    carries the integer coefficients to their residues. Every conjugate
+    has |σ_c(θ)| <= B = |h_f| * Σ shape, h_f the image of h mod f, so the
+    k-th coefficient is at most C(d, k) B^k <= (B+1)^d < M/2 in absolute
+    value, and the symmetric lift recovers it. Conjugates with distinct
+    images mod M are distinct; only when images meet is the exact
+    discriminant computed, so the accepted shape is the first one whose
+    discriminant is nonzero.
     """
-    phi = euler_phi(n)
-    d = phi // h.order
+    d = h.index
     elems = subgroup_elements(h)
-    f = n if d == 1 else _conductor(n, set(elems))
+    f = n if d == 1 else _conductor(h, set(elems))
     residues = _reduced_residues(elems, n, f)
     if euler_phi(f) != d * len(residues):
         raise ArithmeticError(f"conductor {f} of an index-{d} subgroup mod {n} loses degree")
-    reps = _coset_representatives(f, residues)
-    if len(reps) != d:
-        raise ArithmeticError(f"{len(reps)} cosets of an index-{d} subgroup mod {f}")
+    reps = _box_representatives(h, f)
+    hset = set(residues)
+    for i, a in enumerate(reps):
+        a_inv = pow(a, -1, f)
+        for b in reps[i + 1:]:
+            if b * a_inv % f in hset:
+                raise ArithmeticError(
+                    f"representatives {a} and {b} of an index-{d} subgroup mod {f} share a coset")
+    if ring is None:
+        ring = _PeriodRing(n, 2 * (len(residues) + 1) ** d)
     for shape in _shape_schedule(f - 1):
-        m, z = _root_of_unity_mod(f, 2 * (len(residues) * sum(shape) + 1) ** d)
-        zpow = [1] * f
-        for e in range(1, f):
-            zpow[e] = zpow[e - 1] * z % m
+        ring.lift(2 * (len(residues) * sum(shape) + 1) ** d)
+        m, zpow = ring.m, ring.powers(f)
+        images = [sum(s * sum(zpow[c * k * u % f] for u in residues)
+                      for k, s in enumerate(shape, start=1) if s) % m
+                  for c in reps]
         g = [1]
-        for c in reps:
-            eta = sum(s * sum(zpow[c * k * u % f] for u in residues)
-                      for k, s in enumerate(shape, start=1) if s)
+        for eta in images:
             g = [(lo - eta * hi) % m for lo, hi in zip([0] + g, g + [0])]
         g = [a - m if 2 * a > m else a for a in g]
-        disc = discriminant(g)
-        if disc != 0:
-            return SubfieldDescriptor(n, h, d, tuple(g), disc, shape, f)
+        if _pairwise_distinct(images) or discriminant(g) != 0:
+            return SubfieldDescriptor(n, h, d, tuple(g), shape, f)
     raise ValueError(
         f"no primitive period combination found for modulus {n}, subgroup "
         f"index {h.index}: schedule budget exhausted at conductor {f}")
@@ -274,8 +356,10 @@ def subfields(n: int, max_degree: int, min_degree: int = 1) -> list[SubfieldDesc
     coefficients. Subfields below min_degree are never built."""
     if n < 3:
         raise ValueError("subfields() requires n >= 3")
-    g = unit_group(n)
-    out = [subfield_minpoly(n, h) for h in subgroups(g, max_index=max_degree)
-           if h.index >= min_degree]
+    hs = [h for h in subgroups(unit_group(n), max_index=max_degree) if h.index >= min_degree]
+    # |h| >= |h_f| and Σ shape = 1 at the first shape: one lift serves
+    # every field unless some field needs a longer shape
+    ring = _PeriodRing(n, max((2 * (h.order + 1) ** h.index for h in hs), default=0))
+    out = [subfield_minpoly(n, h, ring) for h in hs]
     out.sort(key=lambda s: (s.degree, s.minpoly))
     return out

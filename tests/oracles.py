@@ -8,11 +8,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd, isqrt
 
 import mpmath
 import numpy as np
+import sympy
 
 
 # --------------------------------------------------------------------- arith
@@ -374,6 +375,17 @@ def _roots_of_unity(f: int, dps: int) -> list:
     return roots
 
 
+def coset_representatives_oracle(f: int, residues) -> list[int]:
+    """The least unit of each coset of the subgroup `residues` of (Z/fZ)*."""
+    reps: list[int] = []
+    covered: set[int] = set()
+    for c in unit_residues(f):
+        if c not in covered:
+            reps.append(c)
+            covered.update(c * u % f for u in residues)
+    return reps
+
+
 def period_charpoly_oracle(f: int, residues, shape) -> list[int]:
     """Characteristic polynomial over Q, low degree first, of the period
     θ = Σ_k shape[k-1] Σ_{u in residues} ζ_f^(k u), residues being a
@@ -385,12 +397,7 @@ def period_charpoly_oracle(f: int, residues, shape) -> list[int]:
     with 30 digits to spare, and the product is rounded to integers.
     """
     h = sorted(set(residues))
-    reps: list[int] = []
-    covered: set[int] = set()
-    for c in unit_residues(f):
-        if c not in covered:
-            reps.append(c)
-            covered.update(c * u % f for u in h)
+    reps = coset_representatives_oracle(f, h)
     bound = (len(h) * sum(abs(s) for s in shape) + 1) ** len(reps)
     dps = -(-(len(str(bound)) + 30) // 50) * 50  # shares roots between fields
     with mpmath.workdps(dps):
@@ -404,3 +411,72 @@ def period_charpoly_oracle(f: int, residues, shape) -> list[int]:
         if any(abs(c - r) > 1e-10 for c, r in zip(poly, out)):
             raise ArithmeticError("characteristic polynomial is not integral")
     return out
+
+
+def _shapes_oracle(max_len: int, budget: int = 100_000):
+    """Period shapes (1), (1,1), (1,2), (1,0,1), ...: by length, then in
+    lexicographic order, each ending in a nonzero entry."""
+    yield (1,)
+    count = 1
+    for m in range(2, max_len + 1):
+        for prefix in product((0, 1, 2), repeat=m - 2):
+            for last in (1, 2):
+                yield (1,) + prefix + (last,)
+                count += 1
+                if count >= budget:
+                    return
+
+
+@lru_cache(maxsize=None)
+def _least_prime_and_root(f: int) -> tuple[int, int]:
+    """The least prime ℓ ≡ 1 (mod f) and the first a^((ℓ-1)/f) of exact
+    order f modulo ℓ, a = 1, 2, ..."""
+    ell = f + 1
+    while not naive_is_prime(ell):
+        ell += f
+    cofactors = [f // q for q, _ in naive_factor(f)]
+    a = 1
+    while True:
+        z = pow(a, (ell - 1) // f, ell)
+        if all(pow(z, c, ell) != 1 for c in cofactors):
+            return ell, z
+        a += 1
+
+
+def subfield_minpoly_oracle(n: int, elems) -> tuple[int, tuple[int, ...], tuple[int, ...], int]:
+    """(degree, minimal polynomial, shape, period modulus) of the fixed
+    field of the subgroup with elements `elems` of (Z/nZ)*, built field by
+    field with nothing shared.
+
+    The period modulus f is the conductor (n for the full group). For each
+    shape in turn, a root z of Φ_f is Hensel-lifted from the least prime
+    ℓ ≡ 1 (mod f) to M = ℓ^(2^j) > 2 (|h_f| Σ shape + 1)^d, every power of
+    z up to z^(f-1) is tabled, the period's conjugates, one per coset
+    (least unit), are multiplied out in Z/M and lifted symmetrically, and
+    the shape is taken when sympy's exact discriminant is nonzero.
+    """
+    d = naive_phi(n) // len(elems)
+    f = n if d == 1 else conductor_oracle(n, elems)
+    residues = sorted({u % f for u in elems})
+    reps = coset_representatives_oracle(f, residues)
+    ell, root = _least_prime_and_root(f)
+    x = sympy.symbols("x")
+    for shape in _shapes_oracle(f - 1):
+        bound = 2 * (len(residues) * sum(shape) + 1) ** d
+        m, z = ell, root
+        while m <= bound:
+            m *= m
+            zf1 = pow(z, f - 1, m)
+            z = (z - (z * zf1 - 1) * pow(f * zf1, -1, m)) % m
+        zpow = [1] * f
+        for e in range(1, f):
+            zpow[e] = zpow[e - 1] * z % m
+        g = [1]
+        for c in reps:
+            eta = sum(s * zpow[c * k * u % f]
+                      for k, s in enumerate(shape, start=1) for u in residues)
+            g = [(lo - eta * hi) % m for lo, hi in zip([0] + g, g + [0])]
+        g = [a - m if 2 * a > m else a for a in g]
+        if sympy.discriminant(sympy.Poly(g[::-1], x)) != 0:
+            return d, tuple(g), shape, f
+    raise AssertionError(f"no primitive shape for modulus {n}")

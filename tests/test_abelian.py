@@ -1,7 +1,9 @@
+import re
 from math import gcd
 
 import pytest
 
+import noether.abelian as abelian
 from noether.abelian import Subgroup, subgroup_elements, subgroups, unit_group
 from noether.arith import divisors, euler_phi, factor
 from oracles import SUBGROUP_CASES, all_subgroups_brute, closure, hnf_subgroup_closure, unit_residues
@@ -127,3 +129,30 @@ def test_cyclic_group_subgroup_count_is_divisor_count():
         g = unit_group(n)
         if len(g.cyclic_orders) == 1:
             assert len(subgroups(g)) == len(divisors(g.order))
+
+
+# (statement run after `import noether.abelian as abelian`, message)
+_BROKEN_GROUPS = {
+    # components of total order 2 for (Z/15)*, of order 8
+    "product": ("abelian._primary_components = lambda n: [(2, n - 1)]\n"
+                "abelian.unit_group.__wrapped__(15)",
+                "invariant factors (2,) of (Z/15)* do not multiply to φ(n)"),
+    "chain": ("abelian.UnitGroup(15, (2, 4), (14, 2))",
+              "invariant factors (2, 4) of (Z/15)* are no divisibility chain"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BROKEN_GROUPS))
+def test_unit_group_checks_survive_optimize(case, monkeypatch):
+    from optimized import run_optimized
+
+    statement, message = _BROKEN_GROUPS[case]
+    code = "import noether.abelian as abelian\n" + statement + "\n"
+    # the statement may rebind _primary_components: restored at teardown
+    monkeypatch.setattr(abelian, "_primary_components", abelian._primary_components)
+    with pytest.raises(ArithmeticError, match=re.escape(message)):
+        exec(code, {})
+
+    proc = run_optimized(code)
+    assert proc.returncode == 1, proc
+    assert f"ArithmeticError: {message}" in proc.stderr

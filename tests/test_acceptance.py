@@ -18,6 +18,7 @@ from noether.cli import main as cli_main
 from noether.criteria import load_fixtures
 from noether.cyclotomic import CycElement, generating_period, subfield_minpoly
 from noether.normsearch import BackendVerificationError, norm_of
+from noether.polyops import discriminant
 from noether.quadforms import is_fundamental, principal_form, solve_norm
 from noether.scanner import (
     METHOD_CERTIFICATE,
@@ -253,7 +254,7 @@ def test_criterion_7_structure_invariants(capfd):
     for n in range(3, 101):
         for h in subgroups(unit_group(n)):
             desc = subfield_minpoly(n, h)
-            if (desc.poly_disc == 0 or len(desc.minpoly) != desc.degree + 1
+            if (discriminant(list(desc.minpoly)) == 0 or len(desc.minpoly) != desc.degree + 1
                     or desc.minpoly[-1] != 1
                     or desc.degree != euler_phi(n) // h.order):
                 problems.append(f"bad minpoly for n={n}, subgroup {h.hnf}")

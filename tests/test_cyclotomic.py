@@ -1,3 +1,5 @@
+import re
+
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -17,7 +19,14 @@ from noether.cyclotomic import (
     subfields,
 )
 from noether.polyops import discriminant, poly_eval
-from oracles import SUBGROUP_CASES, conductor_oracle, naive_is_prime, period_charpoly_oracle
+from oracles import (
+    SUBGROUP_CASES,
+    conductor_oracle,
+    coset_representatives_oracle,
+    naive_is_prime,
+    period_charpoly_oracle,
+    subfield_minpoly_oracle,
+)
 
 
 def full_subgroup(n):
@@ -71,7 +80,7 @@ def test_subfield_minpoly_examples():
     h7 = subgroup_with_elements(7, [1, 2, 4])
     desc7 = subfield_minpoly(7, h7)
     assert desc7.minpoly == (2, 1, 1)  # x^2 + x + 2
-    assert desc7.poly_disc == -7
+    assert discriminant(list(desc7.minpoly)) == -7
 
     for n in (5, 7, 12, 30):
         full = full_subgroup(n)
@@ -105,7 +114,7 @@ def test_subfield_minpoly_degenerate_period_recovery():
     assert desc.degree == 2
     assert desc.period_modulus == 3
     assert desc.minpoly == (1, 1, 1)
-    assert desc.poly_disc == -3
+    assert discriminant(list(desc.minpoly)) == -3
 
     # {1,5,9,13} mod 16 is the mod-4 kernel: fixed field Q(i)
     h16 = subgroup_with_elements(16, [1, 5, 9, 13])
@@ -125,12 +134,22 @@ def test_shape_schedule_order_and_retry():
     assert first == [(1,), (1, 1), (1, 2), (1, 0, 1), (1, 0, 2), (1, 1, 1)]
 
 
+def test_degenerate_shape_is_skipped(monkeypatch):
+    import noether.cyclotomic as cyc
+
+    # in Q(√5), (1, 1) gives (ζ + ζ^4) + (ζ^2 + ζ^3) = -1: both conjugates
+    # meet, the exact discriminant is 0, and the next shape is taken
+    monkeypatch.setattr(cyc, "_shape_schedule", lambda max_len: iter([(1, 1), (1,)]))
+    desc = subfield_minpoly(5, subgroup_with_elements(5, [1, 4]))
+    assert desc.shape == (1,) and desc.minpoly == (-1, 1, 1)
+
+
 def test_subfields_examples():
     descs = subfields(46, 2)
     assert sorted(d.degree for d in descs) == [1, 2]
     deg2 = [d for d in descs if d.degree == 2][0]
     # fundamental part of the poly disc must be -23
-    disc = deg2.poly_disc
+    disc = discriminant(list(deg2.minpoly))
     f = 1
     while disc % 4 == 0 and (disc // 4) % 4 in (0, 1):
         disc //= 4
@@ -176,7 +195,7 @@ def test_minpoly_squarefree_and_degree_for_small_moduli():
             assert desc.degree == euler_phi(n) // h.order
             assert len(desc.minpoly) == desc.degree + 1
             assert desc.minpoly[-1] == 1
-            assert desc.poly_disc != 0
+            assert discriminant(list(desc.minpoly)) != 0
 
 
 def test_degree2_counts_match_even_invariant_factors():
@@ -280,11 +299,121 @@ def test_subfield_minpoly_degree_checks_raise(monkeypatch):
 
     quartic = [s for s in subgroups(unit_group(13)) if s.index == 4][0]
     # a conductor too small for the field loses degree
-    monkeypatch.setattr(cyc, "_conductor", lambda n, hset: 5)
+    monkeypatch.setattr(cyc, "_conductor", lambda h, hset: 5)
     with pytest.raises(ArithmeticError, match="loses degree"):
         subfield_minpoly(13, quartic)
     monkeypatch.undo()
-    # {1, 2} is no subgroup of (Z/5)*: the right size, but three cosets
-    monkeypatch.setattr(cyc, "_reduced_residues", lambda elems, n, f: [1, 2])
-    with pytest.raises(ArithmeticError, match="3 cosets"):
+    # 1 and 4 both lie in {1, 4}: two representatives of one coset
+    monkeypatch.setattr(cyc, "_box_representatives", lambda h, f: [1, 4])
+    with pytest.raises(ArithmeticError, match="1 and 4 .* share a coset"):
         subfield_minpoly(5, subgroup_with_elements(5, [1, 4]))
+
+
+def test_subfields_match_field_by_field_oracle():
+    # index <= 12 everywhere: all 7820 subgroups of SUBGROUP_CASES agree
+    # too, but the oracle's exact discriminants take ~35 s at high degree
+    checked = 0
+    for n, max_index in SUBGROUP_CASES:
+        for sd in subfields(n, min(max_index or 12, 12)):
+            expected = subfield_minpoly_oracle(n, sd.subgroup.elements())
+            assert (sd.degree, sd.minpoly, sd.shape, sd.period_modulus) == expected, (n, sd.subgroup.hnf)
+            checked += 1
+    assert checked > 5000
+
+
+def test_box_representatives_are_a_coset_transversal():
+    from noether.cyclotomic import _box_representatives
+
+    for n, max_index in SUBGROUP_CASES:
+        for h in subgroups(unit_group(n), max_index=max_index):
+            f = n if h.index == 1 else conductor(n, h)
+            residues = sorted({u % f for u in h.elements()})
+            reps = _box_representatives(h, f)
+            # each representative named by the least unit of its coset
+            least = {min(r * u % f for u in residues) for r in reps}
+            assert len(reps) == h.index, (n, h.hnf)
+            assert least == set(coset_representatives_oracle(f, residues)), (n, h.hnf)
+
+
+_FALLBACK_MODULI = [(5, 4), (12, 4), (16, 8), (21, 12), (36, 12), (46, 22), (60, 16), (8836, 4)]
+
+
+def test_exact_discriminant_fallback_gives_the_same_fields(monkeypatch):
+    import noether.cyclotomic as cyc
+
+    expected = {n: subfields(n, d) for n, d in _FALLBACK_MODULI}
+    discs = []
+
+    def counting_discriminant(g):
+        discs.append(len(g) - 1)
+        return discriminant(g)
+
+    monkeypatch.setattr(cyc, "_pairwise_distinct", lambda images: False)
+    monkeypatch.setattr(cyc, "discriminant", counting_discriminant)
+    for n, d in _FALLBACK_MODULI:
+        assert subfields(n, d) == expected[n], n
+    assert len(discs) == sum(len(v) for v in expected.values())
+
+
+def test_rejected_shape_lifts_the_shared_ring(monkeypatch):
+    import noether.cyclotomic as cyc
+
+    # the exact test turns down the first quartic's (1) once: (1, 1) needs
+    # a larger M than the call sized its ring for, and the other quartics,
+    # built after the lift, come out as before
+    expected = subfields(15, 4, min_degree=4)
+    lifts = []
+    root = cyc._root_of_unity_mod
+
+    def counting_root(n, bound):
+        lifts.append(bound)
+        return root(n, bound)
+
+    answers = iter([0])
+    monkeypatch.setattr(cyc, "_pairwise_distinct", lambda images: False)
+    monkeypatch.setattr(cyc, "discriminant", lambda g: next(answers, 1))
+    monkeypatch.setattr(cyc, "_root_of_unity_mod", counting_root)
+    got = subfields(15, 4, min_degree=4)
+    monkeypatch.undo()
+    assert len(lifts) == 2 and lifts[1] > lifts[0]
+    retried = [sd for sd in got if sd.shape == (1, 1)]
+    assert len(retried) == 1 and len(got) == len(expected) > 1
+    pm = retried[0].period_modulus
+    residues = sorted({u % pm for u in retried[0].subgroup.elements()})
+    assert list(retried[0].minpoly) == period_charpoly_oracle(pm, residues, (1, 1))
+    assert [sd for sd in got if sd.shape == (1,)] == [
+        sd for sd in expected if sd.subgroup != retried[0].subgroup]
+
+
+def test_one_power_table_per_conductor(monkeypatch):
+    import noether.cyclotomic as cyc
+
+    built = []
+    table = cyc._PeriodRing._table
+
+    def counting_table(self, f):
+        built.append(f)
+        return table(self, f)
+
+    monkeypatch.setattr(cyc._PeriodRing, "_table", counting_table)
+    for n, max_degree in ((60, 16), (8836, 12), (19948, 12)):
+        built.clear()
+        conductors = {sd.period_modulus for sd in subfields(n, max_degree)}
+        assert sorted(built) == sorted(conductors) and len(conductors) > 2, n
+
+
+def test_cyclotomic_division_check_survives_optimize(monkeypatch):
+    import noether.cyclotomic as cyc
+    from optimized import run_optimized
+
+    message = "Φ_1 does not divide x^6 - 1 exactly"
+    monkeypatch.setattr(cyc, "poly_divmod_monic", lambda f, g: ([1], [1]))
+    with pytest.raises(ArithmeticError, match=re.escape(message)):
+        cyc.cyclotomic_polynomial.__wrapped__(6)
+
+    proc = run_optimized(
+        "import noether.cyclotomic as cyc\n"
+        "cyc.poly_divmod_monic = lambda f, g: ([1], [1])\n"
+        "cyc.cyclotomic_polynomial.__wrapped__(6)\n")
+    assert proc.returncode == 1, proc
+    assert f"ArithmeticError: {message}" in proc.stderr
