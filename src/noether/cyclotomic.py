@@ -7,9 +7,14 @@ polynomial. All subfields of one subfields() call share that ring map and
 one root-of-unity power table per conductor. Exact elements of
 Z[x]/(x^n - 1) (CycElement) remain for presenting and checking the
 generating periods.
+
+A scan that builds the subfields of many moduli can hand subfields() a
+field store: a dict it owns, in which each field of conductor below its
+modulus is built once and then read back (see subfields()).
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -293,7 +298,8 @@ def _pairwise_distinct(images: list[int]) -> bool:
     return len(set(images)) == len(images)
 
 
-def subfield_minpoly(n: int, h: Subgroup, ring: _PeriodRing | None = None) -> SubfieldDescriptor:
+def subfield_minpoly(n: int, h: Subgroup, ring: _PeriodRing | None = None,
+                     f: int | None = None, residues: list[int] | None = None) -> SubfieldDescriptor:
     """Monic integer minimal polynomial of the fixed field of h.
 
     The field is first cut down to its conductor f: for imprimitive
@@ -304,6 +310,8 @@ def subfield_minpoly(n: int, h: Subgroup, ring: _PeriodRing | None = None) -> Su
     x - σ_c(θ) over one c per coset of h, and θ is primitive iff its
     conjugates are distinct, i.e. iff that product has a nonzero
     discriminant. Degenerate shapes are skipped deterministically.
+    A caller that has already cut h down (see _cut) passes f and the
+    sorted residues of h mod f.
 
     The product is formed in Z/M through `ring`, the ring map shared by a
     subfields() call (a fresh one when none is given). It is exact: ℓ is
@@ -315,12 +323,12 @@ def subfield_minpoly(n: int, h: Subgroup, ring: _PeriodRing | None = None) -> Su
     value, and the symmetric lift recovers it. Conjugates with distinct
     images mod M are distinct; only when images meet is the exact
     discriminant computed, so the accepted shape is the first one whose
-    discriminant is nonzero.
+    discriminant is nonzero. Either test is a plain branch, not an
+    assert, so every returned minimal polynomial is proven squarefree.
     """
     d = h.index
-    elems = subgroup_elements(h)
-    f = n if d == 1 else _conductor(h, set(elems))
-    residues = _reduced_residues(elems, n, f)
+    if f is None or residues is None:
+        f, residues = _cut(n, h)
     if euler_phi(f) != d * len(residues):
         raise ArithmeticError(f"conductor {f} of an index-{d} subgroup mod {n} loses degree")
     reps = _box_representatives(h, f)
@@ -350,16 +358,54 @@ def subfield_minpoly(n: int, h: Subgroup, ring: _PeriodRing | None = None) -> Su
         f"index {h.index}: schedule budget exhausted at conductor {f}")
 
 
-def subfields(n: int, max_degree: int, min_degree: int = 1) -> list[SubfieldDescriptor]:
+def _cut(n: int, h: Subgroup) -> tuple[int, list[int]]:
+    """The conductor f of h (n for the full group) and the residues of h
+    mod f, sorted."""
+    elems = subgroup_elements(h)
+    f = n if h.index == 1 else _conductor(h, set(elems))
+    return f, _reduced_residues(elems, n, f)
+
+
+FieldStore = dict[tuple[int, bytes], tuple[tuple[int, ...], tuple[int, ...]]]
+
+
+def subfields(n: int, max_degree: int, min_degree: int = 1,
+              store: FieldStore | None = None) -> list[SubfieldDescriptor]:
     """One descriptor per subfield of Q(ζ_n) of degree in
     [min_degree, max_degree], ordered by degree then by minimal polynomial
-    coefficients. Subfields below min_degree are never built."""
+    coefficients. Subfields below min_degree are never built.
+
+    With a store, a field of conductor f < n is built at most once per
+    store: it is keyed by f and the packed sorted residues of its subgroup
+    mod f, and a stored (minpoly, shape) is read back with no period
+    computed. That is exact: the minimal polynomial is the characteristic
+    polynomial of the period at the conductor, a function of (f, h mod f)
+    alone, and the accepted shape is the first primitive one; n, M and
+    the coset representatives only change how they are computed. A field
+    of conductor n is never stored: its key is the longest of the call,
+    and it recurs only at a proper multiple of n, which for the moduli
+    p - 1 of a scan is a prime p' = 1 (mod p - 1) with p' >= 2p - 1.
+    """
     if n < 3:
         raise ValueError("subfields() requires n >= 3")
     hs = [h for h in subgroups(unit_group(n), max_index=max_degree) if h.index >= min_degree]
     # |h| >= |h_f| and Σ shape = 1 at the first shape: one lift serves
     # every field unless some field needs a longer shape
-    ring = _PeriodRing(n, max((2 * (h.order + 1) ** h.index for h in hs), default=0))
-    out = [subfield_minpoly(n, h, ring) for h in hs]
+    bound = max((2 * (h.order + 1) ** h.index for h in hs), default=0)
+    ring = None  # built at the first field not in the store
+    out = []
+    for h in hs:
+        f, residues = _cut(n, h)
+        key = (f, array("I", residues).tobytes()) if store is not None and f < n else None
+        known = store.get(key) if key is not None else None
+        if known is not None:
+            out.append(SubfieldDescriptor(n, h, h.index, *known, f))
+            continue
+        if ring is None:
+            ring = _PeriodRing(n, bound)
+        sd = subfield_minpoly(n, h, ring, f, residues)
+        if key is not None:
+            store[key] = (sd.minpoly, sd.shape)
+        out.append(sd)
     out.sort(key=lambda s: (s.degree, s.minpoly))
     return out

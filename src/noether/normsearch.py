@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .arith import is_prime
+from .cyclotomic import SubfieldDescriptor
 from .polyops import degree, is_squarefree_poly, normalize, poly_eval, resultant
 
 __all__ = [
@@ -58,12 +59,33 @@ class NormProblem:
     target: int
 
     def __post_init__(self) -> None:
+        self._check(prove_squarefree=True)
+
+    @classmethod
+    def for_field(cls, desc: SubfieldDescriptor, target: int) -> "NormProblem":
+        """The problem for the field of desc, whose minimal polynomial is
+        not proven squarefree a second time.
+
+        desc must come from cyclotomic.subfield_minpoly (or subfields(),
+        which returns its descriptors or reads them back from a field
+        store).  It returns a minimal polynomial only after proving its
+        roots distinct: the conjugate images mod M are pairwise distinct,
+        or else the exact discriminant is nonzero.  Both are plain
+        branches, not asserts, so the proof holds under python -O.
+        """
+        prob = object.__new__(cls)
+        object.__setattr__(prob, "minpoly", tuple(desc.minpoly))
+        object.__setattr__(prob, "target", target)
+        prob._check(prove_squarefree=False)
+        return prob
+
+    def _check(self, prove_squarefree: bool) -> None:
         g = normalize(list(self.minpoly))
         if degree(g) < 1 or g[-1] != 1:
             raise ValueError("minpoly must be monic of degree >= 1")
         if tuple(g) != tuple(self.minpoly):
             raise ValueError("minpoly must be given in normalized form")
-        if not is_squarefree_poly(list(g)):
+        if prove_squarefree and not is_squarefree_poly(g):
             raise ValueError("minpoly must be squarefree")
         if not is_prime(abs(self.target)):
             raise ValueError("|target| must be prime")

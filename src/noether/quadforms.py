@@ -256,12 +256,12 @@ def solve_norm(D: int, p: int, sign: int) -> NormDecision:
     if p == 2 or D % p == 0:
         raise ValueError("solve_norm() requires an odd prime not dividing D")
 
+    if D < 0 and sign == -1:
+        return NormDecision(D, sign, False)  # positive definite norm form
+
     # no prime of degree one above p: no integral element has norm ±p
     if jacobi(D % p, p) == -1:
         return NormDecision(D, sign, False)
-
-    if D < 0 and sign == -1:
-        return NormDecision(D, sign, False)  # positive definite norm form
 
     # square root of D mod 4p with the parity of D; (D/p) = 1 was decided
     # above, as p does not divide D

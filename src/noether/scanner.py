@@ -16,6 +16,7 @@ small.  Anything left over is Undetermined.
 from __future__ import annotations
 
 import atexit
+import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -23,7 +24,7 @@ from typing import Callable, Iterable, Optional, Union
 
 from .arith import euler_phi, is_prime, primes_below
 from .criteria import FixtureSets, em_criterion_i, em_criterion_ii, load_fixtures
-from .cyclotomic import cyclotomic_polynomial, subfields
+from .cyclotomic import FieldStore, cyclotomic_polynomial, subfields
 from .normsearch import BackendClient, NormProblem, certificate_search, norm_of
 from .quadforms import quadratic_subfield_discs, solve_norm
 
@@ -108,7 +109,9 @@ class ScanConfig:
             raise ValueError("parallelism must be >= 1")
 
 
-_clients: dict[str, BackendClient] = {}
+# keyed by process as well: a forked pool worker inherits the clients of
+# the process that forked it, whose child processes it must not talk to
+_clients: dict[tuple[int, str], BackendClient] = {}
 
 
 def _close_clients() -> None:
@@ -121,10 +124,11 @@ atexit.register(_close_clients)
 
 
 def _get_client(command: str) -> BackendClient:
-    client = _clients.get(command)
+    key = (os.getpid(), command)
+    client = _clients.get(key)
     if client is None:
         client = BackendClient(command)
-        _clients[command] = client
+        _clients[key] = client
     return client
 
 
@@ -141,6 +145,15 @@ class _SignScan:
         return self.degree is not None
 
 
+class _Sides(dict):
+    """The _SignScan of each target sign for one prime, and the field
+    store of the scan classifying it (None for a lone prime)."""
+
+    def __init__(self, store: Optional[FieldStore]):
+        super().__init__({1: _SignScan(), -1: _SignScan()})
+        self.store = store
+
+
 def _scan_quadratic(p: int, sides: dict[int, _SignScan]) -> None:
     for disc in quadratic_subfield_discs(p - 1):
         for sign, state in sides.items():
@@ -151,15 +164,15 @@ def _scan_quadratic(p: int, sides: dict[int, _SignScan]) -> None:
                 state.witness = {"degree": 2, "disc": disc}
 
 
-def _scan_backend(p: int, cfg: ScanConfig, sides: dict[int, _SignScan]) -> None:
+def _scan_backend(p: int, cfg: ScanConfig, sides: _Sides) -> None:
     client = _get_client(cfg.backend)
-    for desc in subfields(p - 1, cfg.max_degree, min_degree=3):
+    for desc in subfields(p - 1, cfg.max_degree, 3, sides.store):
         if all(state.proven for state in sides.values()):
             return
         for sign, state in sides.items():
             if state.proven:
                 continue
-            prob = NormProblem(tuple(desc.minpoly), sign * p)
+            prob = NormProblem.for_field(desc, sign * p)
             dec = client.decide(prob, grh_allowed=cfg.allow_grh)
             if dec.outcome == "unsolvable":
                 state.degree = desc.degree
@@ -182,10 +195,15 @@ def _certified(p: int, g: tuple[int, ...], witness: tuple[int, ...]) -> Verdict:
     )
 
 
-def classify_prime(p: int, cfg: ScanConfig = ScanConfig()) -> Verdict:
+def classify_prime(p: int, cfg: ScanConfig = ScanConfig(),
+                   store: Optional[FieldStore] = None) -> Verdict:
     """Classify one prime.  See the module docstring for the pipeline; the
     reported d_plus/d_minus are the minimal subfield degrees at which each
     sign was proven impossible, so they do not depend on enumeration order.
+
+    store is the field store of the scan this prime belongs to (see
+    cyclotomic.subfields): the backend stage reads and adds the subfields
+    that recur from prime to prime.  Without one every field is built.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -195,7 +213,7 @@ def classify_prime(p: int, cfg: ScanConfig = ScanConfig()) -> Verdict:
 
     em_i = em_criterion_i(p)
     em_ii = em_criterion_ii(p)
-    sides = {1: _SignScan(), -1: _SignScan()}
+    sides = _Sides(store)
     _scan_quadratic(p, sides)
 
     if em_i or em_ii:
@@ -242,15 +260,18 @@ def classify_prime(p: int, cfg: ScanConfig = ScanConfig()) -> Verdict:
 Record = Union[Verdict, ScanError]
 
 
-def _safe_classify(p: int, cfg: ScanConfig) -> Record:
+def _safe_classify(p: int, cfg: ScanConfig, store: FieldStore) -> Record:
     try:
-        return classify_prime(p, cfg)
+        return classify_prime(p, cfg, store)
     except Exception as exc:
         return ScanError(p, f"{type(exc).__name__}: {exc}")
 
 
-def _scan_worker(args: tuple[int, ScanConfig]) -> Record:
-    return _safe_classify(*args)
+def _scan_chunk(args: tuple[list[int], ScanConfig]) -> list[Record]:
+    """Classify one pool task's primes through a field store of its own."""
+    primes, cfg = args
+    store: FieldStore = {}
+    return [_safe_classify(p, cfg, store) for p in primes]
 
 
 def scan(
@@ -261,7 +282,8 @@ def scan(
 ) -> dict:
     """Classify every prime in [frm, to], feed records to sink in ascending
     prime order, and return summary counts.  Per-prime failures become
-    ScanError records; the scan always continues.
+    ScanError records; the scan always continues.  The scan owns one field
+    store (one per pool task when parallel), dropped when it returns.
     """
     if not 2 <= frm <= to:
         raise ValueError("need 2 <= frm <= to")
@@ -270,11 +292,13 @@ def scan(
     methods: Counter = Counter()
 
     if cfg.parallelism == 1:
-        records: Iterable[Record] = (_safe_classify(p, cfg) for p in primes)
+        store: FieldStore = {}
+        records: Iterable[Record] = (_safe_classify(p, cfg, store) for p in primes)
     else:
         pool = ProcessPoolExecutor(max_workers=cfg.parallelism)
-        chunk = max(1, len(primes) // (cfg.parallelism * 8))
-        records = pool.map(_scan_worker, [(p, cfg) for p in primes], chunksize=chunk)
+        size = max(1, len(primes) // (cfg.parallelism * 8))
+        tasks = [(primes[i:i + size], cfg) for i in range(0, len(primes), size)]
+        records = (rec for recs in pool.map(_scan_chunk, tasks) for rec in recs)
 
     try:
         for rec in records:

@@ -1,4 +1,5 @@
 import re
+from array import array
 
 import pytest
 import sympy
@@ -417,3 +418,66 @@ def test_cyclotomic_division_check_survives_optimize(monkeypatch):
         "cyc.cyclotomic_polynomial.__wrapped__(6)\n")
     assert proc.returncode == 1, proc
     assert f"ArithmeticError: {message}" in proc.stderr
+
+
+def _field_key(sd):
+    f = sd.period_modulus
+    return f, frozenset(u % f for u in sd.subgroup.elements())
+
+
+def test_field_store_gives_the_fresh_descriptors(monkeypatch):
+    # one store, in scan order: every field of index 3..8 of p - 1 equals
+    # its build without a store, and a field of conductor f < n is built
+    # once, at its first modulus above f
+    import noether.cyclotomic as cyc
+
+    built = []
+    minpoly = cyc.subfield_minpoly
+
+    def counting_minpoly(n, h, *args):
+        built.append(n)
+        return minpoly(n, h, *args)
+
+    moduli = [p - 1 for p in primes_below(3000)[2:]]
+    store = {}
+    monkeypatch.setattr(cyc, "subfield_minpoly", counting_minpoly)
+    got = [subfields(n, 8, 3, store) for n in moduli]
+    monkeypatch.undo()
+    assert got == [subfields(n, 8, 3) for n in moduli]
+    descs = [sd for sds in got for sd in sds]
+    recurring = {_field_key(sd) for sd in descs if sd.period_modulus < sd.n}
+    own = sum(sd.period_modulus == sd.n for sd in descs)
+    assert len(built) == len(recurring) + own < len(descs)
+    assert len(store) == len(recurring)
+
+
+def test_field_store_holds_no_conductor_n_field():
+    store = {}
+    skipped = 0
+    for p in primes_below(400)[2:]:
+        n = p - 1
+        before = set(store)
+        sds = subfields(n, 8, 3, store)
+        added = set(store) - before
+        assert all(f < n for f, _ in added), n
+        assert {(f, frozenset(array("I", packed))) for f, packed in store} >= {
+            _field_key(sd) for sd in sds if sd.period_modulus < n}
+        skipped += sum(sd.period_modulus == n for sd in sds)
+    assert skipped > 0
+
+
+def test_subfields_without_a_store_build_every_field(monkeypatch):
+    import noether.cyclotomic as cyc
+
+    built = []
+    minpoly = cyc.subfield_minpoly
+
+    def counting_minpoly(n, h, *args):
+        built.append(n)
+        return minpoly(n, h, *args)
+
+    monkeypatch.setattr(cyc, "subfield_minpoly", counting_minpoly)
+    first = subfields(72, 8, 3)
+    assert subfields(72, 8, 3) == first
+    assert len(built) == 2 * len(first)
+    assert any(sd.period_modulus < 72 for sd in first)

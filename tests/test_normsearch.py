@@ -14,7 +14,9 @@ from noether.normsearch import (
     norm_of,
 )
 from noether.polyops import is_squarefree_poly, poly_divmod_monic, poly_mul
+from noether.cyclotomic import subfields
 from oracles import companion_det_norm, prime_family_first_hit
+from optimized import run_optimized
 
 FAKE = os.path.join(os.path.dirname(__file__), "fake_backend.py")
 
@@ -75,6 +77,30 @@ def test_norm_problem_validation():
         NormProblem((1, 2, 1), 5)  # (x+1)^2 not squarefree
     with pytest.raises(ValueError):
         NormProblem((1, 0, 1), 6)  # |target| not prime
+
+
+def test_norm_problem_for_field_proves_no_squarefreeness(monkeypatch):
+    import noether.normsearch as ns
+
+    sd = next(sd for sd in subfields(5506, 8, 3) if sd.degree == 8)
+
+    def reproved(g):
+        raise AssertionError(f"{g} proven squarefree a second time")
+
+    monkeypatch.setattr(ns, "is_squarefree_poly", reproved)
+    prob = NormProblem.for_field(sd, -5507)
+    with pytest.raises(ValueError, match="prime"):
+        NormProblem.for_field(sd, 5506)
+    monkeypatch.undo()
+    assert prob == NormProblem(sd.minpoly, -5507) and prob.degree == 8
+
+
+def test_bare_non_squarefree_minpoly_raises_under_optimize():
+    with pytest.raises(ValueError, match="squarefree"):
+        NormProblem((1, 2, 1), 5)
+    proc = run_optimized("from noether.normsearch import NormProblem\nNormProblem((1, 2, 1), 5)\n")
+    assert proc.returncode == 1, proc
+    assert "ValueError: minpoly must be squarefree" in proc.stderr
 
 
 def test_certificate_search_examples():

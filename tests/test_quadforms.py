@@ -180,6 +180,21 @@ def test_solve_norm_negative_definite_always_unsolvable():
                 assert not solve_norm(D, p, -1).solvable
 
 
+def test_negative_definite_minus_sign_computes_no_symbol(monkeypatch):
+    # x^2 + bxy + cy^2 >= 0 for D < 0 decides sign -1 before (D/p)
+    def no_symbol(a, n):
+        raise AssertionError(f"jacobi({a}, {n}) computed")
+
+    for p in primes_below(2000)[2:]:
+        for D in quadratic_subfield_discs(p - 1):
+            if D < 0:
+                want = solve_norm(D, p, -1)
+                with monkeypatch.context() as m:
+                    m.setattr(qf, "jacobi", no_symbol)
+                    assert solve_norm(D, p, -1) == want
+                assert not want.solvable and want.witness is None
+
+
 def test_solve_norm_rejects_bad_inputs():
     with pytest.raises(ValueError):
         solve_norm(5, 2, 1)
@@ -339,7 +354,8 @@ def test_solve_norm_computes_the_legendre_symbol_once(monkeypatch):
                 own.clear()
                 inner.clear()
                 dec = solve_norm(D, p, sign)
-                assert own == [(D % p, p)], (D, p, sign)
+                definite_minus = D < 0 and sign == -1
+                assert own == ([] if definite_minus else [(D % p, p)]), (D, p, sign)
                 assert inner in ([], search), (D, p, sign)
                 if dec.solvable:
                     x, y = dec.witness

@@ -319,3 +319,67 @@ def test_backend_stage_builds_no_quadratic_fields(monkeypatch):
                     if answers.get(expected[-1]) == "unsolvable":
                         proven = proven | {sign}
     assert sent == expected
+
+
+def test_each_scan_owns_a_fresh_field_store(monkeypatch):
+    import noether.scanner as scanner
+
+    seen = []  # (store, its size) as each prime is classified
+    classify = scanner.classify_prime
+
+    def recording_classify(p, cfg, store=None):
+        seen.append((store, len(store)))
+        return classify(p, cfg, store)
+
+    monkeypatch.setattr(scanner, "classify_prime", recording_classify)
+    cfg = ScanConfig(max_degree=8, backend=fake_backend("scripted"))
+    stores = []
+    for _ in range(2):
+        seen.clear()
+        scan(2, 200, cfg)
+        assert seen[0][1] == 0 and len({id(store) for store, _ in seen}) == 1
+        stores.append(seen[0][0])
+    assert stores[0] is not stores[1]
+    assert stores[0] and stores[0] == stores[1], "the backend stage stored no field"
+
+
+def test_lone_prime_classifies_without_a_store(monkeypatch):
+    import noether.scanner as scanner
+
+    stores = []
+    build = scanner.subfields
+
+    def recording_subfields(n, max_degree, min_degree=1, store=None):
+        stores.append(store)
+        return build(n, max_degree, min_degree, store)
+
+    monkeypatch.setattr(scanner, "subfields", recording_subfields)
+    cfg = ScanConfig(max_degree=8, backend=fake_backend("scripted"))
+    assert classify_prime(5507, cfg).d_plus == 8
+    assert stores == [None]
+
+
+def test_backend_problems_are_not_proven_squarefree_again(monkeypatch):
+    import noether.normsearch as ns
+
+    def reproved(g):
+        raise AssertionError(f"{g} proven squarefree a second time")
+
+    monkeypatch.setattr(ns, "is_squarefree_poly", reproved)
+    cfg = ScanConfig(max_degree=8, backend=fake_backend("scripted"))
+    assert classify_prime(5507, cfg).d_plus == 8
+    rows = []
+    scan(5500, 5508, cfg, rows.append)
+    assert [r.p for r in rows if isinstance(r, Verdict) and r.method == "BACKEND"] == [5507]
+
+
+def test_parallel_backend_scan_is_byte_identical(tmp_path):
+    from noether.cli import main
+
+    outs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}.jsonl"
+        assert main(["scan", "--from", "2", "--to", "300", "--max-degree", "8",
+                     "--backend", fake_backend("scripted"), "--jobs", jobs, "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
