@@ -127,6 +127,34 @@ class BackendVerificationError(BackendError):
     pass
 
 
+def _split_prime(g: Sequence[int], m: int, q: int) -> tuple[int, list[int], list[int]]:
+    """The data of the norm filter of `certificate_search`: (ell, zpow, ks).
+
+    ell is the least prime = 1 (mod m) other than q, zpow[k] = z^k mod ell
+    for 0 <= k < m with z of exact order m, and ks lists the exponents k,
+    ascending, with g(z^k) = 0 (mod ell).  The z^k are distinct, so ks holds
+    at most deg g of them.  ks is empty when ell is not below 2^64, where
+    `is_prime` stops being exact.
+    """
+    ell = m + 1
+    while ell == q or not is_prime(ell):
+        ell += m
+    if ell >> 64:
+        return ell, [1], []
+    e = (ell - 1) // m
+    for c in range(1, ell):
+        z = pow(c, e, ell)
+        zpow = [1]
+        x = z
+        while x != 1:
+            zpow.append(x)
+            x = x * z % ell
+        if len(zpow) == m:
+            break
+    ks = [k for k in range(m) if poly_eval(g, zpow[k]) % ell == 0]
+    return ell, zpow, ks
+
+
 def certificate_search(prob: NormProblem, bound: int) -> Optional[tuple[int, ...]]:
     """Search the elements 1 + a*theta^i + b*theta^j for one of exact norm
     prob.target, where theta is the root of prob.minpoly.
@@ -146,6 +174,24 @@ def certificate_search(prob: NormProblem, bound: int) -> Optional[tuple[int, ...
     and keeps norms, so if a member has norm target, a conjugate member lies
     in (q, theta - r): testing one prime is enough.  None proves nothing:
     an element of norm target may lie outside the family.
+
+    A member is skipped before its exact norm when a split prime shows the
+    norm is not target.  Let ell be the least prime = 1 (mod m) other than
+    q, z of exact order m mod ell, and k_1..k_s the exponents with
+    minpoly(z^k) = 0 (mod ell) (see `_split_prime`).  The z^k are distinct,
+    so if s = d = deg minpoly then minpoly = prod_k (x - z^k) (mod ell),
+    because minpoly is monic.  The norm of alpha is Res(minpoly, alpha), the
+    determinant of an integer Sylvester matrix, and it reduces mod ell to
+    the resultant over F_ell, which for a monic first argument is the
+    product of alpha over its roots: N(alpha) = prod_k alpha(z^k) (mod ell).
+    Reducing alpha mod minpoly leaves each alpha(z^k) unchanged, so for the
+    member 1 + a*theta^i + b*theta^j the residue is
+    prod_k (1 + a*z^(k*i) + b*z^(k*j)), and a member whose residue is not
+    target mod ell cannot have norm target.  With s < d nothing is skipped.
+    ell differs from q because target = 0 (mod q) and every member of the
+    prime has a root of minpoly mod q as a zero, so mod q nothing would be
+    skipped.  The filter only prunes: the order of candidates and the exact
+    norm of the one returned are unchanged.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
@@ -171,15 +217,27 @@ def certificate_search(prob: NormProblem, bound: int) -> Optional[tuple[int, ...
         shifted = [0] + powers[-1][:-1]
         powers.append([c - top * gc for c, gc in zip(shifted, g)] if top else shifted)
         x = x * r % q
+    m = len(powers)
+    ell, zpow, ks = _split_prime(g, m, q)
+    if len(ks) < d:
+        ks = []
+    t_ell = t % ell
     coeffs = [c for c in range(-bound, bound + 1) if c]
     inverse = {b: pow(b, -1, q) for b in coeffs if b % q}
-    for i in range(1, len(powers)):
+    for i in range(1, m):
         ri = pow(r, i, q)
+        zi = [zpow[k * i % m] for k in ks]
         for a in coeffs:
             for b, b_inv in inverse.items():
                 j = log.get(-(1 + a * ri) * b_inv % q)
                 if j is None or j <= i:
                     continue
+                if ks:
+                    residue = 1
+                    for k, u in zip(ks, zi):
+                        residue = residue * (1 + a * u + b * zpow[k * j % m]) % ell
+                    if residue != t_ell:
+                        continue
                 alpha = [a * u + b * v for u, v in zip(powers[i], powers[j])]
                 alpha[0] += 1
                 if norm_of(g, alpha) == t:

@@ -18,25 +18,6 @@ def degree(p: Poly) -> int:
     return len(normalize(p)) - 1
 
 
-def poly_add(a: Poly, b: Poly) -> Poly:
-    if len(a) < len(b):
-        a, b = b, a
-    out = a[:]
-    for i, c in enumerate(b):
-        out[i] += c
-    return normalize(out)
-
-
-def poly_neg(a: Poly) -> Poly:
-    return [-c for c in a]
-
-
-def poly_scale(a: Poly, k: int) -> Poly:
-    if k == 0:
-        return []
-    return [c * k for c in a]
-
-
 def poly_mul(a: Poly, b: Poly) -> Poly:
     """Exact product of integer polynomials (schoolbook)."""
     a = normalize(a)

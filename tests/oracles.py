@@ -267,6 +267,15 @@ def represents_oracle(D: int, target: int, bound: int) -> tuple[int, int] | None
     return None
 
 
+# ------------------------------------------------------------------- polyops
+def poly_add_oracle(a: list[int], b: list[int]) -> list[int]:
+    """Coefficient-wise sum, trailing zeros stripped."""
+    out = [x + y for x, y in zip(a + [0] * len(b), b + [0] * len(a))]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
 # ----------------------------------------------------------------- normsearch
 def companion_det_norm(g: list[int], a: list[int]) -> int:
     """Norm of a mod g as det of a's action on Z[x]/(g), via Bareiss.
@@ -322,21 +331,20 @@ def companion_det_norm(g: list[int], a: list[int]) -> int:
     return sign * m[d - 1][d - 1]
 
 
-def prime_family_first_hit(g: list[int], target: int, bound: int) -> tuple[int, ...] | None:
-    """First element 1 + a*x^i + b*x^j of Z[x]/(g) with norm target that
-    lies in the prime (q, x - r): q = |target|, r the least nonzero root of g
-    mod q, m its multiplicative order, 0 < i < j < m, and a, b nonzero in
-    [-bound, bound] with b not divisible by q.
+def prime_family(g: list[int], target: int, bound: int):
+    """Every element 1 + a*x^i + b*x^j of Z[x]/(g) that lies in the prime
+    (q, x - r): q = |target|, r the least nonzero root of g mod q, m its
+    multiplicative order, 0 < i < j < m, and a, b nonzero in [-bound, bound]
+    with b not divisible by q.
 
-    No pruning: every (i, a, b, j) is tried in that order, each ascending;
-    membership is tested by evaluating at r, the element is reduced mod g by
-    long division and its norm is `companion_det_norm`.  Returns the reduced
-    coefficients (length deg g), or None.
+    Yields the reduced coefficients (length deg g) in the order of
+    (i, a, b, j), each ascending; membership is tested by evaluating at r
+    and the element is reduced mod g by long division.
     """
     q, d = abs(target), len(g) - 1
     roots = [x for x in range(1, q) if sum(c * x**k for k, c in enumerate(g)) % q == 0]
     if not roots:
-        return None
+        return
     r = roots[0]
     m = 1
     while pow(r, m, q) != 1:
@@ -357,9 +365,17 @@ def prime_family_first_hit(g: list[int], target: int, bound: int) -> tuple[int, 
                         c = poly[top]
                         for k in range(d + 1):
                             poly[top - d + k] -= c * g[k]
-                    alpha = tuple((poly + [0] * d)[:d])
-                    if companion_det_norm(g, list(alpha)) == target:
-                        return alpha
+                    yield tuple((poly + [0] * d)[:d])
+
+
+def prime_family_first_hit(g: list[int], target: int, bound: int) -> tuple[int, ...] | None:
+    """First member of `prime_family` whose norm is target.
+
+    No pruning: every member is tried, and its norm is `companion_det_norm`.
+    """
+    for alpha in prime_family(g, target, bound):
+        if companion_det_norm(g, list(alpha)) == target:
+            return alpha
     return None
 
 
