@@ -19,8 +19,6 @@ from .cyclotomic import (
     SubfieldDescriptor,
     conductor,
     cyclotomic_polynomial,
-    generating_period,
-    period_element,
     subfield_minpoly,
     subfields,
 )
@@ -39,11 +37,9 @@ from .normsearch import (
 from .quadforms import (
     FormCycle,
     NormDecision,
-    QuadraticForm,
     fundamental_discriminant,
     is_fundamental,
     principal_cycle,
-    principal_form,
     quadratic_subfield_discs,
     solve_norm,
 )
@@ -75,7 +71,6 @@ __all__ = [
     "FormCycle",
     "NormDecision",
     "NormProblem",
-    "QuadraticForm",
     "ScanConfig",
     "ScanError",
     "Subgroup",
@@ -92,17 +87,14 @@ __all__ = [
     "em_tables",
     "euler_phi",
     "fundamental_discriminant",
-    "generating_period",
     "is_fundamental",
     "is_prime",
     "is_square",
     "is_squarefree",
     "load_fixtures",
     "norm_of",
-    "period_element",
     "primes_below",
     "principal_cycle",
-    "principal_form",
     "quadratic_subfield_discs",
     "scan",
     "solve_norm",

@@ -1,12 +1,13 @@
 """Subfields of the n-th cyclotomic field via Gaussian periods.
 
-A subfield's minimal polynomial is the product of its period's conjugates,
-evaluated in Z/M for a prime power M in which Φ_n has a root and lifted
-to Z through a coefficient bound, so no floating point enters any minimal
-polynomial. All subfields of one subfields() call share that ring map and
-one root-of-unity power table per conductor. Exact elements of
-Z[x]/(x^n - 1) (CycElement) remain for presenting and checking the
-generating periods.
+A subfield's minimal polynomial is the product of the conjugates of its
+Gaussian period at the conductor, which always generates it (proof in
+subfield_minpoly). The product is evaluated in Z/M for a prime power M in
+which Φ_n has a root and lifted to Z through a coefficient bound, so no
+floating point enters any minimal polynomial. All subfields of one
+subfields() call share that ring map and one root-of-unity power table
+per conductor. Exact elements of Z[x]/(x^n - 1) (CycElement) remain for
+checking the periods.
 
 A scan that builds the subfields of many moduli can hand subfields() a
 field store: a dict it owns, in which each field of conductor below its
@@ -17,7 +18,6 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 from math import gcd
 
 from .abelian import Subgroup, subgroup_elements, subgroups, unit_group
@@ -95,32 +95,17 @@ def cyclotomic_polynomial(n: int) -> Poly:
 @dataclass(frozen=True)
 class SubfieldDescriptor:
     """A subfield of Q(ζ_n): the fixed field of `subgroup`, presented by the
-    minimal polynomial of a primitive Gaussian-period combination.
+    minimal polynomial of its Gaussian period (see subfield_minpoly).
 
-    period_modulus is the cyclotomic ring the generating period lives in:
-    the subfield's conductor, except for the trivial subfield where the
-    full modulus is kept so the period stays the classical μ(n)."""
+    period_modulus is the cyclotomic ring the period lives in: the
+    subfield's conductor, except for the trivial subfield where the full
+    modulus is kept so the period stays the classical μ(n)."""
 
     n: int
     subgroup: Subgroup
     degree: int
     minpoly: tuple[int, ...]
-    shape: tuple[int, ...]
     period_modulus: int
-
-
-def _period_from_residues(modulus: int, residues, shape: tuple[int, ...]) -> CycElement:
-    coeffs = [0] * modulus
-    for k, c in enumerate(shape, start=1):
-        if c:
-            for u in residues:
-                coeffs[k * u % modulus] += c
-    return CycElement(modulus, tuple(coeffs))
-
-
-def period_element(n: int, h: Subgroup, shape: tuple[int, ...]) -> CycElement:
-    """Σ_k shape[k-1] * η^(k) with η^(k) = Σ_{u in h} ζ_n^(k u)."""
-    return _period_from_residues(n, subgroup_elements(h), shape)
 
 
 def conductor(n: int, h: Subgroup) -> int:
@@ -164,39 +149,6 @@ def _conductor(h: Subgroup, hset: set[int]) -> int:
             gens = (1 + q**a,)
         f *= q**a
     return f
-
-
-def _reduced_residues(elems: list[int], n: int, modulus: int) -> list[int]:
-    """The subgroup with elements `elems` mod n, reduced mod a divisor."""
-    if modulus == n:
-        return elems
-    return sorted({u % modulus for u in elems})
-
-
-def generating_period(sd: SubfieldDescriptor) -> CycElement:
-    """The exact period element whose minimal polynomial is sd.minpoly."""
-    pm = sd.period_modulus
-    residues = _reduced_residues(subgroup_elements(sd.subgroup), sd.n, pm)
-    return _period_from_residues(pm, residues, sd.shape)
-
-
-def _shape_schedule(max_len: int, budget: int = 100_000):
-    """(1), (1,1), (1,2), (1,0,1), (1,0,2), ... ordered by length then lex.
-
-    Lengths may run past the subfield degree: even at the conductor a
-    single coset-sum period can be degenerate (rational, or generating a
-    proper subfield), so the schedule keeps extending until the budget
-    runs out.
-    """
-    yield (1,)
-    count = 1
-    for m in range(2, max_len + 1):
-        for prefix in product((0, 1, 2), repeat=m - 2):
-            for last in (1, 2):
-                yield (1,) + prefix + (last,)
-                count += 1
-                if count >= budget:
-                    return
 
 
 @lru_cache(maxsize=None)
@@ -251,12 +203,6 @@ class _PeriodRing:
         self.m, self.z = _root_of_unity_mod(n, bound)
         self.tables: dict[int, list[int]] = {}
 
-    def lift(self, bound: int) -> None:
-        """Make M exceed bound; tables modulo a smaller M are dropped."""
-        if self.m <= bound:
-            self.m, self.z = _root_of_unity_mod(self.n, bound)
-            self.tables.clear()
-
     def powers(self, f: int) -> list[int]:
         """w^e mod M for 0 <= e < f, w the image of ζ_f."""
         if f not in self.tables:
@@ -300,31 +246,45 @@ def _pairwise_distinct(images: list[int]) -> bool:
 
 def subfield_minpoly(n: int, h: Subgroup, ring: _PeriodRing | None = None,
                      f: int | None = None, residues: list[int] | None = None) -> SubfieldDescriptor:
-    """Monic integer minimal polynomial of the fixed field of h.
+    """Monic integer minimal polynomial of the fixed field K of h.
 
-    The field is first cut down to its conductor f: for imprimitive
-    subfields of a non-squarefree modulus every coset-sum period at the
-    full modulus vanishes identically (the sum telescopes over reduction
-    kernels), while at the conductor the periods are small and faithful.
-    There the characteristic polynomial of a period θ is the product of
-    x - σ_c(θ) over one c per coset of h, and θ is primitive iff its
-    conjugates are distinct, i.e. iff that product has a nonzero
-    discriminant. Degenerate shapes are skipped deterministically.
-    A caller that has already cut h down (see _cut) passes f and the
-    sorted residues of h mod f.
+    K is cut down to its conductor f and presented by the Gaussian period
+    η = Σ_{u in H} ζ_f^u, H = Gal(Q(ζ_f)/K) the image of h mod f, whose
+    conjugates σ_c(η) are taken over one unit c per coset of H. (At the
+    full modulus the period may vanish: ζ_12 + ζ_12^7 = 0 for Q(ζ_3).)
+    A caller that has already cut h down (see _cut) passes f
+    and the sorted residues of h mod f. For the full group f = n, η = μ(n).
 
-    The product is formed in Z/M through `ring`, the ring map shared by a
-    subfields() call (a fresh one when none is given). It is exact: ℓ is
-    a proven prime (below 2^64, where is_prime is deterministic) and
-    ζ_f ↦ z^(n/f) is a ring map Z[ζ_f] → Z/M (see _PeriodRing), so it
-    carries the integer coefficients to their residues. Every conjugate
-    has |σ_c(θ)| <= B = |h_f| * Σ shape, h_f the image of h mod f, so the
-    k-th coefficient is at most C(d, k) B^k <= (B+1)^d < M/2 in absolute
-    value, and the symmetric lift recovers it. Conjugates with distinct
-    images mod M are distinct; only when images meet is the exact
-    discriminant computed, so the accepted shape is the first one whose
-    discriminant is nonzero. Either test is a plain branch, not an
-    assert, so every returned minimal polynomial is proven squarefree.
+    Theorem: η generates K. Proof. Let G = (Z/f)*, X the characters of G
+    trivial on H, and τ_f(χ) = Σ_{a mod f} χ(a) ζ_f^a. The χ-component
+    e_χ η, e_χ = |G|^-1 Σ_a χ̄(a) σ_a, is |H| τ_f(χ̄)/|G| for χ in X and 0
+    otherwise, and σ_a multiplies it by χ(a). So Stab(η) is the
+    annihilator of the group <S> generated by S = {χ in X : τ_f(χ) != 0}
+    (τ_f(χ̄) = χ(-1) conj τ_f(χ)), and it is enough that <S> = X.
+    - For χ induced from the primitive χ* mod f_χ,
+      τ_f(χ) = μ(f/f_χ) χ*(f/f_χ) τ(χ*) with |τ(χ*)|^2 = f_χ (Montgomery
+      and Vaughan, Multiplicative Number Theory I, ch. 9): it is nonzero
+      iff the q-part of f_χ is q^e for every q^e ∥ f with e >= 2.
+    - For such q, the units u ≡ 1 mod q^(e-1) and mod f/q^e form a cyclic
+      group U_q of order q, and the χ in X of smaller q-part are those
+      trivial on U_q: the kernel of restriction r_q: X → Z/q. It is onto,
+      as f, the conductor of K, is the lcm of the f_χ over X.
+    - The q are distinct primes, so r = (r_q): X → ∏ Z/q, a cyclic group,
+      is onto, and S is the preimage of the tuples with no zero entry.
+      Some s in S has r(s) = (1, ..., 1), a generator, and s·ker r ⊆ S,
+      so <S> ⊇ ker r and r(<S>) is everything: <S> = X.  ∎
+
+    The product of x - σ_c(η) is formed in Z/M through `ring`, the ring
+    map of a subfields() call (a fresh one when none is given). It is
+    exact: ℓ is a proven prime (below 2^64, where is_prime is
+    deterministic) and ζ_f ↦ z^(n/f) is a ring map Z[ζ_f] → Z/M (see
+    _PeriodRing). As |σ_c(η)| <= |H|, the k-th coefficient is at most
+    C(d, k) |H|^k <= (|H| + 1)^d < M/2 in absolute value, and the
+    symmetric lift recovers it. The theorem is still checked by a plain
+    branch, not an assert, so every returned polynomial is proven
+    squarefree under python -O too: the images mod M must be pairwise
+    distinct, or else the exact discriminant nonzero; otherwise
+    ArithmeticError is raised.
     """
     d = h.index
     if f is None or residues is None:
@@ -339,23 +299,22 @@ def subfield_minpoly(n: int, h: Subgroup, ring: _PeriodRing | None = None,
             if b * a_inv % f in hset:
                 raise ArithmeticError(
                     f"representatives {a} and {b} of an index-{d} subgroup mod {f} share a coset")
+    bound = 2 * (len(residues) + 1) ** d
     if ring is None:
-        ring = _PeriodRing(n, 2 * (len(residues) + 1) ** d)
-    for shape in _shape_schedule(f - 1):
-        ring.lift(2 * (len(residues) * sum(shape) + 1) ** d)
-        m, zpow = ring.m, ring.powers(f)
-        images = [sum(s * sum(zpow[c * k * u % f] for u in residues)
-                      for k, s in enumerate(shape, start=1) if s) % m
-                  for c in reps]
-        g = [1]
-        for eta in images:
-            g = [(lo - eta * hi) % m for lo, hi in zip([0] + g, g + [0])]
-        g = [a - m if 2 * a > m else a for a in g]
-        if _pairwise_distinct(images) or discriminant(g) != 0:
-            return SubfieldDescriptor(n, h, d, tuple(g), shape, f)
-    raise ValueError(
-        f"no primitive period combination found for modulus {n}, subgroup "
-        f"index {h.index}: schedule budget exhausted at conductor {f}")
+        ring = _PeriodRing(n, bound)
+    m, zpow = ring.m, ring.powers(f)
+    if m <= bound:
+        raise ValueError(f"ring modulus {m} does not exceed the coefficient bound {bound}")
+    images = [sum(zpow[c * u % f] for u in residues) % m for c in reps]
+    g = [1]
+    for eta in images:
+        g = [(lo - eta * hi) % m for lo, hi in zip([0] + g, g + [0])]
+    g = [a - m if 2 * a > m else a for a in g]
+    if not _pairwise_distinct(images) and discriminant(g) == 0:
+        raise ArithmeticError(
+            f"the period of an index-{d} subgroup mod {n} at conductor {f} "
+            f"has colliding conjugates")
+    return SubfieldDescriptor(n, h, d, tuple(g), f)
 
 
 def _cut(n: int, h: Subgroup) -> tuple[int, list[int]]:
@@ -363,10 +322,10 @@ def _cut(n: int, h: Subgroup) -> tuple[int, list[int]]:
     mod f, sorted."""
     elems = subgroup_elements(h)
     f = n if h.index == 1 else _conductor(h, set(elems))
-    return f, _reduced_residues(elems, n, f)
+    return f, elems if f == n else sorted({u % f for u in elems})
 
 
-FieldStore = dict[tuple[int, bytes], tuple[tuple[int, ...], tuple[int, ...]]]
+FieldStore = dict[tuple[int, bytes], tuple[int, ...]]
 
 
 def subfields(n: int, max_degree: int, min_degree: int = 1,
@@ -377,11 +336,11 @@ def subfields(n: int, max_degree: int, min_degree: int = 1,
 
     With a store, a field of conductor f < n is built at most once per
     store: it is keyed by f and the packed sorted residues of its subgroup
-    mod f, and a stored (minpoly, shape) is read back with no period
+    mod f, and its stored minimal polynomial is read back with no period
     computed. That is exact: the minimal polynomial is the characteristic
     polynomial of the period at the conductor, a function of (f, h mod f)
-    alone, and the accepted shape is the first primitive one; n, M and
-    the coset representatives only change how they are computed. A field
+    alone; n, M and the coset representatives only change how it is
+    computed. A field
     of conductor n is never stored: its key is the longest of the call,
     and it recurs only at a proper multiple of n, which for the moduli
     p - 1 of a scan is a prime p' = 1 (mod p - 1) with p' >= 2p - 1.
@@ -389,8 +348,7 @@ def subfields(n: int, max_degree: int, min_degree: int = 1,
     if n < 3:
         raise ValueError("subfields() requires n >= 3")
     hs = [h for h in subgroups(unit_group(n), max_index=max_degree) if h.index >= min_degree]
-    # |h| >= |h_f| and Σ shape = 1 at the first shape: one lift serves
-    # every field unless some field needs a longer shape
+    # |h| >= |h_f|: the ring covers the coefficient bound of every field
     bound = max((2 * (h.order + 1) ** h.index for h in hs), default=0)
     ring = None  # built at the first field not in the store
     out = []
@@ -399,13 +357,13 @@ def subfields(n: int, max_degree: int, min_degree: int = 1,
         key = (f, array("I", residues).tobytes()) if store is not None and f < n else None
         known = store.get(key) if key is not None else None
         if known is not None:
-            out.append(SubfieldDescriptor(n, h, h.index, *known, f))
+            out.append(SubfieldDescriptor(n, h, h.index, known, f))
             continue
         if ring is None:
             ring = _PeriodRing(n, bound)
         sd = subfield_minpoly(n, h, ring, f, residues)
         if key is not None:
-            store[key] = (sd.minpoly, sd.shape)
+            store[key] = sd.minpoly
         out.append(sd)
     out.sort(key=lambda s: (s.degree, s.minpoly))
     return out

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .arith import is_prime
-from .cyclotomic import SubfieldDescriptor
 from .polyops import degree, is_squarefree_poly, normalize, poly_eval, resultant
 
 __all__ = [
@@ -62,19 +61,13 @@ class NormProblem:
         self._check(prove_squarefree=True)
 
     @classmethod
-    def for_field(cls, desc: SubfieldDescriptor, target: int) -> "NormProblem":
-        """The problem for the field of desc, whose minimal polynomial is
-        not proven squarefree a second time.
-
-        desc must come from cyclotomic.subfield_minpoly (or subfields(),
-        which returns its descriptors or reads them back from a field
-        store).  It returns a minimal polynomial only after proving its
-        roots distinct: the conjugate images mod M are pairwise distinct,
-        or else the exact discriminant is nonzero.  Both are plain
-        branches, not asserts, so the proof holds under python -O.
-        """
+    def from_squarefree(cls, minpoly: Sequence[int], target: int) -> "NormProblem":
+        """The problem for a minimal polynomial already proven squarefree,
+        by a plain branch that survives python -O: subfield_minpoly shows
+        a subfield's conjugates distinct, and cyclotomic_polynomial(n)
+        divides the separable x^n - 1 exactly or raises."""
         prob = object.__new__(cls)
-        object.__setattr__(prob, "minpoly", tuple(desc.minpoly))
+        object.__setattr__(prob, "minpoly", tuple(minpoly))
         object.__setattr__(prob, "target", target)
         prob._check(prove_squarefree=False)
         return prob

@@ -71,31 +71,9 @@ def quadratic_subfield_discs(n: int) -> list[int]:
     return sorted(d * t for d in odd for t in even if d * t != 1)
 
 
-@dataclass(frozen=True)
-class QuadraticForm:
-    """Integral binary quadratic form a x^2 + b xy + c y^2."""
-
-    a: int
-    b: int
-    c: int
-
-    @property
-    def disc(self) -> int:
-        return self.b * self.b - 4 * self.a * self.c
-
-    def value(self, x: int, y: int) -> int:
-        return self.a * x * x + self.b * x * y + self.c * y * y
-
-
-def principal_form(D: int) -> QuadraticForm:
+def _principal(D: int) -> tuple[int, int, int]:
     """The norm form of the maximal order of the quadratic field of
     fundamental discriminant D: x^2 - (D/4) y^2 or x^2 + xy - ((D-1)/4) y^2."""
-    if not is_fundamental(D):
-        raise ValueError(f"{D} is not a fundamental discriminant")
-    return QuadraticForm(*_principal(D))
-
-
-def _principal(D: int) -> tuple[int, int, int]:
     b = D & 1
     return 1, b, (b - D) // 4
 
@@ -187,14 +165,6 @@ class FormCycle:
     # that maps its coordinates back to principal-form coordinates:
     # principal(M @ z) = form(z)
     transform_of: dict[Form, Mat] = field(hash=False)
-
-    @property
-    def forms(self) -> tuple[QuadraticForm, ...]:
-        return tuple(QuadraticForm(*f) for f in self.transform_of)
-
-    @property
-    def transforms(self) -> tuple[Mat, ...]:
-        return tuple(self.transform_of.values())
 
 
 @lru_cache(maxsize=None)

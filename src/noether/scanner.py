@@ -145,15 +145,6 @@ class _SignScan:
         return self.degree is not None
 
 
-class _Sides(dict):
-    """The _SignScan of each target sign for one prime, and the field
-    store of the scan classifying it (None for a lone prime)."""
-
-    def __init__(self, store: Optional[FieldStore]):
-        super().__init__({1: _SignScan(), -1: _SignScan()})
-        self.store = store
-
-
 def _scan_quadratic(p: int, sides: dict[int, _SignScan]) -> None:
     for disc in quadratic_subfield_discs(p - 1):
         for sign, state in sides.items():
@@ -164,15 +155,16 @@ def _scan_quadratic(p: int, sides: dict[int, _SignScan]) -> None:
                 state.witness = {"degree": 2, "disc": disc}
 
 
-def _scan_backend(p: int, cfg: ScanConfig, sides: _Sides) -> None:
+def _scan_backend(p: int, cfg: ScanConfig, sides: dict[int, _SignScan],
+                  store: Optional[FieldStore]) -> None:
     client = _get_client(cfg.backend)
-    for desc in subfields(p - 1, cfg.max_degree, 3, sides.store):
+    for desc in subfields(p - 1, cfg.max_degree, 3, store):
         if all(state.proven for state in sides.values()):
             return
         for sign, state in sides.items():
             if state.proven:
                 continue
-            prob = NormProblem.for_field(desc, sign * p)
+            prob = NormProblem.from_squarefree(desc.minpoly, sign * p)
             dec = client.decide(prob, grh_allowed=cfg.allow_grh)
             if dec.outcome == "unsolvable":
                 state.degree = desc.degree
@@ -213,7 +205,7 @@ def classify_prime(p: int, cfg: ScanConfig = ScanConfig(),
 
     em_i = em_criterion_i(p)
     em_ii = em_criterion_ii(p)
-    sides = _Sides(store)
+    sides = {1: _SignScan(), -1: _SignScan()}
     _scan_quadratic(p, sides)
 
     if em_i or em_ii:
@@ -232,7 +224,7 @@ def classify_prime(p: int, cfg: ScanConfig = ScanConfig(),
         )
 
     if cfg.max_degree > 2 and not all(s.proven for s in sides.values()):
-        _scan_backend(p, cfg, sides)
+        _scan_backend(p, cfg, sides, store)
 
     if sides[1].proven and sides[-1].proven:
         backend_used = sides[1].degree > 2 or sides[-1].degree > 2
@@ -250,7 +242,7 @@ def classify_prime(p: int, cfg: ScanConfig = ScanConfig(),
     # positive: only +p can be a norm
     if not sides[1].proven and euler_phi(p - 1) <= CERTIFICATE_DEGREE_LIMIT:
         g = tuple(cyclotomic_polynomial(p - 1))
-        witness = certificate_search(NormProblem(g, p), CERTIFICATE_BOUND)
+        witness = certificate_search(NormProblem.from_squarefree(g, p), CERTIFICATE_BOUND)
         if witness is not None:
             return _certified(p, g, witness)
 

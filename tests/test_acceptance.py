@@ -16,10 +16,10 @@ from noether.abelian import subgroups, unit_group
 from noether.arith import euler_phi, primes_below
 from noether.cli import main as cli_main
 from noether.criteria import load_fixtures
-from noether.cyclotomic import CycElement, generating_period, subfield_minpoly
+from noether.cyclotomic import CycElement, subfield_minpoly
 from noether.normsearch import BackendVerificationError, norm_of
 from noether.polyops import discriminant
-from noether.quadforms import is_fundamental, principal_form, solve_norm
+from noether.quadforms import is_fundamental, solve_norm
 from noether.scanner import (
     METHOD_CERTIFICATE,
     STATUS_NOT_STABLY_RATIONAL,
@@ -30,7 +30,14 @@ from noether.scanner import (
     classify_prime,
     scan,
 )
-from oracles import all_subgroups_brute, companion_det_norm, prime_family_first_hit, represents_oracle
+from oracles import (
+    OracleForm,
+    all_subgroups_brute,
+    companion_det_norm,
+    prime_family_first_hit,
+    principal_form_coeffs,
+    represents_oracle,
+)
 
 FAKE_BACKEND = Path(__file__).with_name("fake_backend.py")
 
@@ -209,7 +216,7 @@ def test_criterion_6_norm_solver_oracle_equivalence(capfd):
     decisions = 0
     mismatches = []
     for D in discs:
-        pf = principal_form(D)
+        pf = OracleForm(*principal_form_coeffs(D))
         for p in primes_below(501):
             if p == 2 or D % p == 0:
                 continue
@@ -260,7 +267,10 @@ def test_criterion_7_structure_invariants(capfd):
                 problems.append(f"bad minpoly for n={n}, subgroup {h.hnf}")
                 continue
             pm = desc.period_modulus
-            theta = generating_period(desc)
+            # θ = Σ ζ_pm^u over the residues of h mod pm, one basis element each
+            theta = CycElement(pm, (0,) * pm)
+            for u in {u % pm for u in h.elements()}:
+                theta = theta + CycElement(pm, tuple(int(e == u) for e in range(pm)))
             acc = CycElement(pm, (desc.minpoly[-1],) + (0,) * (pm - 1))
             for c in reversed(desc.minpoly[:-1]):
                 acc = acc * theta + CycElement(pm, (c,) + (0,) * (pm - 1))

@@ -1,8 +1,11 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import noether
 from noether.cli import main
@@ -80,6 +83,27 @@ def test_scan_jsonl(capsys):
     )
     summary = json.loads(captured.err)
     assert summary["primes"] == 25
+
+
+# sha256 of the JSONL output of `noether scan` over reference ranges:
+# (from, to, max degree) -> digest; degree > 2 runs with the scripted backend
+_GOLDEN_SCANS = {
+    (2, 20000, 2): "a39fb166ec9e072306d323e672c8ed975b7f5199ec97b5fd8f7da79bc8e530ae",
+    (2, 800, 8): "88c359be968d16c73a18128585cafc701a277ff26b540c31432602f6be37d740",
+    (5500, 5508, 8): "7c89c34c257774c909360c3a76b7372e874a6a289a58a3646405699cc21f93f6",
+    (19800, 19960, 12): "00ba882cfebe643e9e4b12fa17542336a9cbdd4592cdd782a22d0d354b2f7b22",
+}
+
+
+@pytest.mark.parametrize("frm,to,degree", sorted(_GOLDEN_SCANS))
+def test_scan_output_is_pinned(frm, to, degree, tmp_path, capsys):
+    out = tmp_path / "scan.jsonl"
+    args = ["scan", "--from", str(frm), "--to", str(to), "--max-degree", str(degree), "--out", str(out)]
+    if degree > 2:
+        args += ["--backend", f"{sys.executable} {FAKE} scripted"]
+    assert main(args) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _GOLDEN_SCANS[frm, to, degree]
 
 
 def test_scan_csv_to_file(tmp_path, capsys):

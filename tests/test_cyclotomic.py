@@ -14,8 +14,6 @@ from noether.cyclotomic import (
     _root_of_unity_mod,
     conductor,
     cyclotomic_polynomial,
-    generating_period,
-    period_element,
     subfield_minpoly,
     subfields,
 )
@@ -32,6 +30,12 @@ from oracles import (
 
 def full_subgroup(n):
     return [s for s in subgroups(unit_group(n)) if s.index == 1][0]
+
+
+def period(f, residues):
+    """Σ_{u in residues} ζ_f^u as a sum of basis elements of Z[x]/(x^f - 1)."""
+    terms = [CycElement(f, tuple(int(e == u % f) for e in range(f))) for u in residues]
+    return sum(terms[1:], terms[0])
 
 
 def subgroup_with_elements(n, els):
@@ -59,16 +63,15 @@ def test_cyclotomic_polynomial_small():
 
 def test_period_element_examples():
     h = subgroup_with_elements(5, [1, 4])
-    theta = period_element(5, h, (1,))
+    theta = period(5, h.elements())
     assert theta.coeffs == (0, 1, 0, 0, 1)
 
-    full5 = full_subgroup(5)
-    t2 = period_element(5, full5, (1,))
+    t2 = period(5, full_subgroup(5).elements())
     assert t2.coeffs == (0, 1, 1, 1, 1)
     assert (t2 - CycElement(5, (-1, 0, 0, 0, 0))).is_zero_value()  # θ = μ(5)
 
     h12 = subgroup_with_elements(12, [1, 7])
-    degenerate = period_element(12, h12, (1,))
+    degenerate = period(12, h12.elements())
     assert degenerate.is_zero_value()  # ζ12^7 = -ζ12
 
 
@@ -124,25 +127,42 @@ def test_subfield_minpoly_degenerate_period_recovery():
     assert desc16.period_modulus == 4
 
 
-def test_shape_schedule_order_and_retry():
-    from noether.cyclotomic import _shape_schedule
-
-    first = []
-    for shape in _shape_schedule(4):
-        first.append(shape)
-        if len(first) == 6:
-            break
-    assert first == [(1,), (1, 1), (1, 2), (1, 0, 1), (1, 0, 2), (1, 1, 1)]
-
-
-def test_degenerate_shape_is_skipped(monkeypatch):
+def test_colliding_conjugates_raise(monkeypatch):
     import noether.cyclotomic as cyc
+    from optimized import run_optimized
 
-    # in Q(√5), (1, 1) gives (ζ + ζ^4) + (ζ^2 + ζ^3) = -1: both conjugates
-    # meet, the exact discriminant is 0, and the next shape is taken
-    monkeypatch.setattr(cyc, "_shape_schedule", lambda max_len: iter([(1, 1), (1,)]))
-    desc = subfield_minpoly(5, subgroup_with_elements(5, [1, 4]))
-    assert desc.shape == (1,) and desc.minpoly == (-1, 1, 1)
+    # images that meet mod M and a zero exact discriminant leave the roots
+    # unproven distinct: no minimal polynomial is returned
+    message = "the period of an index-2 subgroup mod 5 at conductor 5 has colliding conjugates"
+    monkeypatch.setattr(cyc, "_pairwise_distinct", lambda images: False)
+    monkeypatch.setattr(cyc, "discriminant", lambda g: 0)
+    with pytest.raises(ArithmeticError, match=message):
+        subfield_minpoly(5, subgroup_with_elements(5, [1, 4]))
+    with pytest.raises(ArithmeticError, match="colliding conjugates"):
+        subfields(15, 4, min_degree=4)
+
+    proc = run_optimized(
+        "import noether.cyclotomic as cyc\n"
+        "cyc._pairwise_distinct = lambda images: False\n"
+        "cyc.discriminant = lambda g: 0\n"
+        "cyc.subfields(5, 2, min_degree=2)\n")
+    assert proc.returncode == 1, proc
+    assert f"ArithmeticError: {message}" in proc.stderr
+
+
+# moduli with up to four squared primes: (n, max index)
+_SQUARE_MODULI = [(72, 48), (200, 48), (225, 48), (360, 48), (392, 48), (675, 48), (900, 48),
+                  (1800, 48), (1764, 24), (2700, 24), (3600, 24), (19600, 24)]
+
+
+def test_period_generates_every_subfield_of_square_moduli():
+    # the primitivity check raises unless the period generates the field,
+    # so every subgroup yields a field of full degree
+    for n, max_index in _SQUARE_MODULI:
+        hs = subgroups(unit_group(n), max_index=max_index)
+        sds = subfields(n, max_index)
+        assert sorted(sd.subgroup.hnf for sd in sds) == sorted(h.hnf for h in hs), n
+        assert all(len(sd.minpoly) == sd.degree + 1 == sd.subgroup.index + 1 for sd in sds), n
 
 
 def test_subfields_examples():
@@ -178,8 +198,8 @@ def test_minpoly_annihilates_period_ring_check():
     for n in (5, 7, 12, 13, 16, 21, 24, 36, 46):
         for h in subgroups(unit_group(n), max_index=6):
             desc = subfield_minpoly(n, h)
-            theta = generating_period(desc)
             pm = desc.period_modulus
+            theta = period(pm, {u % pm for u in h.elements()})
             acc = CycElement(pm, tuple([desc.minpoly[0]] + [0] * (pm - 1)))
             power = CycElement(pm, tuple([1] + [0] * (pm - 1)))
             for c in desc.minpoly[1:]:
@@ -268,7 +288,7 @@ def test_minpoly_matches_complex_oracle_large_conductors(case):
         pm = desc.period_modulus
         residues = sorted({u % pm for u in h.elements()})
         assert desc.degree == h.index
-        assert list(desc.minpoly) == period_charpoly_oracle(pm, residues, desc.shape), (n, h.hnf)
+        assert list(desc.minpoly) == period_charpoly_oracle(pm, residues, (1,)), (n, h.hnf)
         checked += 1
     assert checked >= 2
 
@@ -308,6 +328,12 @@ def test_subfield_minpoly_degree_checks_raise(monkeypatch):
     monkeypatch.setattr(cyc, "_box_representatives", lambda h, f: [1, 4])
     with pytest.raises(ArithmeticError, match="1 and 4 .* share a coset"):
         subfield_minpoly(5, subgroup_with_elements(5, [1, 4]))
+    monkeypatch.undo()
+    # the ring map Z[ζ_13] → Z/53 is too small for the coefficient bound
+    # 2 (|H| + 1)^d = 250 of the cubic field: its coefficients would wrap
+    cubic = [s for s in subgroups(unit_group(13)) if s.index == 3][0]
+    with pytest.raises(ValueError, match="ring modulus 53 does not exceed the coefficient bound 250"):
+        subfield_minpoly(13, cubic, cyc._PeriodRing(13, 10))
 
 
 def test_subfields_match_field_by_field_oracle():
@@ -316,8 +342,12 @@ def test_subfields_match_field_by_field_oracle():
     checked = 0
     for n, max_index in SUBGROUP_CASES:
         for sd in subfields(n, min(max_index or 12, 12)):
-            expected = subfield_minpoly_oracle(n, sd.subgroup.elements())
-            assert (sd.degree, sd.minpoly, sd.shape, sd.period_modulus) == expected, (n, sd.subgroup.hnf)
+            degree, minpoly, shape, period_modulus = subfield_minpoly_oracle(n, sd.subgroup.elements())
+            # the oracle walks its full shape schedule; the first primitive
+            # shape is always the plain period
+            assert shape == (1,), (n, sd.subgroup.hnf)
+            assert (sd.degree, sd.minpoly, sd.period_modulus) == (degree, minpoly, period_modulus), (
+                n, sd.subgroup.hnf)
             checked += 1
     assert checked > 5000
 
@@ -354,36 +384,6 @@ def test_exact_discriminant_fallback_gives_the_same_fields(monkeypatch):
     for n, d in _FALLBACK_MODULI:
         assert subfields(n, d) == expected[n], n
     assert len(discs) == sum(len(v) for v in expected.values())
-
-
-def test_rejected_shape_lifts_the_shared_ring(monkeypatch):
-    import noether.cyclotomic as cyc
-
-    # the exact test turns down the first quartic's (1) once: (1, 1) needs
-    # a larger M than the call sized its ring for, and the other quartics,
-    # built after the lift, come out as before
-    expected = subfields(15, 4, min_degree=4)
-    lifts = []
-    root = cyc._root_of_unity_mod
-
-    def counting_root(n, bound):
-        lifts.append(bound)
-        return root(n, bound)
-
-    answers = iter([0])
-    monkeypatch.setattr(cyc, "_pairwise_distinct", lambda images: False)
-    monkeypatch.setattr(cyc, "discriminant", lambda g: next(answers, 1))
-    monkeypatch.setattr(cyc, "_root_of_unity_mod", counting_root)
-    got = subfields(15, 4, min_degree=4)
-    monkeypatch.undo()
-    assert len(lifts) == 2 and lifts[1] > lifts[0]
-    retried = [sd for sd in got if sd.shape == (1, 1)]
-    assert len(retried) == 1 and len(got) == len(expected) > 1
-    pm = retried[0].period_modulus
-    residues = sorted({u % pm for u in retried[0].subgroup.elements()})
-    assert list(retried[0].minpoly) == period_charpoly_oracle(pm, residues, (1, 1))
-    assert [sd for sd in got if sd.shape == (1,)] == [
-        sd for sd in expected if sd.subgroup != retried[0].subgroup]
 
 
 def test_one_power_table_per_conductor(monkeypatch):

@@ -83,20 +83,23 @@ def test_norm_problem_validation():
         NormProblem((1, 0, 1), 6)  # |target| not prime
 
 
-def test_norm_problem_for_field_proves_no_squarefreeness(monkeypatch):
-    import noether.normsearch as ns
-
+def test_norm_problem_from_squarefree_proves_no_squarefreeness(monkeypatch):
     sd = next(sd for sd in subfields(5506, 8, 3) if sd.degree == 8)
+    phi = cyclotomic_polynomial(70)
 
     def reproved(g):
         raise AssertionError(f"{g} proven squarefree a second time")
 
     monkeypatch.setattr(ns, "is_squarefree_poly", reproved)
-    prob = NormProblem.for_field(sd, -5507)
+    prob = NormProblem.from_squarefree(sd.minpoly, -5507)
+    cert = NormProblem.from_squarefree(phi, 71)
     with pytest.raises(ValueError, match="prime"):
-        NormProblem.for_field(sd, 5506)
+        NormProblem.from_squarefree(sd.minpoly, 5506)
+    with pytest.raises(ValueError, match="monic"):
+        NormProblem.from_squarefree((1, 2), 5)
     monkeypatch.undo()
     assert prob == NormProblem(sd.minpoly, -5507) and prob.degree == 8
+    assert cert == NormProblem(tuple(phi), 71) and cert.degree == 24
 
 
 def test_bare_non_squarefree_minpoly_raises_under_optimize():

@@ -5,11 +5,9 @@ import pytest
 import noether.quadforms as qf
 from noether.arith import is_prime, jacobi, primes_below
 from noether.quadforms import (
-    QuadraticForm,
     fundamental_discriminant,
     is_fundamental,
     principal_cycle,
-    principal_form,
     quadratic_subfield_discs,
     solve_norm,
 )
@@ -17,6 +15,7 @@ from oracles import (
     OracleForm,
     is_reduced_indefinite_oracle,
     norm_decision_oracle,
+    principal_form_coeffs,
     quadratic_discs_oracle,
     represents_oracle,
     rho_step_oracle,
@@ -73,27 +72,31 @@ def test_quadratic_subfield_disc_count_matches_unit_group():
         assert len(index2) == 2**t - 1, n
 
 
+def principal(D):
+    return OracleForm(*principal_form_coeffs(D))
+
+
 def test_principal_form_examples():
-    assert principal_form(5) == QuadraticForm(1, 1, -1)
-    assert principal_form(-23) == QuadraticForm(1, 1, 6)
-    assert principal_form(-4) == QuadraticForm(1, 0, 1)
+    assert qf._principal(5) == (1, 1, -1)
+    assert qf._principal(-23) == (1, 1, 6)
+    assert qf._principal(-4) == (1, 0, 1)
     with pytest.raises(ValueError):
-        principal_form(9)
+        principal_cycle(45)  # 45 = 9 * 5 is not fundamental
 
 
 def test_principal_cycle_examples():
-    assert QuadraticForm(1, 1, -1) in principal_cycle(5).forms
-    assert QuadraticForm(1, 3, -1) in principal_cycle(13).forms
+    assert (1, 1, -1) in principal_cycle(5).transform_of
+    assert (1, 3, -1) in principal_cycle(13).transform_of
     cyc12 = principal_cycle(12)
-    assert all(f.disc == 12 for f in cyc12.forms)
+    assert all(OracleForm(*f).disc == 12 for f in cyc12.transform_of)
     # cycles close: every stored transform reproduces its form from the
     # principal form
-    pf = principal_form(12)
-    for f, m in zip(cyc12.forms, cyc12.transforms):
+    pf = principal(12)
+    for f, m in cyc12.transform_of.items():
         a = pf.value(m[0], m[2])
         c = pf.value(m[1], m[3])
         b = 2 * pf.a * m[0] * m[1] + pf.b * (m[0] * m[3] + m[1] * m[2]) + 2 * pf.c * m[2] * m[3]
-        assert (a, b, c) == (f.a, f.b, f.c)
+        assert (a, b, c) == f
 
 
 def _real_fundamental(lo, hi):
@@ -104,16 +107,13 @@ def test_principal_cycle_structure():
     # every fundamental D in 5..3000: the stored forms are reduced, of
     # discriminant D and distinct; each transform is unimodular and carries
     # the principal form to its form; the rho-step of the last form closes
-    # the cycle; the dict and the tuples list the same forms in one order
+    # the cycle
     for D in _real_fundamental(5, 3000):
         cyc = principal_cycle(D)
-        forms = [OracleForm(f.a, f.b, f.c) for f in cyc.forms]
-        assert list(cyc.transform_of) == [(f.a, f.b, f.c) for f in forms], D
-        assert tuple(cyc.transform_of.values()) == cyc.transforms, D
+        forms = [OracleForm(*f) for f in cyc.transform_of]
         assert len(set(forms)) == len(forms), D
-        pf = principal_form(D)
-        pf = OracleForm(pf.a, pf.b, pf.c)
-        for f, m in zip(forms, cyc.transforms):
+        pf = principal(D)
+        for f, m in zip(forms, cyc.transform_of.values()):
             assert f.disc == D and is_reduced_indefinite_oracle(f), (D, f)
             assert m[0] * m[3] - m[1] * m[2] == 1, (D, m)
             assert pf.transform(m) == f, (D, f, m)
@@ -126,8 +126,7 @@ def test_rho_step_matches_oracle_along_cycles():
     # and from candidate forms (±p, b, c), through two full cycles
     for D in _real_fundamental(5, 3000)[::7] + [2993, 8969, 9689]:
         s = isqrt(D)
-        pf = principal_form(D)
-        starts = [(pf.a, pf.b, pf.c)]
+        starts = [principal_form_coeffs(D)]
         for p in (101, 1009, 5987):
             if D % p and jacobi(D % p, p) == 1:
                 b = next(b for b in range(D % 2, 2 * p, 2) if (b * b - D) % (4 * p) == 0)
@@ -209,7 +208,7 @@ def test_solve_norm_rejects_bad_inputs():
 def test_solve_norm_witnesses_verify():
     # every Solvable must ship a working witness
     for D in (-3, -4, -8, -23, 5, 8, 12, 13, 60):
-        form = principal_form(D)
+        form = principal(D)
         for p in primes_below(300):
             if p == 2 or D % p == 0:
                 continue
@@ -231,7 +230,7 @@ def test_solve_norm_against_oracle_slice():
             for sign in (1, -1):
                 dec = solve_norm(D, p, sign)
                 if dec.solvable:
-                    assert principal_form(D).value(*dec.witness) == sign * p
+                    assert principal(D).value(*dec.witness) == sign * p
                 else:
                     assert represents_oracle(D, sign * p, 10 * p) is None, (D, p, sign)
 
@@ -359,4 +358,4 @@ def test_solve_norm_computes_the_legendre_symbol_once(monkeypatch):
                 assert inner in ([], search), (D, p, sign)
                 if dec.solvable:
                     x, y = dec.witness
-                    assert principal_form(D).value(x, y) == sign * p
+                    assert principal(D).value(x, y) == sign * p

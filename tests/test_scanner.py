@@ -282,9 +282,9 @@ def test_backend_stage_builds_no_quadratic_fields(monkeypatch):
     entered = []  # (p, signs proven before the backend stage)
     stage = scanner._scan_backend
 
-    def recording_stage(p, cfg, sides):
+    def recording_stage(p, cfg, sides, *args):
         entered.append((p, {sign for sign, state in sides.items() if state.proven}))
-        stage(p, cfg, sides)
+        stage(p, cfg, sides, *args)
 
     sent, answers = [], {}
     decide = BackendClient.decide
