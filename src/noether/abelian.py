@@ -29,8 +29,10 @@ def _primitive_root(p: int) -> int:
 def _primary_components(n: int) -> list[tuple[int, int]]:
     """Cyclic decomposition of (Z/nZ)* as (order, generator mod n) pairs.
 
-    One or two components per prime power in n, combined through CRT so each
-    generator is a residue mod n that is 1 modulo the other prime powers.
+    One or two components per prime power q^e in n, combined through CRT so
+    each generator is a residue mod n that is 1 modulo the other prime
+    powers: a primitive root at odd q; none at 2, -1 (written 3) at 4, and
+    -1 then 3 at 2^e for e >= 3.
     """
     parts = []  # (modulus q^e, [(order, generator mod q^e), ...])
     for q, e in factor(n):
@@ -67,13 +69,19 @@ def _primary_components(n: int) -> list[tuple[int, int]]:
 class UnitGroup:
     """Invariant-factor presentation of (Z/nZ)*.
 
+    components holds, for each CRT component generator c of
+    _primary_components(n) in its order, the pair (c, v) with v the
+    exponent vector of c over the invariant-factor generators.
+
     Construction checks what every subgroup lattice rests on: the orders
     multiply to φ(n) and form a divisibility chain d_1, d_2, ... with
-    d_(i+1) | d_i."""
+    d_(i+1) | d_i; and each v evaluates back to its c, ∏ g_i^(v_i) ≡ c
+    (mod n)."""
 
     n: int
     cyclic_orders: tuple[int, ...]
     generators: tuple[int, ...]
+    components: tuple[tuple[int, tuple[int, ...]], ...] = ()
 
     def __post_init__(self):
         if self.order != euler_phi(self.n):
@@ -83,6 +91,13 @@ class UnitGroup:
             if a % b:
                 raise ArithmeticError(
                     f"invariant factors {self.cyclic_orders} of (Z/{self.n})* are no divisibility chain")
+        for c, v in self.components:
+            value = 1
+            for base, e in zip(self.generators, v):
+                value = value * pow(base, e, self.n) % self.n
+            if len(v) != len(self.generators) or value != c:
+                raise ArithmeticError(
+                    f"exponent vector {v} of the component {c} of (Z/{self.n})* gives {value}")
 
     @property
     def order(self) -> int:
@@ -94,18 +109,27 @@ class UnitGroup:
 
 @lru_cache(maxsize=None)
 def unit_group(n: int) -> UnitGroup:
-    """Canonical invariant-factor decomposition of (Z/nZ)* with generators."""
+    """Canonical invariant-factor decomposition of (Z/nZ)* with generators,
+    and the exponent vector of each CRT component generator c over them.
+
+    The invariant factor d_i collects, over the primes r, the i-th largest
+    r-piece c^(o/r^a) of the components (o = ord c), and g_i their product.
+    As c = ∏_r (c^(o/r^a))^(t_r) with t_r = (o/r^a)^(-1) mod r^a, and the
+    r-piece in slot i is g_i^(ε) for ε the idempotent of Z/d_i for r^a
+    (ε ≡ 1 mod r^a, ε ≡ 0 mod d_i/r^a), entry i of c's vector is the sum
+    of t_r·ε mod d_i over c's pieces in slot i.
+    """
     if n < 3:
         raise ValueError("unit_group() requires n >= 3")
     comps = _primary_components(n)
 
     # group the prime-power pieces by prime, largest exponents first
     by_prime: dict[int, list[tuple[int, int, int]]] = {}
-    for order, g in comps:
+    for j, (order, g) in enumerate(comps):
         for q, a in factor(order):
             qa = q**a
             # element of order q^a inside the cyclic group generated by g
-            by_prime.setdefault(q, []).append((qa, pow(g, order // qa, n), 0))
+            by_prime.setdefault(q, []).append((qa, pow(g, order // qa, n), j))
     for q in by_prime:
         by_prime[q].sort(key=lambda t: -t[0])
 
@@ -123,7 +147,15 @@ def unit_group(n: int) -> UnitGroup:
         gens.append(g)
     if not orders:  # n = 3, 4, 6 have nontrivial groups; only n<3 is trivial
         orders, gens = [1], [1]
-    return UnitGroup(n, tuple(orders), tuple(gens))
+    vectors = [[0] * len(orders) for _ in comps]
+    for pieces in by_prime.values():
+        for i, (qa, _, j) in enumerate(pieces):
+            rest = orders[i] // qa
+            t = pow(comps[j][0] // qa, -1, qa)
+            eps = rest * pow(rest, -1, qa)
+            vectors[j][i] = (vectors[j][i] + t * eps) % orders[i]
+    components = tuple((c, tuple(v)) for (_, c), v in zip(comps, vectors))
+    return UnitGroup(n, tuple(orders), tuple(gens), components)
 
 
 @dataclass(frozen=True)
@@ -151,6 +183,24 @@ class Subgroup:
 
     def elements(self) -> list[int]:
         return subgroup_elements(self)
+
+    def contains(self, v) -> bool:
+        """Does h hold the unit with exponent vector v (over the generators
+        of the unit group)?
+
+        Solves sum_i c_i row_i = v in the HNF by forward substitution:
+        column m involves only rows i <= m, so c_m is forced and must be an
+        integer."""
+        coeff = []
+        for m, row in enumerate(self.hnf):
+            s = v[m]
+            for c, above in zip(coeff, self.hnf):
+                s -= c * above[m]
+            c, r = divmod(s, row[m])
+            if r:
+                return False
+            coeff.append(c)
+        return True
 
 
 def _contains_diagonal(hnf: list[list[int]], d: tuple[int, ...]) -> bool:

@@ -133,15 +133,6 @@ def euler_phi(n: int) -> int:
     return phi
 
 
-def moebius(n: int) -> int:
-    mu = 1
-    for _, e in factor(n):
-        if e > 1:
-            return 0
-        mu = -mu
-    return mu
-
-
 def is_squarefree(n: int) -> bool:
     """True iff no square > 1 divides n (n >= 1)."""
     if n < 1:
@@ -175,24 +166,10 @@ def jacobi(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-def sqrt_mod_prime(a: int, p: int) -> int:
-    """A square root of a modulo odd prime p (Tonelli-Shanks).
-
-    Raises ValueError when a is a non-residue. Returns 0 for a ≡ 0.
-    """
-    if p == 2:
-        return a % 2
-    a %= p
-    if a == 0:
-        return 0
-    if jacobi(a, p) != 1:
-        raise ValueError(f"{a} is not a quadratic residue mod {p}")
-    return _sqrt_mod_residue(a, p)
-
-
 def _sqrt_mod_residue(a: int, p: int) -> int:
-    """Tonelli-Shanks for an odd prime p and a nonzero quadratic residue
-    a mod p, without checking either; the caller has decided both."""
+    """A square root of a modulo p (Tonelli-Shanks), for an odd prime p and
+    a nonzero quadratic residue a mod p, without checking either; the
+    caller has decided both."""
     if p % 4 == 3:
         return pow(a, (p + 1) // 4, p)
     # write p-1 = q * 2^s with q odd

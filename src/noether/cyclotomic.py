@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .abelian import Subgroup, subgroup_elements, subgroups, unit_group
+from .abelian import Subgroup, UnitGroup, subgroup_elements, subgroups, unit_group
 from .arith import divisors, euler_phi, factor, is_prime
 from .polyops import Poly, discriminant, poly_divmod_monic, poly_mul
 
@@ -115,39 +115,65 @@ def conductor(n: int, h: Subgroup) -> int:
     Minimality means the result is never ≡ 2 (mod 4): such an f shares its
     kernel with f/2.
     """
-    return _conductor(h, set(subgroup_elements(h)))
+    return _conductor(h, _reduction_kernels(h.group))
 
 
-def _conductor(h: Subgroup, hset: set[int]) -> int:
-    """conductor() from the element set of the subgroup, by testing the
-    generators of one reduction kernel per prime power of n.
+_Kernels = list[tuple[int, int, list[tuple[int, list[tuple[int, ...]]]]]]
+
+
+def _reduction_kernels(g: UnitGroup) -> _Kernels:
+    """For each q^e ∥ n, the triple (q, e, [(a, gens of K_q(a)), ...]) over
+    0 <= a < e (a = 1 left out at q = 2): the generators named in
+    _conductor, as exponent vectors over g's generators, built once per
+    unit group of a subfields() call."""
+    n, d = g.n, g.cyclic_orders
+
+    def power(v: tuple[int, ...], k: int) -> tuple[int, ...]:
+        return tuple(x * k % di for x, di in zip(v, d))
+
+    out = []
+    for q, e in factor(n):
+        rest = n // q**e
+        comps = [v for c, v in g.components if (c - 1) % rest == 0]
+        if q > 2:
+            table = [(0, comps)] + [(a, [power(comps[0], (q - 1) * q ** (a - 1))]) for a in range(1, e)]
+        else:
+            table = [(0, comps)]
+            if e > 2:
+                table.append((2, [tuple(x + y for x, y in zip(*comps))]))  # -3 = -1 · 3
+            table += [(a, [power(comps[1], 2 ** (a - 2))]) for a in range(3, e)]
+        out.append((q, e, table))
+    return out
+
+
+def _conductor(h: Subgroup, kernels: _Kernels) -> int:
+    """conductor() from the HNF of h: no element of h is listed.
 
     For q^e ∥ n and 0 <= a <= e, let K_q(a) be the units u ≡ 1 (mod n/q^e)
     with u ≡ 1 (mod q^a). By CRT the kernel of reduction mod
     f = ∏ q^(b_q) is the product of the K_q(b_q), and a product of
-    subgroups lies in h iff each factor does. K_q(a) shrinks as a grows, so
-    with a_q the least a such that K_q(a) ⊆ h, the divisors whose kernel
-    lies in h are those with every b_q >= a_q, and ∏ q^(a_q) is the least.
-    A subgroup lies in h iff its generators do, each lifted by CRT to
-    ≡ 1 (mod n/q^e):
-    - K_q(0) ≅ (Z/q^e)* is generated by the generators of (Z/n)* read
-      mod q^e, since reduction mod q^e is onto;
-    - K_q(a) is cyclic, generated by 1 + q^a, for 1 <= a < e at odd q and
-      for 2 <= a < e at q = 2;
-    - K_2(1) = K_2(0), every unit being odd, so a_2 = 1 is never taken;
-    - K_q(e) is trivial.
+    subgroups lies in h iff each factor does. K_q(a) shrinks as a grows and
+    K_q(e) is trivial, so with a_q the least a such that K_q(a) ⊆ h, the
+    divisors whose kernel lies in h are those with every b_q >= a_q, and
+    ∏ q^(a_q) is the least. A subgroup lies in h iff its generators do, and
+    a unit lies in h iff its exponent vector lies in the row lattice of h's
+    HNF, which forward substitution decides (Subgroup.contains). The
+    generators, from kernels = _reduction_kernels(h.group), are words in
+    the CRT component generators of q, the c ≡ 1 (mod n/q^e) of
+    UnitGroup.components, whose exponent vectors the unit group records:
+    - K_q(0) ≅ (Z/q^e)* is generated by the components of q;
+    - at odd q, for 1 <= a < e, K_q(a) is the subgroup of order q^(e-a) of
+      the cyclic K_q(0) = <c_q>, so it is generated by c_q^((q-1)q^(a-1));
+    - at q = 2, with -1 and 3 the components (-1 alone, written 3, when
+      e = 2), K_2(1) = K_2(0) = <-1, 3> as every unit is odd, so a_2 is
+      never 1. For a >= 2, a unit u with v₂(u - 1) = a generates the
+      cyclic group of the units ≡ 1 (mod 2^a), of order 2^(e-a). So
+      K_2(2) = <-3>, as v₂(-3 - 1) = 2, and K_2(a) = <3^(2^(a-2))> for
+      3 <= a < e, as v₂(3^(2^m) - 1) = m + 2 for m >= 1.
     """
-    n = h.group.n
     f = 1
-    for q, e in factor(n):
-        qe = q**e
-        rest = n // qe
-        inv = pow(rest, -1, qe)
-        a, gens = 0, h.group.generators
-        while a < e and not all((1 + rest * ((u - 1) * inv % qe)) % n in hset for u in gens):
-            a = 2 if q == 2 and a == 0 else a + 1
-            gens = (1 + q**a,)
-        f *= q**a
+    for q, e, table in kernels:
+        f *= q ** next((a for a, gens in table if all(h.contains(v) for v in gens)), e)
     return f
 
 
@@ -169,21 +195,24 @@ def _prime_and_root(f: int) -> tuple[int, int]:
 
 
 def _root_of_unity_mod(f: int, bound: int) -> tuple[int, int]:
-    """(M, z) with M = ℓ^(2^j) > bound for the ℓ of _prime_and_root(f),
-    and Φ_f(z) ≡ 0 (mod M).
+    """(M, z) with M = ℓ^j the least power (j >= 1) above bound, ℓ that of
+    _prime_and_root(f), and Φ_f(z) ≡ 0 (mod M).
 
     z is the Hensel lift, on x^f - 1, of a root of Φ_f modulo ℓ. As
     ℓ ≡ 1 (mod f), ℓ ∤ f: x^f - 1 is separable modulo ℓ and f z^(f-1) is
-    a unit, so each Newton step doubles the precision and the lift is
-    unique. The other factors Φ_e (e | f, e < f) are units at z, because
-    z has exact order f modulo ℓ, so z stays a root of Φ_f.
+    a unit, so each Newton step doubles the precision (capped at M) and the
+    lift is unique. The other factors Φ_e (e | f, e < f) are units at z,
+    because z has exact order f modulo ℓ, so z stays a root of Φ_f.
     """
     ell, z = _prime_and_root(f)
     m = ell
     while m <= bound:
-        m *= m
-        zf1 = pow(z, f - 1, m)
-        z = (z - (z * zf1 - 1) * pow(f * zf1, -1, m)) % m
+        m *= ell
+    prec = ell
+    while prec < m:
+        prec = min(prec * prec, m)
+        zf1 = pow(z, f - 1, prec)
+        z = (z - (z * zf1 - 1) * pow(f * zf1, -1, prec)) % prec
     return m, z
 
 
@@ -191,7 +220,11 @@ class _PeriodRing:
     """The ring map Z[ζ_n] → Z/M, ζ_n ↦ z, of one subfields() call, with
     one table of root-of-unity powers per conductor.
 
-    (M, z) comes from _root_of_unity_mod(n, bound). For f | n the image
+    (M, z) comes from _root_of_unity_mod(n, bound): M = ℓ^j is the least
+    power of the prime ℓ ≡ 1 (mod n) above the coefficient bound of the
+    call, so the period sums and products run on integers no wider than
+    the bound needs (129 bits rather than 229 for n = 19948 at degree 12).
+    For f | n the image
     w = z^(n/f) of ζ_f has exact order f modulo ℓ, as z has exact order n,
     and w^f = z^n ≡ 1 (mod M). The argument of _root_of_unity_mod, with f
     in place of n, makes w a root of Φ_f modulo M, so ζ_f ↦ w is a ring
@@ -288,7 +321,7 @@ def subfield_minpoly(n: int, h: Subgroup, ring: _PeriodRing | None = None,
     """
     d = h.index
     if f is None or residues is None:
-        f, residues = _cut(n, h)
+        f, residues = _cut(n, h, _reduction_kernels(h.group))
     if euler_phi(f) != d * len(residues):
         raise ArithmeticError(f"conductor {f} of an index-{d} subgroup mod {n} loses degree")
     reps = _box_representatives(h, f)
@@ -317,12 +350,34 @@ def subfield_minpoly(n: int, h: Subgroup, ring: _PeriodRing | None = None,
     return SubfieldDescriptor(n, h, d, tuple(g), f)
 
 
-def _cut(n: int, h: Subgroup) -> tuple[int, list[int]]:
+def _cut(n: int, h: Subgroup, kernels: _Kernels) -> tuple[int, list[int]]:
     """The conductor f of h (n for the full group) and the residues of h
-    mod f, sorted."""
-    elems = subgroup_elements(h)
-    f = n if h.index == 1 else _conductor(h, set(elems))
-    return f, elems if f == n else sorted({u % f for u in elems})
+    mod f, sorted; kernels is _reduction_kernels(h.group).
+
+    The conductor comes from _conductor, and for f < n no element of h
+    mod n is listed either. Reduction mod f | n is a homomorphism, so the
+    image of h in (Z/f)* is generated by the images of h's HNF rows; it is
+    closed from them mod f, adding to the subgroup S built so far its
+    cosets S·x^j for a row image x until x^j falls in S. Each residue is
+    made once, φ(f)/d of them in all, as h holds the kernel of reduction
+    mod its conductor (subfield_minpoly checks that count). Only at f = n
+    are the elements listed, by subgroup_elements."""
+    f = n if h.index == 1 else _conductor(h, kernels)
+    if f == n:
+        return n, subgroup_elements(h)
+    gens = [b % f for b in h.group.generators]
+    out, members = [1], {1}
+    for row in h.hnf:
+        x = 1
+        for e, b in zip(row, gens):
+            x = x * pow(b, e, f) % f
+        new, y = [], x
+        while y not in members:
+            new += [u * y % f for u in out]
+            y = y * x % f
+        out += new
+        members.update(new)
+    return f, sorted(out)
 
 
 FieldStore = dict[tuple[int, bytes], tuple[int, ...]]
@@ -347,13 +402,15 @@ def subfields(n: int, max_degree: int, min_degree: int = 1,
     """
     if n < 3:
         raise ValueError("subfields() requires n >= 3")
-    hs = [h for h in subgroups(unit_group(n), max_index=max_degree) if h.index >= min_degree]
+    g = unit_group(n)
+    hs = [h for h in subgroups(g, max_index=max_degree) if h.index >= min_degree]
+    kernels = _reduction_kernels(g)
     # |h| >= |h_f|: the ring covers the coefficient bound of every field
     bound = max((2 * (h.order + 1) ** h.index for h in hs), default=0)
     ring = None  # built at the first field not in the store
     out = []
     for h in hs:
-        f, residues = _cut(n, h)
+        f, residues = _cut(n, h, kernels)
         key = (f, array("I", residues).tobytes()) if store is not None and f < n else None
         known = store.get(key) if key is not None else None
         if known is not None:

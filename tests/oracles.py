@@ -43,6 +43,12 @@ def naive_phi(n: int) -> int:
     return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
 
 
+def moebius(n: int) -> int:
+    """μ(n): 0 unless n is squarefree, else (-1)^(number of prime factors)."""
+    exponents = [e for _, e in naive_factor(n)]
+    return 0 if any(e > 1 for e in exponents) else (-1) ** len(exponents)
+
+
 # ------------------------------------------------------------------- abelian
 def unit_residues(n: int) -> list[int]:
     return [a for a in range(1, n) if gcd(a, n) == 1]

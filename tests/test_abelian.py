@@ -52,6 +52,19 @@ def test_unit_group_direct_product():
         assert seen == set(unit_residues(n))
 
 
+def test_component_vectors_evaluate_to_their_generators():
+    for n in range(3, 2001):
+        g = unit_group(n)
+        assert [c for c, _ in g.components] == [c for _, c in abelian._primary_components(n)], n
+        for c, v in g.components:
+            assert len(v) == len(g.cyclic_orders), (n, c)
+            value = 1
+            for e, base, d in zip(v, g.generators, g.cyclic_orders):
+                assert 0 <= e < d, (n, c, v)
+                value = value * pow(base, e, n) % n
+            assert value == c, (n, c, v)
+
+
 def test_subgroup_count_examples():
     assert len(subgroups(unit_group(46))) == 4  # cyclic of order 22
     assert len(subgroups(unit_group(8))) == 5  # C2 x C2
@@ -139,6 +152,9 @@ _BROKEN_GROUPS = {
                 "invariant factors (2,) of (Z/15)* do not multiply to φ(n)"),
     "chain": ("abelian.UnitGroup(15, (2, 4), (14, 2))",
               "invariant factors (2, 4) of (Z/15)* are no divisibility chain"),
+    # unit_group(15) records 7 as (1, 0) over the generators (7, 11)
+    "vector": ("abelian.UnitGroup(15, (4, 2), (7, 11), ((11, (0, 1)), (7, (1, 1))))",
+               "exponent vector (1, 1) of the component 7 of (Z/15)* gives 2"),
 }
 
 

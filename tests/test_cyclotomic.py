@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noether.abelian import subgroup_elements, subgroups, unit_group
-from noether.arith import euler_phi, moebius, primes_below
+from noether.arith import euler_phi, primes_below
 from noether.cyclotomic import (
     CycElement,
+    _cut,
     _prime_and_root,
     _root_of_unity_mod,
     conductor,
@@ -22,6 +23,7 @@ from oracles import (
     SUBGROUP_CASES,
     conductor_oracle,
     coset_representatives_oracle,
+    moebius,
     naive_is_prime,
     period_charpoly_oracle,
     subfield_minpoly_oracle,
@@ -108,6 +110,32 @@ def test_conductor_matches_definition_oracle():
     for n, max_index in SUBGROUP_CASES:
         for h in subgroups(unit_group(n), max_index=max_index):
             assert conductor(n, h) == conductor_oracle(n, subgroup_elements(h)), (n, h.hnf)
+
+
+def test_cut_matches_element_list_derivation(monkeypatch):
+    # every subgroup of SUBGROUP_CASES, which hold every subgroup of index
+    # <= 12 of 19926, 19948 and 19996: the conductor and the residues mod f
+    # read off the HNF equal those derived from the list of h mod n, and
+    # that list is only built when f = n
+    import noether.cyclotomic as cyc
+
+    listed = []
+
+    def counting_elements(h):
+        listed.append(h)
+        return subgroup_elements(h)
+
+    monkeypatch.setattr(cyc, "subgroup_elements", counting_elements)
+    checked = 0
+    for n, max_index in SUBGROUP_CASES:
+        for h in subgroups(unit_group(n), max_index=max_index):
+            elems = subgroup_elements(h)
+            f = n if h.index == 1 else conductor_oracle(n, elems)
+            listed.clear()
+            assert _cut(n, h, cyc._reduction_kernels(h.group)) == (f, sorted({u % f for u in elems})), (n, h.hnf)
+            assert listed == ([h] if f == n else []), (n, h.hnf)
+            checked += f < n
+    assert checked > 1000
 
 
 def test_subfield_minpoly_degenerate_period_recovery():
@@ -303,7 +331,7 @@ def test_root_of_unity_modulus(f, bound):
     power = m
     while power % ell == 0:
         power //= ell
-    assert power == 1 and m > bound
+    assert power == 1 and m > bound and (m == ell or m // ell <= bound)
     acc = 0
     for c in reversed(cyclotomic_polynomial(f)):
         acc = (acc * z + c) % m
@@ -318,11 +346,12 @@ def test_root_of_unity_modulus_stays_below_2_64():
 def test_subfield_minpoly_degree_checks_raise(monkeypatch):
     import noether.cyclotomic as cyc
 
-    quartic = [s for s in subgroups(unit_group(13)) if s.index == 4][0]
-    # a conductor too small for the field loses degree
-    monkeypatch.setattr(cyc, "_conductor", lambda h, hset: 5)
-    with pytest.raises(ArithmeticError, match="loses degree"):
-        subfield_minpoly(13, quartic)
+    # {1, 4, 16} has conductor 21; a conductor too small for the field
+    # loses degree: its residues mod 7 are {1, 2, 4}, not φ(7)/4 of them
+    quartic = subgroup_with_elements(21, [1, 4, 16])
+    monkeypatch.setattr(cyc, "_conductor", lambda h, kernels: 7)
+    with pytest.raises(ArithmeticError, match="conductor 7 of an index-4 subgroup mod 21 loses degree"):
+        subfield_minpoly(21, quartic)
     monkeypatch.undo()
     # 1 and 4 both lie in {1, 4}: two representatives of one coset
     monkeypatch.setattr(cyc, "_box_representatives", lambda h, f: [1, 4])
