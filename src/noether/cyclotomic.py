@@ -108,8 +108,8 @@ class SubfieldDescriptor:
     period_modulus: int
 
 
-def conductor(n: int, h: Subgroup) -> int:
-    """Smallest f dividing n whose mod-f reduction kernel lies inside h.
+def conductor(h: Subgroup) -> int:
+    """Smallest f dividing h.group.n whose mod-f reduction kernel lies in h.
 
     The fixed field of h embeds in Q(ζ_f); returns 1 for the full group.
     Minimality means the result is never ≡ 2 (mod 4): such an f shares its

@@ -348,6 +348,8 @@ class BackendClient:
         except subprocess.TimeoutExpired:
             proc.kill()
             proc.wait()
+        if proc.stdout is not None:
+            proc.stdout.close()
 
     def __enter__(self) -> "BackendClient":
         return self

@@ -15,12 +15,11 @@ small.  Anything left over is Undetermined.
 
 from __future__ import annotations
 
-import atexit
-import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .arith import euler_phi, is_prime, primes_below
 from .criteria import FixtureSets, em_criterion_i, em_criterion_ii, load_fixtures
@@ -109,27 +108,15 @@ class ScanConfig:
             raise ValueError("parallelism must be >= 1")
 
 
-# keyed by process as well: a forked pool worker inherits the clients of
-# the process that forked it, whose child processes it must not talk to
-_clients: dict[tuple[int, str], BackendClient] = {}
-
-
-def _close_clients() -> None:
-    for client in _clients.values():
-        client.close()
-    _clients.clear()
-
-
-atexit.register(_close_clients)
-
-
-def _get_client(command: str) -> BackendClient:
-    key = (os.getpid(), command)
-    client = _clients.get(key)
-    if client is None:
-        client = BackendClient(command)
-        _clients[key] = client
-    return client
+@contextmanager
+def _client_slot() -> Iterator[list[BackendClient]]:
+    """An empty slot for a backend client, whose child is reaped on exit."""
+    slot: list[BackendClient] = []
+    try:
+        yield slot
+    finally:
+        for client in slot:
+            client.close()
 
 
 @dataclass
@@ -156,8 +143,9 @@ def _scan_quadratic(p: int, sides: dict[int, _SignScan]) -> None:
 
 
 def _scan_backend(p: int, cfg: ScanConfig, sides: dict[int, _SignScan],
-                  store: Optional[FieldStore]) -> None:
-    client = _get_client(cfg.backend)
+                  store: Optional[FieldStore], slot: list[BackendClient]) -> None:
+    if not slot:
+        slot.append(BackendClient(cfg.backend))
     for desc in subfields(p - 1, cfg.max_degree, 3, store):
         if all(state.proven for state in sides.values()):
             return
@@ -165,7 +153,7 @@ def _scan_backend(p: int, cfg: ScanConfig, sides: dict[int, _SignScan],
             if state.proven:
                 continue
             prob = NormProblem.from_squarefree(desc.minpoly, sign * p)
-            dec = client.decide(prob, grh_allowed=cfg.allow_grh)
+            dec = slot[0].decide(prob, grh_allowed=cfg.allow_grh)
             if dec.outcome == "unsolvable":
                 state.degree = desc.degree
                 state.grh = dec.grh
@@ -188,14 +176,16 @@ def _certified(p: int, g: tuple[int, ...], witness: tuple[int, ...]) -> Verdict:
 
 
 def classify_prime(p: int, cfg: ScanConfig = ScanConfig(),
-                   store: Optional[FieldStore] = None) -> Verdict:
+                   store: Optional[FieldStore] = None,
+                   slot: Optional[list[BackendClient]] = None) -> Verdict:
     """Classify one prime.  See the module docstring for the pipeline; the
     reported d_plus/d_minus are the minimal subfield degrees at which each
     sign was proven impossible, so they do not depend on enumeration order.
 
-    store is the field store of the scan this prime belongs to (see
-    cyclotomic.subfields): the backend stage reads and adds the subfields
-    that recur from prime to prime.  Without one every field is built.
+    store and slot are the field store and the backend client slot of the
+    scan this prime belongs to (see cyclotomic.subfields and _classify_all).
+    Without a store every field is built; without a slot the backend stage
+    starts a solver child of its own and reaps it before this returns.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -224,7 +214,8 @@ def classify_prime(p: int, cfg: ScanConfig = ScanConfig(),
         )
 
     if cfg.max_degree > 2 and not all(s.proven for s in sides.values()):
-        _scan_backend(p, cfg, sides, store)
+        with _client_slot() if slot is None else nullcontext(slot) as slot:
+            _scan_backend(p, cfg, sides, store, slot)
 
     if sides[1].proven and sides[-1].proven:
         backend_used = sides[1].degree > 2 or sides[-1].degree > 2
@@ -252,18 +243,24 @@ def classify_prime(p: int, cfg: ScanConfig = ScanConfig(),
 Record = Union[Verdict, ScanError]
 
 
-def _safe_classify(p: int, cfg: ScanConfig, store: FieldStore) -> Record:
-    try:
-        return classify_prime(p, cfg, store)
-    except Exception as exc:
-        return ScanError(p, f"{type(exc).__name__}: {exc}")
+def _classify_all(primes: Iterable[int], cfg: ScanConfig) -> Iterator[Record]:
+    """Classify primes through one field store and one backend client slot,
+    whose solver child starts at the first backend prime and is reaped when
+    the generator ends or is closed.  Failures become ScanError records."""
+    store: FieldStore = {}
+    with _client_slot() as slot:
+        for p in primes:
+            try:
+                rec: Record = classify_prime(p, cfg, store, slot)
+            except Exception as exc:
+                rec = ScanError(p, f"{type(exc).__name__}: {exc}")
+            yield rec
 
 
 def _scan_chunk(args: tuple[list[int], ScanConfig]) -> list[Record]:
-    """Classify one pool task's primes through a field store of its own."""
+    """Classify one pool task's primes with a store and a client of its own."""
     primes, cfg = args
-    store: FieldStore = {}
-    return [_safe_classify(p, cfg, store) for p in primes]
+    return list(_classify_all(primes, cfg))
 
 
 def scan(
@@ -275,7 +272,8 @@ def scan(
     """Classify every prime in [frm, to], feed records to sink in ascending
     prime order, and return summary counts.  Per-prime failures become
     ScanError records; the scan always continues.  The scan owns one field
-    store (one per pool task when parallel), dropped when it returns.
+    store and one backend client (one each per pool task when parallel),
+    whose child is reaped before it returns, also when the sink raises.
     """
     if not 2 <= frm <= to:
         raise ValueError("need 2 <= frm <= to")
@@ -284,8 +282,7 @@ def scan(
     methods: Counter = Counter()
 
     if cfg.parallelism == 1:
-        store: FieldStore = {}
-        records: Iterable[Record] = (_safe_classify(p, cfg, store) for p in primes)
+        records: Iterator[Record] = _classify_all(primes, cfg)
     else:
         pool = ProcessPoolExecutor(max_workers=cfg.parallelism)
         size = max(1, len(primes) // (cfg.parallelism * 8))
@@ -303,6 +300,7 @@ def scan(
             if sink is not None:
                 sink(rec)
     finally:
+        records.close()
         if cfg.parallelism != 1:
             pool.shutdown()
     return {

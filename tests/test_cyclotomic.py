@@ -97,19 +97,19 @@ def test_conductor_examples():
     # {1,7} mod 12 is exactly the kernel of reduction to (Z/3)*, so its
     # fixed field is Q(ζ3); {1,5} is the mod-4 kernel; {1,11} fixes Q(√3),
     # which needs the full modulus
-    assert conductor(12, subgroup_with_elements(12, [1, 7])) == 3
-    assert conductor(12, subgroup_with_elements(12, [1, 5])) == 4
-    assert conductor(12, subgroup_with_elements(12, [1, 11])) == 12
-    assert conductor(12, full_subgroup(12)) == 1
+    assert conductor(subgroup_with_elements(12, [1, 7])) == 3
+    assert conductor(subgroup_with_elements(12, [1, 5])) == 4
+    assert conductor(subgroup_with_elements(12, [1, 11])) == 12
+    assert conductor(full_subgroup(12)) == 1
     # 46 ≡ 2 (mod 4): every subfield of Q(ζ46) already lives in Q(ζ23)
     for h in subgroups(unit_group(46)):
-        assert conductor(46, h) in (1, 23)
+        assert conductor(h) in (1, 23)
 
 
 def test_conductor_matches_definition_oracle():
     for n, max_index in SUBGROUP_CASES:
         for h in subgroups(unit_group(n), max_index=max_index):
-            assert conductor(n, h) == conductor_oracle(n, subgroup_elements(h)), (n, h.hnf)
+            assert conductor(h) == conductor_oracle(n, subgroup_elements(h)), (n, h.hnf)
 
 
 def test_cut_matches_element_list_derivation(monkeypatch):
@@ -386,7 +386,7 @@ def test_box_representatives_are_a_coset_transversal():
 
     for n, max_index in SUBGROUP_CASES:
         for h in subgroups(unit_group(n), max_index=max_index):
-            f = n if h.index == 1 else conductor(n, h)
+            f = n if h.index == 1 else conductor(h)
             residues = sorted({u % f for u in h.elements()})
             reps = _box_representatives(h, f)
             # each representative named by the least unit of its coset

@@ -1,6 +1,8 @@
+import gc
 import os
 import random
 import sys
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -324,6 +326,16 @@ def test_backend_unavailable():
             client.decide(NormProblem((1, 0, 1), 5))
     with pytest.raises(BackendUnavailableError):
         BackendClient("/nonexistent/solver-binary")
+
+
+def test_closed_client_leaks_no_pipe():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with BackendClient(fake_cmd("scripted")) as client:
+            assert client.decide(NormProblem(DEG8, 5507)).outcome == "unsolvable"
+        del client
+        gc.collect()
+    assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_backend_request_ids_advance():

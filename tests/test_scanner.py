@@ -27,6 +27,19 @@ def fake_backend(mode: str) -> str:
     return f"{sys.executable} {FAKE} {mode}"
 
 
+def record_clients(monkeypatch) -> list[BackendClient]:
+    """Every BackendClient started from now on, in order."""
+    clients = []
+    init = BackendClient.__init__
+
+    def recording_init(self, command):
+        init(self, command)
+        clients.append(self)
+
+    monkeypatch.setattr(BackendClient, "__init__", recording_init)
+    return clients
+
+
 def test_classify_examples():
     v = classify_prime(47)
     assert v.status == STATUS_NOT_STABLY_RATIONAL
@@ -327,9 +340,9 @@ def test_each_scan_owns_a_fresh_field_store(monkeypatch):
     seen = []  # (store, its size) as each prime is classified
     classify = scanner.classify_prime
 
-    def recording_classify(p, cfg, store=None):
+    def recording_classify(p, cfg, store=None, *rest):
         seen.append((store, len(store)))
-        return classify(p, cfg, store)
+        return classify(p, cfg, store, *rest)
 
     monkeypatch.setattr(scanner, "classify_prime", recording_classify)
     cfg = ScanConfig(max_degree=8, backend=fake_backend("scripted"))
@@ -383,3 +396,58 @@ def test_parallel_backend_scan_is_byte_identical(tmp_path):
                      "--backend", fake_backend("scripted"), "--jobs", jobs, "--out", str(out)]) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_a_killed_child_fails_only_its_own_scan(monkeypatch):
+    clients = record_clients(monkeypatch)
+    cfg = ScanConfig(max_degree=8, backend=fake_backend("scripted"))
+
+    first = []
+
+    def kill_child(rec):
+        first.append(rec)
+        if rec.p == 5501:  # the first backend prime: the child is running
+            clients[-1]._proc.kill()
+
+    scan(5500, 5508, cfg, kill_child)
+    assert [r.p for r in first if isinstance(r, ScanError)] == [5507]
+    assert clients[0]._proc.returncode is not None
+
+    rows = []
+    scan(5500, 5508, cfg, rows.append)
+    assert all(isinstance(r, Verdict) for r in rows)
+    assert [r.p for r in rows if r.method == "BACKEND"] == [5507]
+    assert len(clients) == 2
+
+
+def test_parallel_scan_reaps_every_child(monkeypatch, tmp_path):
+    import multiprocessing
+
+    # the recording patch reaches the pool workers only when they are forked
+    if multiprocessing.get_start_method() != "fork" or not os.path.isdir("/proc/self"):
+        pytest.skip("needs forked pool workers and /proc")
+    pids = tmp_path / "pids"
+    init = BackendClient.__init__
+
+    def recording_init(self, command):
+        init(self, command)
+        with open(pids, "a") as out:
+            out.write(f"{self._proc.pid}\n")
+
+    monkeypatch.setattr(BackendClient, "__init__", recording_init)
+    scan(5400, 5600, ScanConfig(max_degree=8, backend=fake_backend("scripted"), parallelism=2))
+    started = [int(pid) for pid in pids.read_text().split()]
+    assert started
+    assert [pid for pid in started if os.path.exists(f"/proc/{pid}")] == []
+
+
+def test_lone_classify_reaps_its_child(monkeypatch):
+    clients = record_clients(monkeypatch)
+    cfg = ScanConfig(max_degree=8, backend=fake_backend("scripted"))
+    assert classify_prime(47, cfg).method == "EM_I"
+    assert clients == [], "a prime decided before the backend stage started a child"
+    assert classify_prime(5507, cfg).method == "BACKEND"
+    with pytest.raises(BackendVerificationError):
+        classify_prime(53, ScanConfig(max_degree=4, backend=fake_backend("bogus")))
+    assert len(clients) == 2
+    assert all(c._proc.returncode is not None for c in clients)
