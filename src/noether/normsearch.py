@@ -13,8 +13,12 @@ certification flags (unsolvable), never trusted blindly.
 from __future__ import annotations
 
 import json
+import os
+import selectors
 import shlex
 import subprocess
+import time
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -247,9 +251,20 @@ class BackendClient:
                "witness": [a0, ..., a_{d-1}] (required when solvable),
                "certified": bool, "grh": bool}
 
+    `send` writes a batch of requests at once (the scan sends every request
+    of one subfield degree before it reads an answer), and `decide` reads
+    the answer to the oldest request in flight.  So the solver must answer
+    each request with one line, in request order, and must keep reading its
+    input while it writes, as a loop that answers one line at a time does.
+    `close` closes the solver's input, waits up to CLOSE_TIMEOUT_S for the
+    end of its output, and kills it if that does not come.
+
     A client owns its child process and must be used by one thread at a
     time; run several clients for parallelism.
     """
+
+    CLOSE_TIMEOUT_S = 2.0
+    _READ_SIZE = 1 << 16
 
     def __init__(self, command: Union[str, Sequence[str]]):
         args = shlex.split(command) if isinstance(command, str) else list(command)
@@ -257,44 +272,92 @@ class BackendClient:
             raise BackendUnavailableError("empty backend command")
         self.command = args
         self._next_id = 0
+        self._in_flight: deque[tuple[int, NormProblem]] = deque()
+        self._stale = 0  # answers in flight to requests nobody will decide
+        self._lines: deque[bytes] = deque()  # complete answer lines read ahead
+        self._tail = b""  # the incomplete last line read
         try:
             self._proc = subprocess.Popen(
                 args,
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
                 stderr=subprocess.DEVNULL,
-                text=True,
-                bufsize=1,
+                bufsize=0,
             )
         except OSError as exc:
             raise BackendUnavailableError(f"cannot start backend {args[0]!r}: {exc}") from exc
+        assert self._proc.stdin is not None and self._proc.stdout is not None
+        self._wfd = self._proc.stdin.fileno()
+        self._rfd = self._proc.stdout.fileno()
+        os.set_blocking(self._wfd, False)
+        self._sel = selectors.DefaultSelector()
+        self._sel.register(self._rfd, selectors.EVENT_READ)
+
+    def send(self, probs: Sequence[NormProblem]) -> None:
+        """Write one request per problem, numbered in order, in one write
+        when the pipe takes it.  Answers still in flight from an earlier
+        batch are dropped unread.  While the pipe is full the child's
+        answers are read ahead, so a batch larger than both pipe buffers
+        cannot deadlock."""
+        self._drop_in_flight()
+        if not probs:
+            return
+        if self._proc.poll() is not None:
+            raise BackendUnavailableError("backend process has exited")
+        reqs = []
+        for prob in probs:
+            self._next_id += 1
+            self._in_flight.append((self._next_id, prob))
+            reqs.append(json.dumps({"id": self._next_id, "minpoly": list(prob.minpoly),
+                                    "target": prob.target}))
+        data = memoryview(("\n".join(reqs) + "\n").encode())
+        try:
+            data = data[self._write(data):]
+            if data:
+                self._sel.register(self._wfd, selectors.EVENT_WRITE)
+                try:
+                    while data:
+                        for key, _ in self._sel.select():
+                            if key.fd == self._wfd:
+                                data = data[self._write(data):]
+                            else:
+                                self._read()
+                finally:
+                    self._sel.unregister(self._wfd)
+        except BackendError:
+            self._drop_in_flight()
+            raise
 
     def decide(self, prob: NormProblem, grh_allowed: bool = False) -> BackendDecision:
-        """Forward prob to the backend and translate its answer.
+        """Answer the oldest request in flight, which must be prob; with
+        none in flight, send prob first.
 
         Solvable answers are re-verified locally before being accepted.
         Uncertified or GRH-only (when grh_allowed is false) unsolvability
         claims are downgraded to unknown.  Protocol violations raise, they
-        never silently degrade.
+        never silently degrade; the answers still in flight after a raise
+        are dropped unread.
         """
-        self._next_id += 1
-        rid = self._next_id
-        req = {"id": rid, "minpoly": list(prob.minpoly), "target": prob.target}
-        if self._proc.poll() is not None:
-            raise BackendUnavailableError("backend process has exited")
+        if not self._in_flight:
+            self.send([prob])
+        rid, sent = self._in_flight[0]
+        if sent != prob:
+            raise ValueError(f"decide({prob}) while request {rid} asks {sent}")
+        self._in_flight.popleft()
         try:
-            assert self._proc.stdin is not None
-            self._proc.stdin.write(json.dumps(req) + "\n")
-            self._proc.stdin.flush()
-        except (BrokenPipeError, OSError, ValueError) as exc:
-            raise BackendUnavailableError(f"cannot write to backend: {exc}") from exc
-        assert self._proc.stdout is not None
-        line = self._proc.stdout.readline()
-        if not line:
-            raise BackendUnavailableError("backend closed its output stream")
+            while self._stale:
+                self._next_line()
+                self._stale -= 1
+            return self._translate(self._next_line(), rid, prob, grh_allowed)
+        except BackendError:
+            self._drop_in_flight()
+            raise
+
+    def _translate(self, line: bytes, rid: int, prob: NormProblem,
+                   grh_allowed: bool) -> BackendDecision:
         try:
             resp = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise BackendProtocolError(f"backend sent invalid JSON: {line!r}") from exc
         if not isinstance(resp, dict):
             raise BackendProtocolError(f"backend response is not an object: {resp!r}")
@@ -334,21 +397,58 @@ class BackendClient:
             return BackendDecision("unsolvable", None, certified, grh)
         return BackendDecision("unknown", None, certified, grh)
 
-    def close(self) -> None:
-        proc = getattr(self, "_proc", None)
-        if proc is None:
-            return
+    def _drop_in_flight(self) -> None:
+        """Mark every request in flight stale: its answer is skipped."""
+        self._stale += len(self._in_flight)
+        self._in_flight.clear()
+
+    def _write(self, data: memoryview) -> int:
         try:
-            if proc.stdin is not None:
-                proc.stdin.close()
+            return os.write(self._wfd, data)
+        except BlockingIOError:
+            return 0
+        except OSError as exc:
+            raise BackendUnavailableError(f"cannot write to backend: {exc}") from exc
+
+    def _read(self) -> None:
+        """Read what the child has written into complete lines and a tail."""
+        chunk = os.read(self._rfd, self._READ_SIZE)
+        if not chunk:
+            raise BackendUnavailableError("backend closed its output stream")
+        *lines, self._tail = (self._tail + chunk).split(b"\n")
+        self._lines.extend(lines)
+
+    def _next_line(self) -> bytes:
+        while not self._lines:
+            self._read()
+        return self._lines.popleft()
+
+    def close(self) -> None:
+        """Close the child's input, wait for the end of its output and reap
+        it; after CLOSE_TIMEOUT_S it is killed."""
+        sel = getattr(self, "_sel", None)
+        if sel is None:
+            return  # never started, or closed already
+        self._sel = None
+        proc = self._proc
+        deadline = time.monotonic() + self.CLOSE_TIMEOUT_S
+        try:
+            proc.stdin.close()
         except OSError:
             pass
         try:
-            proc.wait(timeout=2)
+            while True:
+                left = deadline - time.monotonic()
+                if left <= 0 or not sel.select(left):
+                    raise subprocess.TimeoutExpired(proc.args, self.CLOSE_TIMEOUT_S)
+                if not os.read(self._rfd, self._READ_SIZE):
+                    break
+            proc.wait(timeout=max(deadline - time.monotonic(), 0))
         except subprocess.TimeoutExpired:
             proc.kill()
             proc.wait()
-        if proc.stdout is not None:
+        finally:
+            sel.close()
             proc.stdout.close()
 
     def __enter__(self) -> "BackendClient":

@@ -19,6 +19,8 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .arith import euler_phi, is_prime, primes_below
@@ -144,17 +146,25 @@ def _scan_quadratic(p: int, sides: dict[int, _SignScan]) -> None:
 
 def _scan_backend(p: int, cfg: ScanConfig, sides: dict[int, _SignScan],
                   store: Optional[FieldStore], slot: list[BackendClient]) -> None:
+    """Ask the backend about the subfields of degree 3..max_degree, one
+    degree at a time: every field of the degree and every sign still open
+    goes out in one batch, and the answers are read in order until both
+    signs are proven.  A sign keeps the first field in subfields() order
+    that proves it; a later field of the same degree may be asked it too."""
     if not slot:
         slot.append(BackendClient(cfg.backend))
-    for desc in subfields(p - 1, cfg.max_degree, 3, store):
-        if all(state.proven for state in sides.values()):
+    client = slot[0]
+    fields = subfields(p - 1, cfg.max_degree, 3, store)
+    for _, same_degree in groupby(fields, key=attrgetter("degree")):
+        open_sides = [(sign, state) for sign, state in sides.items() if not state.proven]
+        if not open_sides:
             return
-        for sign, state in sides.items():
-            if state.proven:
-                continue
-            prob = NormProblem.from_squarefree(desc.minpoly, sign * p)
-            dec = slot[0].decide(prob, grh_allowed=cfg.allow_grh)
-            if dec.outcome == "unsolvable":
+        batch = [(desc, state, NormProblem.from_squarefree(desc.minpoly, sign * p))
+                 for desc in same_degree for sign, state in open_sides]
+        client.send([prob for _, _, prob in batch])
+        for desc, state, prob in batch:
+            dec = client.decide(prob, grh_allowed=cfg.allow_grh)
+            if dec.outcome == "unsolvable" and not state.proven:
                 state.degree = desc.degree
                 state.grh = dec.grh
                 state.witness = {
@@ -162,6 +172,8 @@ def _scan_backend(p: int, cfg: ScanConfig, sides: dict[int, _SignScan],
                     "minpoly": list(desc.minpoly),
                     "grh": dec.grh,
                 }
+                if all(side.proven for side in sides.values()):
+                    return
 
 
 def _certified(p: int, g: tuple[int, ...], witness: tuple[int, ...]) -> Verdict:

@@ -1,7 +1,9 @@
 import gc
 import os
 import random
+import signal
 import sys
+import time
 import warnings
 
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 import noether.normsearch as ns
 from noether.cyclotomic import cyclotomic_polynomial
+from noether.arith import primes_below
 from noether.normsearch import (
     BackendClient,
     BackendProtocolError,
@@ -343,3 +346,51 @@ def test_backend_request_ids_advance():
         for _ in range(5):
             dec = client.decide(NormProblem(DEG8, 5507))
             assert dec.outcome == "unsolvable"
+
+
+def test_send_drops_answers_left_in_flight():
+    with BackendClient(fake_cmd("scripted")) as client:
+        probs = [NormProblem(DEG8, t) for t in (5507, 7, -5507)]
+        client.send(probs)
+        with pytest.raises(ValueError):
+            client.decide(probs[1])  # the oldest request in flight asks probs[0]
+        assert client.decide(probs[0]).outcome == "unsolvable"
+        # the answers to 7 and -5507 are skipped, not read as this one's
+        client.send([NormProblem(DEG8, 11)])
+        assert client.decide(NormProblem(DEG8, 11)).outcome == "unknown"
+        assert client.decide(NormProblem(DEG8, -5507)).outcome == "unsolvable"
+
+
+@pytest.fixture
+def alarm():
+    """Fail the test if it runs longer than the given seconds, instead of
+    hanging."""
+    def expired(signum, frame):
+        raise AssertionError("the test ran out of time")  # not an OSError the client catches
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    yield signal.alarm
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def test_large_batch_cannot_deadlock(alarm):
+    # ~500 KB of requests and ~350 KB of answers: far more than both pipe
+    # buffers, so a client that wrote the whole batch before reading would
+    # block on a child blocked on its full output
+    targets = [q for q in primes_below(60000) if q > 3 and q != 5507][:5000] + [5507]
+    probs = [NormProblem(DEG8, t) for t in targets]
+    alarm(30)
+    with BackendClient(fake_cmd("scripted")) as client:
+        client.send(probs)
+        outcomes = [client.decide(prob).outcome for prob in probs]
+    assert outcomes == ["unknown"] * 5000 + ["unsolvable"]
+
+
+def test_close_kills_a_child_that_ignores_eof(alarm):
+    alarm(30)
+    client = BackendClient([sys.executable, "-c", "import time; time.sleep(60)"])
+    t0 = time.monotonic()
+    client.close()
+    assert time.monotonic() - t0 < BackendClient.CLOSE_TIMEOUT_S + 1
+    assert client._proc.returncode == -signal.SIGKILL

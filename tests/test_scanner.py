@@ -1,12 +1,19 @@
 import os
 import re
 import sys
+from itertools import groupby, product
 
 import pytest
 
 from noether.criteria import load_fixtures
 from noether.cyclotomic import subfields
-from noether.normsearch import BackendClient, BackendUnavailableError, BackendVerificationError, norm_of
+from noether.normsearch import (
+    BackendClient,
+    BackendDecision,
+    BackendUnavailableError,
+    BackendVerificationError,
+    norm_of,
+)
 from noether.quadforms import solve_norm
 from noether.scanner import (
     STATUS_NOT_STABLY_RATIONAL,
@@ -317,21 +324,59 @@ def test_backend_stage_builds_no_quadratic_fields(monkeypatch):
     monkeypatch.undo()
     assert len(entered) > 5 and built and min(built) >= 3
 
-    # replay the stage: fields of degree 3..8 in subfields() order, each
-    # sign asked until the backend proves it, none once both are proven
+    # replay the stage: fields of degree 3..8 in subfields() order, one
+    # degree at a time; each sign is asked through the degree at which the
+    # backend proves it, and nothing once both are proven
     expected = []
     for p, proven in entered:
-        for desc in subfields(p - 1, 8):
-            if desc.degree < 3:
-                continue
-            if proven == {1, -1}:
-                break
-            for sign in (1, -1):
-                if sign not in proven:
-                    expected.append((desc.minpoly, sign * p))
-                    if answers.get(expected[-1]) == "unsolvable":
-                        proven = proven | {sign}
+        fields = [desc for desc in subfields(p - 1, 8) if desc.degree >= 3]
+        for _, same_degree in groupby(fields, key=lambda desc: desc.degree):
+            open_signs = [sign for sign in (1, -1) if sign not in proven]
+            for desc, sign in product(same_degree, open_signs):
+                if proven == {1, -1}:
+                    break
+                expected.append((desc.minpoly, sign * p))
+                if answers.get(expected[-1]) == "unsolvable":
+                    proven = proven | {sign}
     assert sent == expected
+
+
+class StubClient:
+    """A backend client that answers from a set of unsolvable problems and
+    records every problem sent and every problem decided."""
+
+    def __init__(self, unsolvable):
+        self.unsolvable = unsolvable
+        self.sent, self.decided = [], []
+
+    def send(self, probs):
+        self.sent.extend(probs)
+
+    def decide(self, prob, grh_allowed=False):
+        assert prob == self.sent[len(self.decided)], "decided out of request order"
+        self.decided.append(prob)
+        key = (prob.minpoly, prob.target)
+        return BackendDecision("unsolvable" if key in self.unsolvable else "unknown", None, True, False)
+
+
+def test_a_sign_proven_mid_degree_keeps_its_first_field():
+    # at 131 both signs pass every degree-2 test, and Q(zeta_130) has
+    # subfields of degree 3 (one), 4 (seven), 6 (three) and 8 (three)
+    p = 131
+    fields = subfields(p - 1, 8, 3)
+    by_degree = {d: [desc.minpoly for desc in fields if desc.degree == d] for d in (3, 4, 6, 8)}
+    assert [len(polys) for polys in by_degree.values()] == [1, 7, 3, 3]
+    # +p fails in every field of degree 4, -p only in the last of degree 6
+    stub = StubClient({(g, p) for g in by_degree[4]} | {(by_degree[6][-1], -p)})
+    v = classify_prime(p, ScanConfig(max_degree=8, backend="unused"), None, [stub])
+
+    assert (v.status, v.method, v.d_plus, v.d_minus) == (STATUS_NOT_STABLY_RATIONAL, "BACKEND", 4, 6)
+    assert v.witnesses["plus"]["minpoly"] == list(by_degree[4][0])
+    assert v.witnesses["minus"]["minpoly"] == list(by_degree[6][-1])
+    asked_plus = [prob.minpoly for prob in stub.decided if prob.target == p]
+    assert asked_plus == by_degree[3] + by_degree[4], "+p asked past the degree that proved it"
+    assert [prob.minpoly for prob in stub.decided if prob.target == -p] == by_degree[3] + by_degree[4] + by_degree[6]
+    assert stub.decided == stub.sent
 
 
 def test_each_scan_owns_a_fresh_field_store(monkeypatch):
@@ -418,6 +463,16 @@ def test_a_killed_child_fails_only_its_own_scan(monkeypatch):
     assert all(isinstance(r, Verdict) for r in rows)
     assert [r.p for r in rows if r.method == "BACKEND"] == [5507]
     assert len(clients) == 2
+
+
+@pytest.mark.parametrize("mode, error", [("bogus", "BackendVerificationError"),
+                                         ("garbage", "BackendProtocolError")])
+def test_a_failed_batch_leaves_no_answer_for_the_next_prime(mode, error):
+    # 5501 fails at the first answer of a batch of its degree-4 fields; the
+    # rest of that batch is skipped, so 5507 reads its own answers
+    rows = []
+    scan(5500, 5508, ScanConfig(max_degree=8, backend=fake_backend(mode)), rows.append)
+    assert [(r.p, r.error.split(":")[0]) for r in rows if isinstance(r, ScanError)] == [(5501, error), (5507, error)]
 
 
 def test_parallel_scan_reaps_every_child(monkeypatch, tmp_path):
