@@ -251,13 +251,16 @@ class BackendClient:
                "witness": [a0, ..., a_{d-1}] (required when solvable),
                "certified": bool, "grh": bool}
 
-    `send` writes a batch of requests at once (the scan sends every request
-    of one subfield degree before it reads an answer), and `decide` reads
-    the answer to the oldest request in flight.  So the solver must answer
-    each request with one line, in request order, and must keep reading its
-    input while it writes, as a loop that answers one line at a time does.
-    `close` closes the solver's input, waits up to CLOSE_TIMEOUT_S for the
-    end of its output, and kills it if that does not come.
+    `send` is one whole exchange: it writes a batch of requests (the scan
+    sends every request of one subfield degree at once) and reads exactly
+    one answer line per request, and `decide` answers each problem from
+    what `send` read.  So the solver must answer each request with one
+    line, in request order, and must keep reading its input while it
+    writes, as a loop that answers one line at a time does.  A batch whose
+    reads end with more lines than requests, or with a partial line, is a
+    protocol error.  `close` closes the solver's input, waits up to
+    CLOSE_TIMEOUT_S for the end of its output, and kills it if that does
+    not come.
 
     A client owns its child process and must be used by one thread at a
     time; run several clients for parallelism.
@@ -272,10 +275,7 @@ class BackendClient:
             raise BackendUnavailableError("empty backend command")
         self.command = args
         self._next_id = 0
-        self._in_flight: deque[tuple[int, NormProblem]] = deque()
-        self._stale = 0  # answers in flight to requests nobody will decide
-        self._lines: deque[bytes] = deque()  # complete answer lines read ahead
-        self._tail = b""  # the incomplete last line read
+        self._answers: deque[tuple[int, NormProblem, bytes]] = deque()  # read, undecided
         try:
             self._proc = subprocess.Popen(
                 args,
@@ -294,64 +294,68 @@ class BackendClient:
         self._sel.register(self._rfd, selectors.EVENT_READ)
 
     def send(self, probs: Sequence[NormProblem]) -> None:
-        """Write one request per problem, numbered in order, in one write
-        when the pipe takes it.  Answers still in flight from an earlier
-        batch are dropped unread.  While the pipe is full the child's
-        answers are read ahead, so a batch larger than both pipe buffers
-        cannot deadlock."""
-        self._drop_in_flight()
+        """Write one request per problem, numbered in order, and read one
+        answer line per request for `decide`.  Answers an earlier batch
+        left undecided are dropped.  One loop reads while it writes, so a
+        batch larger than both pipe buffers cannot deadlock."""
+        self._answers.clear()
         if not probs:
             return
         if self._proc.poll() is not None:
             raise BackendUnavailableError("backend process has exited")
-        reqs = []
-        for prob in probs:
-            self._next_id += 1
-            self._in_flight.append((self._next_id, prob))
-            reqs.append(json.dumps({"id": self._next_id, "minpoly": list(prob.minpoly),
-                                    "target": prob.target}))
-        data = memoryview(("\n".join(reqs) + "\n").encode())
+        first = self._next_id + 1
+        self._next_id += len(probs)
+        data = memoryview("".join(
+            json.dumps({"id": rid, "minpoly": list(prob.minpoly), "target": prob.target}) + "\n"
+            for rid, prob in enumerate(probs, first)).encode())
+        lines: list[bytes] = []
+        tail = b""
+        data = data[self._write(data):]
+        if data:
+            self._sel.register(self._wfd, selectors.EVENT_WRITE)
         try:
-            data = data[self._write(data):]
+            while data or len(lines) < len(probs):
+                if data:
+                    # the pipe is full: wait until it takes more or there
+                    # are answers to read; once all is written, read blocks
+                    ready = {key.fd for key, _ in self._sel.select()}
+                    if self._wfd in ready:
+                        data = data[self._write(data):]
+                        if not data:
+                            self._sel.unregister(self._wfd)
+                    if self._rfd not in ready:
+                        continue
+                chunk = os.read(self._rfd, self._READ_SIZE)
+                if not chunk:
+                    raise BackendUnavailableError("backend closed its output stream")
+                *complete, tail = (tail + chunk).split(b"\n")
+                lines.extend(complete)
+        finally:
             if data:
-                self._sel.register(self._wfd, selectors.EVENT_WRITE)
-                try:
-                    while data:
-                        for key, _ in self._sel.select():
-                            if key.fd == self._wfd:
-                                data = data[self._write(data):]
-                            else:
-                                self._read()
-                finally:
-                    self._sel.unregister(self._wfd)
-        except BackendError:
-            self._drop_in_flight()
-            raise
+                self._sel.unregister(self._wfd)
+        if len(lines) > len(probs) or tail:
+            raise BackendProtocolError(
+                f"backend sent {len(lines)} lines{' and a partial line' if tail else ''} "
+                f"for {len(probs)} requests"
+            )
+        self._answers.extend(zip(range(first, self._next_id + 1), probs, lines))
 
     def decide(self, prob: NormProblem, grh_allowed: bool = False) -> BackendDecision:
-        """Answer the oldest request in flight, which must be prob; with
-        none in flight, send prob first.
+        """Answer the oldest problem `send` read an answer for but nobody
+        decided, which must be prob; with none, send prob first.
 
         Solvable answers are re-verified locally before being accepted.
         Uncertified or GRH-only (when grh_allowed is false) unsolvability
         claims are downgraded to unknown.  Protocol violations raise, they
-        never silently degrade; the answers still in flight after a raise
-        are dropped unread.
+        never silently degrade.
         """
-        if not self._in_flight:
+        if not self._answers:
             self.send([prob])
-        rid, sent = self._in_flight[0]
+        rid, sent, line = self._answers[0]
         if sent != prob:
             raise ValueError(f"decide({prob}) while request {rid} asks {sent}")
-        self._in_flight.popleft()
-        try:
-            while self._stale:
-                self._next_line()
-                self._stale -= 1
-            return self._translate(self._next_line(), rid, prob, grh_allowed)
-        except BackendError:
-            self._drop_in_flight()
-            raise
+        self._answers.popleft()
+        return self._translate(line, rid, prob, grh_allowed)
 
     def _translate(self, line: bytes, rid: int, prob: NormProblem,
                    grh_allowed: bool) -> BackendDecision:
@@ -397,11 +401,6 @@ class BackendClient:
             return BackendDecision("unsolvable", None, certified, grh)
         return BackendDecision("unknown", None, certified, grh)
 
-    def _drop_in_flight(self) -> None:
-        """Mark every request in flight stale: its answer is skipped."""
-        self._stale += len(self._in_flight)
-        self._in_flight.clear()
-
     def _write(self, data: memoryview) -> int:
         try:
             return os.write(self._wfd, data)
@@ -409,19 +408,6 @@ class BackendClient:
             return 0
         except OSError as exc:
             raise BackendUnavailableError(f"cannot write to backend: {exc}") from exc
-
-    def _read(self) -> None:
-        """Read what the child has written into complete lines and a tail."""
-        chunk = os.read(self._rfd, self._READ_SIZE)
-        if not chunk:
-            raise BackendUnavailableError("backend closed its output stream")
-        *lines, self._tail = (self._tail + chunk).split(b"\n")
-        self._lines.extend(lines)
-
-    def _next_line(self) -> bytes:
-        while not self._lines:
-            self._read()
-        return self._lines.popleft()
 
     def close(self) -> None:
         """Close the child's input, wait for the end of its output and reap

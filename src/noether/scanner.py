@@ -335,6 +335,17 @@ def _row_of(rec) -> dict:
     return rec
 
 
+def _quadratic_obstructions(p: int) -> list[tuple[int, int]]:
+    """The (disc, sign) pairs whose degree-2 norm test fails at p, in the
+    order of quadratic_subfield_discs and then +p before -p."""
+    return [
+        (disc, sign)
+        for disc in quadratic_subfield_discs(p - 1)
+        for sign in (1, -1)
+        if not solve_norm(disc, p, sign).solvable
+    ]
+
+
 def cross_check(results: Iterable, fixtures: Optional[FixtureSets] = None) -> CrossCheckReport:
     """Validate a full scan result stream against the reference data.
 
@@ -393,12 +404,7 @@ def cross_check(results: Iterable, fixtures: Optional[FixtureSets] = None) -> Cr
                 failures.append(f"(c) prime {p}: reference row (2,2,0) but verdict {got}")
 
     for p in sorted(undetermined):
-        bad = [
-            (disc, sign)
-            for disc in quadratic_subfield_discs(p - 1)
-            for sign in (1, -1)
-            if not solve_norm(disc, p, sign).solvable
-        ]
+        bad = _quadratic_obstructions(p)
         if bad:
             disc, sign = bad[0]
             failures.append(
@@ -409,12 +415,7 @@ def cross_check(results: Iterable, fixtures: Optional[FixtureSets] = None) -> Cr
     for p, ref in sorted(fx.result_rows.items()):
         if not isinstance(ref, tuple):
             continue
-        obstructed = {
-            sign
-            for disc in quadratic_subfield_discs(p - 1)
-            for sign in (1, -1)
-            if not solve_norm(disc, p, sign).solvable
-        }
+        obstructed = {sign for _, sign in _quadratic_obstructions(p)}
         for sign, d in ((1, ref[0]), (-1, ref[1])):
             if (d == 2) != (sign in obstructed):
                 failures.append(

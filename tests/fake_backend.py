@@ -8,6 +8,7 @@ argument picks a behaviour:
   bogus           answer solvable with a wrong witness for everything
   garbage         emit a non-JSON line
   wrong-id        answer with a mismatched request id
+  chatty          answer unknown twice per request, in one write
   die             exit immediately without answering
 
 The scripted table replays two published degree>2 decisions: degree-8
@@ -68,7 +69,7 @@ def main() -> None:
             resp = {"id": rid, "outcome": outcome, "certified": certified, "grh": grh}
         else:
             resp = {"id": rid, "outcome": "unknown", "certified": False, "grh": False}
-        sys.stdout.write(json.dumps(resp) + "\n")
+        sys.stdout.write((json.dumps(resp) + "\n") * (2 if mode == "chatty" else 1))
         sys.stdout.flush()
 
 

@@ -348,17 +348,28 @@ def test_backend_request_ids_advance():
             assert dec.outcome == "unsolvable"
 
 
-def test_send_drops_answers_left_in_flight():
+def test_send_drops_answers_left_undecided():
     with BackendClient(fake_cmd("scripted")) as client:
         probs = [NormProblem(DEG8, t) for t in (5507, 7, -5507)]
         client.send(probs)
         with pytest.raises(ValueError):
-            client.decide(probs[1])  # the oldest request in flight asks probs[0]
+            client.decide(probs[1])  # the oldest undecided answer is probs[0]'s
         assert client.decide(probs[0]).outcome == "unsolvable"
-        # the answers to 7 and -5507 are skipped, not read as this one's
+        # the next send drops the answers to 7 and -5507 this batch left
+        # undecided, so none is read as this one's
         client.send([NormProblem(DEG8, 11)])
         assert client.decide(NormProblem(DEG8, 11)).outcome == "unknown"
         assert client.decide(NormProblem(DEG8, -5507)).outcome == "unsolvable"
+
+
+def test_an_extra_answer_line_fails_its_own_batch():
+    # the solver answers the one request twice: the batch that read the
+    # extra line raises, not the request after it
+    with BackendClient(fake_cmd("chatty")) as client:
+        prob = NormProblem(DEG8, 7)
+        with pytest.raises(BackendProtocolError):
+            client.send([prob])
+            client.decide(prob)
 
 
 @pytest.fixture
