@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from math import lcm
 
 from .arith import divisors, euler_phi, factor
 
@@ -203,56 +204,74 @@ class Subgroup:
         return True
 
 
-def _contains_diagonal(hnf: list[list[int]], d: tuple[int, ...]) -> bool:
-    """Does the row lattice of hnf contain every d_j * e_j?"""
+def _reduced_orders(d: tuple[int, ...], cap: int) -> tuple[int, ...]:
+    """(gcd(d_j, L))_j for L = lcm(1..cap), as lcm{t | d_j : t <= cap}:
+    gcd distributes over lcm, so gcd(d_j, L) is the lcm of the gcd(d_j, i)
+    over i <= cap, and these are exactly the divisors t <= cap of d_j."""
+    return tuple(lcm(*(t for t in divisors(dj) if t <= cap)) for dj in d)
+
+
+def _hnfs(d: tuple[int, ...], cap: int) -> list[tuple[tuple[int, ...], ...]]:
+    """The HNF bases of the lattices of index <= cap between diag(d)·Z^k
+    and Z^k, ordered by index then lexicographically.
+
+    Rows are placed from the bottom. Row j has its pivot h_j | d_j in
+    column j and entries in [0, h_m) in the columns m > j, and it is kept
+    only if d_j·e_j lies in the span of rows j..k-1: rows above j have a
+    nonzero entry left of column j, so they cannot take part, and forward
+    substitution over columns j+1..k-1 decides it. Once every row is
+    placed, every d_j·e_j is in the lattice. A branch stops once the
+    product of its pivots exceeds cap.
+    """
     k = len(d)
-    for j in range(k):
-        # solve sum_i c_i row_i = d_j e_j by forward substitution; rows
-        # i < j contribute nothing (their pivot columns would be nonzero)
-        if d[j] % hnf[j][j]:
-            return False
-        coeff = [0] * k
-        coeff[j] = d[j] // hnf[j][j]
-        for m in range(j + 1, k):
-            s = sum(coeff[i] * hnf[i][m] for i in range(j, m))
-            if s % hnf[m][m]:
-                return False
-            coeff[m] = -(s // hnf[m][m])
-    return True
+    rows: list[tuple[int, ...]] = [()] * k
+    found = []
+
+    def place(j: int, index: int) -> None:
+        if j < 0:
+            found.append((index, tuple(rows)))
+            return
+        for h in divisors(d[j]):
+            if index * h > cap:
+                break
+            c = d[j] // h
+            for tail in product(*(range(rows[m][m]) for m in range(j + 1, k))):
+                # d_j e_j - c·row_j must lie in the span of rows j+1..k-1
+                coeff = []
+                for m in range(j + 1, k):
+                    s = -c * tail[m - j - 1] - sum(a * rows[i][m] for a, i in zip(coeff, range(j + 1, m)))
+                    if s % rows[m][m]:
+                        break
+                    coeff.append(s // rows[m][m])
+                else:
+                    rows[j] = (0,) * j + (h,) + tail
+                    place(j - 1, index * h)
+
+    place(k - 1, 1)
+    found.sort()
+    return [hnf for _, hnf in found]
 
 
-def subgroups(g: UnitGroup, max_index: int | None = None) -> list[Subgroup]:
+def subgroups(g: UnitGroup, max_index: int | None = None,
+              memo: dict | None = None) -> list[Subgroup]:
     """Every subgroup of g exactly once (index <= max_index when given),
-    ordered by index ascending then lexicographic HNF."""
-    d = g.cyclic_orders
-    k = len(d)
-    cap = max_index if max_index is not None else g.order
-    found: list[Subgroup] = []
-    diag_choices = []
-    for j in range(k):
-        diag_choices.append([h for h in divisors(d[j])])
-    for diag in product(*diag_choices):
-        idx = 1
-        for h in diag:
-            idx *= h
-        if idx > cap:
-            continue
-        off_ranges = []
-        for i in range(k):
-            for j in range(i + 1, k):
-                off_ranges.append(range(diag[j]))
-        for offs in product(*off_ranges):
-            hnf = [[0] * k for _ in range(k)]
-            pos = 0
-            for i in range(k):
-                hnf[i][i] = diag[i]
-                for j in range(i + 1, k):
-                    hnf[i][j] = offs[pos]
-                    pos += 1
-            if _contains_diagonal(hnf, d):
-                found.append(Subgroup(g, tuple(tuple(r) for r in hnf)))
-    found.sort(key=lambda s: (s.index, s.hnf))
-    return found
+    ordered by index ascending then lexicographic HNF.
+
+    A subgroup of index i <= cap holds g^i, hence g^L for L = lcm(1..cap),
+    so its lattice contains diag(gcd(d_j, L)), and that lattice contains
+    diag(d). The lattices of index <= cap over d are therefore those over
+    the reduced orders (gcd(d_j, L))_j, which are enumerated instead. A
+    memo, a dict owned by the caller, keeps each HNF list under
+    (cap, reduced orders), which determine it; without one every call
+    enumerates afresh.
+    """
+    cap = g.order if max_index is None else max_index
+    d = _reduced_orders(g.cyclic_orders, cap)
+    if memo is None:
+        memo = {}
+    if (cap, d) not in memo:
+        memo[cap, d] = _hnfs(d, cap)
+    return [Subgroup(g, hnf) for hnf in memo[cap, d]]
 
 
 def subgroup_elements(h: Subgroup) -> list[int]:

@@ -4,18 +4,19 @@ A subfield's minimal polynomial is the product of the conjugates of its
 Gaussian period at the conductor, which always generates it (proof in
 subfield_minpoly). The product is evaluated in Z/M for a prime power M in
 which Φ_n has a root and lifted to Z through a coefficient bound, so no
-floating point enters any minimal polynomial. All subfields of one
-subfields() call share that ring map and one root-of-unity power table
-per conductor. Exact elements of Z[x]/(x^n - 1) (CycElement) remain for
-checking the periods.
+floating point enters any minimal polynomial. subfields() enumerates
+conductor-first: every subfield has one conductor f | n, and the fields of
+conductor exactly f are those of the subgroups of (Z/f)* that hold no
+reduction kernel, a function of f alone. All fields of one call share
+that ring map and one root-of-unity power table per conductor. Exact
+elements of Z[x]/(x^n - 1) (CycElement) remain for checking the periods.
 
 A scan that builds the subfields of many moduli can hand subfields() a
-field store: a dict it owns, in which each field of conductor below its
-modulus is built once and then read back (see subfields()).
+FieldStore it owns, in which the fields of each conductor are built once
+and then read back (see subfields()).
 """
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
@@ -98,8 +99,11 @@ class SubfieldDescriptor:
     minimal polynomial of its Gaussian period (see subfield_minpoly).
 
     period_modulus is the cyclotomic ring the period lives in: the
-    subfield's conductor, except for the trivial subfield where the full
-    modulus is kept so the period stays the classical μ(n)."""
+    subfield's conductor f, except for the trivial subfield where the full
+    modulus is kept so the period stays the classical μ(n). subgroup is a
+    subgroup of (Z/period_modulus)*: from subfields() it is the subgroup of
+    (Z/f)* fixing the field, and subfield_minpoly(n, h) returns the h of
+    (Z/n)* it was given."""
 
     n: int
     subgroup: Subgroup
@@ -175,6 +179,16 @@ def _conductor(h: Subgroup, kernels: _Kernels) -> int:
     for q, e, table in kernels:
         f *= q ** next((a for a, gens in table if all(h.contains(v) for v in gens)), e)
     return f
+
+
+def _primitive(h: Subgroup, kernels: _Kernels) -> bool:
+    """Is the conductor of h the modulus of its group?
+
+    By _conductor it is iff no K_q(a) of the table lies in h, and as K_q(a)
+    shrinks when a grows, iff the last of each table does not: K_q(e - 1)
+    (K_2(0) = K_2(1) when q^e = 4), or K_q(0) when e = 1, which at q = 2
+    has no generator, so no modulus ≡ 2 (mod 4) is ever a conductor."""
+    return not any(all(h.contains(v) for v in table[-1][1]) for _, _, table in kernels)
 
 
 @lru_cache(maxsize=None)
@@ -285,8 +299,9 @@ def subfield_minpoly(n: int, h: Subgroup, ring: _PeriodRing | None = None,
     η = Σ_{u in H} ζ_f^u, H = Gal(Q(ζ_f)/K) the image of h mod f, whose
     conjugates σ_c(η) are taken over one unit c per coset of H. (At the
     full modulus the period may vanish: ζ_12 + ζ_12^7 = 0 for Q(ζ_3).)
-    A caller that has already cut h down (see _cut) passes f
-    and the sorted residues of h mod f. For the full group f = n, η = μ(n).
+    A caller that knows the conductor passes f and the sorted
+    residues of h mod f; subfields() passes h ⊆ (Z/f)* of conductor f,
+    with n = f and its elements. For the full group f = n, η = μ(n).
 
     Theorem: η generates K. Proof. Let G = (Z/f)*, X the characters of G
     trivial on H, and τ_f(χ) = Σ_{a mod f} χ(a) ζ_f^a. The χ-component
@@ -321,7 +336,8 @@ def subfield_minpoly(n: int, h: Subgroup, ring: _PeriodRing | None = None,
     """
     d = h.index
     if f is None or residues is None:
-        f, residues = _cut(n, h, _reduction_kernels(h.group))
+        f = n if d == 1 else conductor(h)
+        residues = sorted({u % f for u in subgroup_elements(h)})
     if euler_phi(f) != d * len(residues):
         raise ArithmeticError(f"conductor {f} of an index-{d} subgroup mod {n} loses degree")
     reps = _box_representatives(h, f)
@@ -350,77 +366,73 @@ def subfield_minpoly(n: int, h: Subgroup, ring: _PeriodRing | None = None,
     return SubfieldDescriptor(n, h, d, tuple(g), f)
 
 
-def _cut(n: int, h: Subgroup, kernels: _Kernels) -> tuple[int, list[int]]:
-    """The conductor f of h (n for the full group) and the residues of h
-    mod f, sorted; kernels is _reduction_kernels(h.group).
+class FieldStore(dict):
+    """The fields of one scan, each built once: a dict from
+    (f, min_degree, max_degree) to the list of (h, minimal polynomial)
+    over the subfields of conductor exactly f with degree in that range,
+    h the subgroup of (Z/f)* fixing the field, and in `lattices` the HNF
+    memo that abelian.subgroups keeps for the unit groups of the
+    conductors. A scan owns one; nothing in it is global."""
 
-    The conductor comes from _conductor, and for f < n no element of h
-    mod n is listed either. Reduction mod f | n is a homomorphism, so the
-    image of h in (Z/f)* is generated by the images of h's HNF rows; it is
-    closed from them mod f, adding to the subgroup S built so far its
-    cosets S·x^j for a row image x until x^j falls in S. Each residue is
-    made once, φ(f)/d of them in all, as h holds the kernel of reduction
-    mod its conductor (subfield_minpoly checks that count). Only at f = n
-    are the elements listed, by subgroup_elements."""
-    f = n if h.index == 1 else _conductor(h, kernels)
-    if f == n:
-        return n, subgroup_elements(h)
-    gens = [b % f for b in h.group.generators]
-    out, members = [1], {1}
-    for row in h.hnf:
-        x = 1
-        for e, b in zip(row, gens):
-            x = x * pow(b, e, f) % f
-        new, y = [], x
-        while y not in members:
-            new += [u * y % f for u in out]
-            y = y * x % f
-        out += new
-        members.update(new)
-    return f, sorted(out)
-
-
-FieldStore = dict[tuple[int, bytes], tuple[int, ...]]
+    def __init__(self):
+        super().__init__()
+        self.lattices: dict = {}
 
 
 def subfields(n: int, max_degree: int, min_degree: int = 1,
               store: FieldStore | None = None) -> list[SubfieldDescriptor]:
     """One descriptor per subfield of Q(ζ_n) of degree in
     [min_degree, max_degree], ordered by degree then by minimal polynomial
-    coefficients. Subfields below min_degree are never built.
+    coefficients (no ties: subfields of an abelian field with one minimal
+    polynomial are conjugate, hence equal). Subfields below min_degree are
+    never built.
 
-    With a store, a field of conductor f < n is built at most once per
-    store: it is keyed by f and the packed sorted residues of its subgroup
-    mod f, and its stored minimal polynomial is read back with no period
-    computed. That is exact: the minimal polynomial is the characteristic
-    polynomial of the period at the conductor, a function of (f, h mod f)
-    alone; n, M and the coset representatives only change how it is
-    computed. A field
-    of conductor n is never stored: its key is the longest of the call,
-    and it recurs only at a proper multiple of n, which for the moduli
-    p - 1 of a scan is a prime p' = 1 (mod p - 1) with p' >= 2p - 1.
+    Conductor-first. By Galois theory in Q(ζ_f), each subfield K ≠ Q of
+    Q(ζ_n) has one conductor f | n (f >= 3, f ≢ 2 mod 4) and is the fixed
+    field of exactly one subgroup h of (Z/f)*, of conductor f
+    (_primitive) and index [K:Q]. The minimal polynomial is the
+    characteristic polynomial of the period at f, so the fields of
+    conductor f and their minimal polynomials are a function of f and the
+    degree range alone; n only fixes the ring map they are computed
+    through. A store keeps them under (f, min_degree, max_degree): a
+    conductor already in it is read back with no period computed, and the
+    others are built through one _PeriodRing of n, sized for the fields
+    built, and stored once all of them are. Q itself is the fixed field
+    of (Z/n)*, with period μ(n) at modulus n. Without a store, a fresh one
+    serves the call.
     """
     if n < 3:
         raise ValueError("subfields() requires n >= 3")
-    g = unit_group(n)
-    hs = [h for h in subgroups(g, max_index=max_degree) if h.index >= min_degree]
-    kernels = _reduction_kernels(g)
-    # |h| >= |h_f|: the ring covers the coefficient bound of every field
-    bound = max((2 * (h.order + 1) ** h.index for h in hs), default=0)
-    ring = None  # built at the first field not in the store
+    if max_degree < 1:
+        raise ValueError("subfields() requires max_degree >= 1")
+    if store is None:
+        store = FieldStore()
+    todo: list[tuple[int, Subgroup]] = []  # the fields to build: (f, h)
+    if min_degree <= 1:
+        todo.append((n, subgroups(unit_group(n), 1)[0]))
+    conductors = [f for f in divisors(n) if f >= 3 and f % 4 != 2]
+    fresh: dict[int, list[tuple[Subgroup, tuple[int, ...]]]] = {}
+    for f in conductors:
+        if (f, min_degree, max_degree) not in store:
+            g = unit_group(f)
+            kernels = _reduction_kernels(g)
+            fresh[f] = []
+            todo += [(f, h) for h in subgroups(g, max_degree, store.lattices)
+                     if h.index >= min_degree and _primitive(h, kernels)]
     out = []
-    for h in hs:
-        f, residues = _cut(n, h, kernels)
-        key = (f, array("I", residues).tobytes()) if store is not None and f < n else None
-        known = store.get(key) if key is not None else None
-        if known is not None:
-            out.append(SubfieldDescriptor(n, h, h.index, known, f))
-            continue
-        if ring is None:
-            ring = _PeriodRing(n, bound)
-        sd = subfield_minpoly(n, h, ring, f, residues)
-        if key is not None:
-            store[key] = sd.minpoly
-        out.append(sd)
+    if todo:
+        # |h| + 1 bounds the conjugates of each period: one ring for all
+        ring = _PeriodRing(n, max(2 * (h.order + 1) ** h.index for _, h in todo))
+        for f, h in todo:
+            sd = subfield_minpoly(f, h, ring, f, subgroup_elements(h))
+            if h.index == 1:  # Q, the only field of index 1
+                out.append(sd)
+            else:
+                fresh[f].append((h, sd.minpoly))
+    # stored only once every field of the call is built
+    store.update(((f, min_degree, max_degree), fields) for f, fields in fresh.items())
+    for f in conductors:
+        out += [SubfieldDescriptor(n, h, h.index, minpoly, f)
+                for h, minpoly in store[f, min_degree, max_degree]]
     out.sort(key=lambda s: (s.degree, s.minpoly))
     return out

@@ -259,7 +259,7 @@ def _classify_all(primes: Iterable[int], cfg: ScanConfig) -> Iterator[Record]:
     """Classify primes through one field store and one backend client slot,
     whose solver child starts at the first backend prime and is reaped when
     the generator ends or is closed.  Failures become ScanError records."""
-    store: FieldStore = {}
+    store = FieldStore()
     with _client_slot() as slot:
         for p in primes:
             try:

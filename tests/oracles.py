@@ -111,6 +111,56 @@ def all_subgroups_brute(n: int) -> set[frozenset[int]]:
 SUBGROUP_CASES = [(n, None) for n in range(3, 301)] + [(n, 12) for n in (19926, 19948, 19996, 8836)]
 
 
+def _contains_diagonal(hnf: list[list[int]], d: tuple[int, ...]) -> bool:
+    """Does the row lattice of hnf contain every d_j * e_j?"""
+    k = len(d)
+    for j in range(k):
+        # solve sum_i c_i row_i = d_j e_j by forward substitution; rows
+        # i < j contribute nothing (their pivot columns would be nonzero)
+        if d[j] % hnf[j][j]:
+            return False
+        coeff = [0] * k
+        coeff[j] = d[j] // hnf[j][j]
+        for m in range(j + 1, k):
+            s = sum(coeff[i] * hnf[i][m] for i in range(j, m))
+            if s % hnf[m][m]:
+                return False
+            coeff[m] = -(s // hnf[m][m])
+    return True
+
+
+def subgroups_exhaustive(d: tuple[int, ...], max_index: int | None = None) -> list[tuple[tuple[int, ...], ...]]:
+    """The HNF bases of the lattices between diag(d)·Z^k and Z^k (index <=
+    max_index when given), ordered by index then lexicographically: every
+    upper-triangular candidate with pivots h_j | d_j and entries in
+    [0, h_m) above pivot m, kept when it contains diag(d)."""
+    k = len(d)
+    cap = max_index if max_index is not None else 1
+    if max_index is None:
+        for x in d:
+            cap *= x
+    found = []
+    for diag in product(*([h for h in range(1, x + 1) if x % h == 0] for x in d)):
+        idx = 1
+        for h in diag:
+            idx *= h
+        if idx > cap:
+            continue
+        off_ranges = [range(diag[j]) for i in range(k) for j in range(i + 1, k)]
+        for offs in product(*off_ranges):
+            hnf = [[0] * k for _ in range(k)]
+            pos = 0
+            for i in range(k):
+                hnf[i][i] = diag[i]
+                for j in range(i + 1, k):
+                    hnf[i][j] = offs[pos]
+                    pos += 1
+            if _contains_diagonal(hnf, d):
+                found.append((idx, tuple(tuple(r) for r in hnf)))
+    found.sort()
+    return [hnf for _, hnf in found]
+
+
 def hnf_subgroup_closure(n: int, generators, hnf) -> list[int]:
     """Elements of the subgroup of (Z/nZ)* whose exponent lattice over
     `generators` has the rows of `hnf` as a basis: the breadth-first

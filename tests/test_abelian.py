@@ -6,7 +6,14 @@ import pytest
 import noether.abelian as abelian
 from noether.abelian import Subgroup, subgroup_elements, subgroups, unit_group
 from noether.arith import divisors, euler_phi, factor
-from oracles import SUBGROUP_CASES, all_subgroups_brute, closure, hnf_subgroup_closure, unit_residues
+from oracles import (
+    SUBGROUP_CASES,
+    all_subgroups_brute,
+    closure,
+    hnf_subgroup_closure,
+    subgroups_exhaustive,
+    unit_residues,
+)
 
 
 def test_unit_group_examples():
@@ -90,6 +97,39 @@ def test_subgroups_deterministic_order():
     b = subgroups(g)
     assert a == b
     assert [s.index for s in a] == sorted(s.index for s in a)
+
+
+def test_subgroups_match_exhaustive_enumeration():
+    # every candidate HNF tried against diag(d): the same lattices in the
+    # same order, capped and uncapped, and a memo hit equals a fresh call
+    memo, oracle = {}, {}
+    for n in range(3, 2000):
+        g = unit_group(n)
+        for cap in (1, 2, 3, 4, 6, 8, 12) + ((None,) if n <= 200 else ()):
+            key = (g.cyclic_orders, cap)  # the oracle's answer depends on no more
+            if key not in oracle:
+                oracle[key] = subgroups_exhaustive(*key)
+            expected = oracle[key]
+            assert [h.hnf for h in subgroups(g, cap)] == expected, (n, cap)
+            assert [h.hnf for h in subgroups(g, cap, memo)] == expected, (n, cap)
+            assert all(h.group is g for h in subgroups(g, cap, memo)), (n, cap)
+    # the moduli below 2000 share far fewer reduced orders than moduli
+    assert len(memo) < 1000
+
+
+def test_subgroup_memo_is_keyed_by_the_reduced_orders():
+    # (Z/4999)* is cyclic of order 4998 = 2·3·7²·17 and (Z/43)* of order
+    # 42: both reduce to 42 under lcm(1..8) = 840, so the second call is a
+    # hit; at cap 9 (lcm 2520) they reduce alike too, but to another key
+    memo = {}
+    first = subgroups(unit_group(4999), 8, memo)
+    assert list(memo) == [(8, (42,))]
+    second = subgroups(unit_group(43), 8, memo)
+    assert len(memo) == 1
+    assert [h.hnf for h in second] == [h.hnf for h in first]
+    assert [h.hnf for h in second] == [h.hnf for h in subgroups(unit_group(43), 8)]
+    subgroups(unit_group(43), 9, memo)
+    assert len(memo) == 2
 
 
 def test_elements_examples():

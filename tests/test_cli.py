@@ -131,6 +131,13 @@ def test_subfields_output(capsys):
     assert rows[0]["minpoly"] == [0, 1]  # the full-group period of n=12 is 0
 
 
+@pytest.mark.parametrize("max_degree", ["0", "-3"])
+def test_subfields_rejects_a_degree_cap_below_one(max_degree, capsys):
+    assert main(["subfields", "12", "--max-degree", max_degree]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "max_degree >= 1" in captured.err
+
+
 def test_cross_check_cli(tmp_path, capsys):
     out = tmp_path / "full.jsonl"
     assert main(["scan", "--from", "2", "--to", "20000", "--out", str(out)]) == 0

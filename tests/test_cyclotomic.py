@@ -1,5 +1,5 @@
+import hashlib
 import re
-from array import array
 
 import pytest
 import sympy
@@ -10,7 +10,7 @@ from noether.abelian import subgroup_elements, subgroups, unit_group
 from noether.arith import euler_phi, primes_below
 from noether.cyclotomic import (
     CycElement,
-    _cut,
+    FieldStore,
     _prime_and_root,
     _root_of_unity_mod,
     conductor,
@@ -112,29 +112,30 @@ def test_conductor_matches_definition_oracle():
             assert conductor(h) == conductor_oracle(n, subgroup_elements(h)), (n, h.hnf)
 
 
-def test_cut_matches_element_list_derivation(monkeypatch):
+def _field_of(n, h):
+    """(degree, conductor, residues mod the conductor) of the fixed field
+    of h ⊆ (Z/n)*, from the list of h's elements; Q is kept at modulus n."""
+    elems = subgroup_elements(h)
+    f = n if h.index == 1 else conductor_oracle(n, elems)
+    return h.index, f, tuple(sorted({u % f for u in elems}))
+
+
+def _field_of_descriptor(sd):
+    assert sd.subgroup.group.n == sd.period_modulus
+    return sd.degree, sd.period_modulus, tuple(sd.subgroup.elements())
+
+
+def test_each_subgroup_meets_its_field_at_the_conductor():
     # every subgroup of SUBGROUP_CASES, which hold every subgroup of index
-    # <= 12 of 19926, 19948 and 19996: the conductor and the residues mod f
-    # read off the HNF equal those derived from the list of h mod n, and
-    # that list is only built when f = n
-    import noether.cyclotomic as cyc
-
-    listed = []
-
-    def counting_elements(h):
-        listed.append(h)
-        return subgroup_elements(h)
-
-    monkeypatch.setattr(cyc, "subgroup_elements", counting_elements)
+    # <= 12 of 19926, 19948 and 19996: subfields() lists one field per
+    # subgroup of (Z/n)*, each as the subgroup of (Z/f)* that is its image
+    # mod the conductor f
     checked = 0
     for n, max_index in SUBGROUP_CASES:
-        for h in subgroups(unit_group(n), max_index=max_index):
-            elems = subgroup_elements(h)
-            f = n if h.index == 1 else conductor_oracle(n, elems)
-            listed.clear()
-            assert _cut(n, h, cyc._reduction_kernels(h.group)) == (f, sorted({u % f for u in elems})), (n, h.hnf)
-            assert listed == ([h] if f == n else []), (n, h.hnf)
-            checked += f < n
+        hs = subgroups(unit_group(n), max_index=max_index)
+        sds = subfields(n, max_index or euler_phi(n))
+        assert sorted(map(_field_of_descriptor, sds)) == sorted(_field_of(n, h) for h in hs), n
+        checked += sum(sd.period_modulus < n for sd in sds)
     assert checked > 1000
 
 
@@ -189,7 +190,8 @@ def test_period_generates_every_subfield_of_square_moduli():
     for n, max_index in _SQUARE_MODULI:
         hs = subgroups(unit_group(n), max_index=max_index)
         sds = subfields(n, max_index)
-        assert sorted(sd.subgroup.hnf for sd in sds) == sorted(h.hnf for h in hs), n
+        # one field per subgroup of (Z/n)*, met as a subgroup of (Z/f)*
+        assert sorted(map(_field_of_descriptor, sds)) == sorted(_field_of(n, h) for h in hs), n
         assert all(len(sd.minpoly) == sd.degree + 1 == sd.subgroup.index + 1 for sd in sds), n
 
 
@@ -367,17 +369,21 @@ def test_subfield_minpoly_degree_checks_raise(monkeypatch):
 
 def test_subfields_match_field_by_field_oracle():
     # index <= 12 everywhere: all 7820 subgroups of SUBGROUP_CASES agree
-    # too, but the oracle's exact discriminants take ~35 s at high degree
+    # too, but the oracle's exact discriminants take ~35 s at high degree.
+    # The oracle builds the field of each subgroup of (Z/n)* on its own.
     checked = 0
     for n, max_index in SUBGROUP_CASES:
-        for sd in subfields(n, min(max_index or 12, 12)):
-            degree, minpoly, shape, period_modulus = subfield_minpoly_oracle(n, sd.subgroup.elements())
+        cap = min(max_index or 12, 12)
+        expected = []
+        for h in subgroups(unit_group(n), max_index=cap):
+            degree, minpoly, shape, period_modulus = subfield_minpoly_oracle(n, h.elements())
             # the oracle walks its full shape schedule; the first primitive
             # shape is always the plain period
-            assert shape == (1,), (n, sd.subgroup.hnf)
-            assert (sd.degree, sd.minpoly, sd.period_modulus) == (degree, minpoly, period_modulus), (
-                n, sd.subgroup.hnf)
-            checked += 1
+            assert shape == (1,), (n, h.hnf)
+            expected.append((degree, minpoly, period_modulus))
+        got = [(sd.degree, sd.minpoly, sd.period_modulus) for sd in subfields(n, cap)]
+        assert got == sorted(expected), n
+        checked += len(got)
     assert checked > 5000
 
 
@@ -449,50 +455,127 @@ def test_cyclotomic_division_check_survives_optimize(monkeypatch):
     assert f"ArithmeticError: {message}" in proc.stderr
 
 
-def _field_key(sd):
-    f = sd.period_modulus
-    return f, frozenset(u % f for u in sd.subgroup.elements())
+def _counting_minpoly(monkeypatch, built):
+    import noether.cyclotomic as cyc
+
+    minpoly = cyc.subfield_minpoly
+
+    def counting_minpoly(n, h, *args):
+        sd = minpoly(n, h, *args)
+        built.append(_field_of_descriptor(sd))
+        return sd
+
+    monkeypatch.setattr(cyc, "subfield_minpoly", counting_minpoly)
 
 
 def test_field_store_gives_the_fresh_descriptors(monkeypatch):
     # one store, in scan order: every field of index 3..8 of p - 1 equals
-    # its build without a store, and a field of conductor f < n is built
-    # once, at its first modulus above f
-    import noether.cyclotomic as cyc
-
+    # its build without a store, and each distinct field is built once
     built = []
-    minpoly = cyc.subfield_minpoly
-
-    def counting_minpoly(n, h, *args):
-        built.append(n)
-        return minpoly(n, h, *args)
-
     moduli = [p - 1 for p in primes_below(3000)[2:]]
-    store = {}
-    monkeypatch.setattr(cyc, "subfield_minpoly", counting_minpoly)
+    store = FieldStore()
+    _counting_minpoly(monkeypatch, built)
     got = [subfields(n, 8, 3, store) for n in moduli]
     monkeypatch.undo()
     assert got == [subfields(n, 8, 3) for n in moduli]
     descs = [sd for sds in got for sd in sds]
-    recurring = {_field_key(sd) for sd in descs if sd.period_modulus < sd.n}
-    own = sum(sd.period_modulus == sd.n for sd in descs)
-    assert len(built) == len(recurring) + own < len(descs)
-    assert len(store) == len(recurring)
+    distinct = {_field_of_descriptor(sd) for sd in descs}
+    assert len(built) == len(set(built)) == len(distinct) < len(descs)
+    assert set(built) == distinct
+    # one entry per conductor met, keyed with the degree range
+    assert set(store) == {(f, 3, 8) for n in moduli for f in range(3, n + 1)
+                          if n % f == 0 and f % 4 != 2}
+    assert store.lattices
 
 
-def test_field_store_holds_no_conductor_n_field():
-    store = {}
-    skipped = 0
-    for p in primes_below(400)[2:]:
-        n = p - 1
-        before = set(store)
-        sds = subfields(n, 8, 3, store)
-        added = set(store) - before
-        assert all(f < n for f, _ in added), n
-        assert {(f, frozenset(array("I", packed))) for f, packed in store} >= {
-            _field_key(sd) for sd in sds if sd.period_modulus < n}
-        skipped += sum(sd.period_modulus == n for sd in sds)
-    assert skipped > 0
+def test_field_store_reads_back_a_conductor_n_field(monkeypatch):
+    # Q(ζ_12), of degree 4 and conductor 12, is built at p = 13 (n = 12)
+    # and read back, not rebuilt, at p' = 37 ≡ 1 (mod 12)
+    built = []
+    store = FieldStore()
+    _counting_minpoly(monkeypatch, built)
+    at = {p: subfields(p - 1, 8, 3, store) for p in primes_below(38)[2:]}
+    monkeypatch.undo()
+    key = (4, 12, (1,))
+    assert built.count(key) == 1
+    first, later = ([sd for sd in at[p] if _field_of_descriptor(sd) == key] for p in (13, 37))
+    assert len(first) == len(later) == 1 and first[0].minpoly == later[0].minpoly
+    assert (first[0].n, later[0].n) == (12, 36)
+    assert later == [sd for sd in subfields(36, 8, 3) if _field_of_descriptor(sd) == key]
+    assert len(built) == len(set(built))
+
+
+def test_field_store_keys_carry_the_degree_range():
+    # one store across calls of different degree ranges: each call still
+    # gives exactly its own fields
+    store = FieldStore()
+    for n, max_degree, min_degree in ((72, 8, 3), (72, 4, 1), (144, 8, 3), (144, 6, 4), (36, 12, 2), (72, 8, 3)):
+        assert subfields(n, max_degree, min_degree, store) == subfields(n, max_degree, min_degree), (
+            n, max_degree, min_degree)
+
+
+def test_a_failed_build_stores_nothing(monkeypatch):
+    # a build that raises leaves no partial conductor in the store, so the
+    # next call with that store builds the conductor in full
+    import noether.cyclotomic as cyc
+
+    minpoly = cyc.subfield_minpoly
+
+    def failing_minpoly(n, h, *args):
+        if n == 36 and h.index == 6:
+            raise ArithmeticError("failed build")
+        return minpoly(n, h, *args)
+
+    store = FieldStore()
+    monkeypatch.setattr(cyc, "subfield_minpoly", failing_minpoly)
+    with pytest.raises(ArithmeticError, match="failed build"):
+        subfields(72, 8, 3, store)
+    monkeypatch.undo()
+    assert store == {}
+    assert subfields(72, 8, 3, store) == subfields(72, 8, 3)
+
+
+_PINNED_FIELDS = {
+    "scan": "a566676ae4b0475c70999baa6dad052d55e6da3c6a6a0cb81f00432d92974a79",
+    8836: "af0f94d59a029d83871a885c29d7ac014fbf04b3980ef1e31b8b7322229c28a6",
+    19926: "f63e777b101f51cdad6844af286c5b3097ee38a0d483f41c46b860e137dae2e7",
+    19948: "0aadd2dfb0449286a4d7f3235e761f0e93358510724a74620f8f84bb3506eea7",
+}
+
+
+def _field_lines(sds):
+    return "".join(f"{sd.degree} {list(sd.minpoly)} {sd.period_modulus}\n" for sd in sds).encode()
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["fresh", "one-store"])
+def test_subfields_of_a_scan_are_pinned(shared):
+    # the sha256 of subfields(p - 1, 8, 3) for 5 <= p < 3000, in scan
+    # order, with a store per call or one store for all
+    store = FieldStore() if shared else None
+    digest = hashlib.sha256()
+    for p in primes_below(3000)[2:]:
+        digest.update(_field_lines(subfields(p - 1, 8, 3, store)))
+    assert digest.hexdigest() == _PINNED_FIELDS["scan"]
+
+
+@pytest.mark.parametrize("n", [8836, 19926, 19948])
+def test_subfields_of_large_moduli_are_pinned(n):
+    assert hashlib.sha256(_field_lines(subfields(n, 12))).hexdigest() == _PINNED_FIELDS[n]
+
+
+def test_subfields_reject_a_degree_cap_below_one():
+    for max_degree in (0, -1):
+        with pytest.raises(ValueError, match="max_degree >= 1"):
+            subfields(12, max_degree)
+
+
+def test_trivial_field_keeps_the_full_modulus():
+    # Q at modulus n, period μ(n), as subfield_minpoly builds it from (Z/n)*
+    for n in (5, 12, 30, 36, 8836):
+        sds = subfields(n, 2)
+        assert (sds[0].degree, sds[0].minpoly, sds[0].period_modulus) == (1, (-moebius(n), 1), n)
+        assert sds[0].subgroup.index == 1 and sds[0] == subfield_minpoly(n, sds[0].subgroup)
+        assert [sd.degree for sd in sds[1:]] == [2] * (len(sds) - 1), n
 
 
 def test_subfields_without_a_store_build_every_field(monkeypatch):
