@@ -17,7 +17,6 @@ from .criteria import (
 from .cyclotomic import (
     CycElement,
     SubfieldDescriptor,
-    conductor,
     cyclotomic_polynomial,
     subfield_minpoly,
     subfields,
@@ -79,7 +78,6 @@ __all__ = [
     "Verdict",
     "certificate_search",
     "classify_prime",
-    "conductor",
     "cross_check",
     "cyclotomic_polynomial",
     "em_criterion_i",

@@ -13,18 +13,7 @@ from functools import lru_cache
 from itertools import product
 from math import lcm
 
-from .arith import divisors, euler_phi, factor
-
-
-def _primitive_root(p: int) -> int:
-    """Smallest primitive root modulo an odd prime p."""
-    phi = p - 1
-    prime_factors = [q for q, _ in factor(phi)]
-    g = 2
-    while True:
-        if all(pow(g, phi // q, p) != 1 for q in prime_factors):
-            return g
-        g += 1
+from .arith import divisors, element_of_order, euler_phi, factor
 
 
 def _primary_components(n: int) -> list[tuple[int, int]]:
@@ -46,7 +35,7 @@ def _primary_components(n: int) -> list[tuple[int, int]]:
             else:
                 gens = [(2, m - 1), (2 ** (e - 2), 3)]
         else:
-            g = _primitive_root(q)
+            g = element_of_order(q - 1, q)  # the least primitive root
             if e > 1 and pow(g, q - 1, q * q) == 1:
                 g += q
             gens = [(euler_phi(m), g % m)]

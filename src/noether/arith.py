@@ -1,5 +1,5 @@
-"""Elementary integer arithmetic: primality, factorization, modular square
-roots.
+"""Elementary integer arithmetic: primality, factorization, units of a
+given order and square roots modulo a prime.
 
 Everything here is exact integer arithmetic; no floating point. Primality is
 deterministic for the full range handled by the pipeline (inputs < 2^64).
@@ -131,6 +131,25 @@ def euler_phi(n: int) -> int:
     for p, e in factor(n):
         phi *= (p - 1) * p ** (e - 1)
     return phi
+
+
+def element_of_order(f: int, ell: int) -> int:
+    """The first a^((ell - 1)/f), for a = 1, 2, ..., of exact order f
+    modulo the prime ell ≡ 1 (mod f).
+
+    Each such power z has z^f = a^(ell - 1) ≡ 1, so its order divides f,
+    and it is f iff z^(f/q) ≢ 1 for every prime q | f. A primitive root a
+    gives one, so the search ends below ell; at f = ell - 1 it returns the
+    least primitive root.
+    """
+    if f < 1 or (ell - 1) % f:
+        raise ValueError(f"element_of_order() requires f >= 1 dividing {ell} - 1")
+    cofactors = [f // q for q, _ in factor(f)]
+    for a in range(1, ell):
+        z = pow(a, (ell - 1) // f, ell)
+        if all(pow(z, c, ell) != 1 for c in cofactors):
+            return z
+    raise ArithmeticError(f"no unit of order {f} modulo {ell}: {ell} is not prime")
 
 
 def is_squarefree(n: int) -> bool:

@@ -22,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .arith import is_prime
+from .arith import element_of_order, is_prime
 from .polyops import degree, is_squarefree_poly, normalize, poly_eval, resultant
 
 __all__ = [
@@ -128,9 +128,9 @@ def _split_prime(g: Sequence[int], m: int, q: int) -> tuple[int, list[int], list
     """The data of the norm filter of `certificate_search`: (ell, zpow, ks).
 
     ell is the least prime = 1 (mod m) other than q, zpow[k] = z^k mod ell
-    for 0 <= k < m with z of exact order m, and ks lists the exponents k,
-    ascending, with g(z^k) = 0 (mod ell).  The z^k are distinct, so ks holds
-    at most deg g of them.  ks is empty when ell is not below 2^64, where
+    for 0 <= k < m with z = element_of_order(m, ell), of exact order m, and
+    ks lists the exponents k, ascending, with g(z^k) = 0 (mod ell).  The
+    z^k are distinct, so ks holds at most deg g of them.  ks is empty when ell is not below 2^64, where
     `is_prime` stops being exact.
     """
     ell = m + 1
@@ -138,16 +138,10 @@ def _split_prime(g: Sequence[int], m: int, q: int) -> tuple[int, list[int], list
         ell += m
     if ell >> 64:
         return ell, [1], []
-    e = (ell - 1) // m
-    for c in range(1, ell):
-        z = pow(c, e, ell)
-        zpow = [1]
-        x = z
-        while x != 1:
-            zpow.append(x)
-            x = x * z % ell
-        if len(zpow) == m:
-            break
+    z = element_of_order(m, ell)
+    zpow = [1] * m
+    for k in range(1, m):
+        zpow[k] = zpow[k - 1] * z % ell
     ks = [k for k in range(m) if poly_eval(g, zpow[k]) % ell == 0]
     return ell, zpow, ks
 

@@ -197,12 +197,8 @@ class NormDecision:
 
     disc: int
     sign: int
-    solvable: bool | None  # True / False; None never occurs here
+    solvable: bool
     witness: tuple[int, int] | None = None
-
-    @property
-    def outcome(self) -> str:
-        return "Solvable" if self.solvable else "ProvablyUnsolvable"
 
 
 def _verify(D: int, sign: int, p: int, xy: tuple[int, int]) -> None:

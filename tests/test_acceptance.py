@@ -16,7 +16,7 @@ from noether.abelian import subgroups, unit_group
 from noether.arith import euler_phi, primes_below
 from noether.cli import main as cli_main
 from noether.criteria import load_fixtures
-from noether.cyclotomic import CycElement, subfield_minpoly
+from noether.cyclotomic import CycElement, subfields
 from noether.normsearch import BackendVerificationError, norm_of
 from noether.polyops import discriminant
 from noether.quadforms import is_fundamental, solve_norm
@@ -259,17 +259,21 @@ def test_criterion_7_structure_invariants(capfd):
 
     minpolys = 0
     for n in range(3, 101):
-        for h in subgroups(unit_group(n)):
-            desc = subfield_minpoly(n, h)
+        hs = subgroups(unit_group(n))
+        sds = subfields(n, euler_phi(n))
+        # one field per subgroup of (Z/n)*, of degree its index
+        if sorted(sd.degree for sd in sds) != sorted(euler_phi(n) // h.order for h in hs):
+            problems.append(f"subfield degrees of n={n} do not match its subgroups")
+        for desc in sds:
             if (discriminant(list(desc.minpoly)) == 0 or len(desc.minpoly) != desc.degree + 1
-                    or desc.minpoly[-1] != 1
-                    or desc.degree != euler_phi(n) // h.order):
-                problems.append(f"bad minpoly for n={n}, subgroup {h.hnf}")
+                    or desc.minpoly[-1] != 1):
+                problems.append(f"bad minpoly for n={n}, subgroup {desc.subgroup.hnf} "
+                                f"mod {desc.period_modulus}")
                 continue
             pm = desc.period_modulus
-            # θ = Σ ζ_pm^u over the residues of h mod pm, one basis element each
+            # θ = Σ ζ_pm^u over the elements of the field's subgroup mod pm, one basis element each
             theta = CycElement(pm, (0,) * pm)
-            for u in {u % pm for u in h.elements()}:
+            for u in desc.subgroup.elements():
                 theta = theta + CycElement(pm, tuple(int(e == u) for e in range(pm)))
             acc = CycElement(pm, (desc.minpoly[-1],) + (0,) * (pm - 1))
             for c in reversed(desc.minpoly[:-1]):

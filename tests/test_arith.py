@@ -1,12 +1,14 @@
 from math import gcd
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noether.arith import (
     _sqrt_mod_residue,
     divisors,
+    element_of_order,
     euler_phi,
     factor,
     is_prime,
@@ -159,3 +161,33 @@ def test_is_prime_has_no_small_factor_witness(n):
     else:
         if n > 3:
             assert naive_is_prime(n) is False or n < 2
+
+
+def test_element_of_order_is_the_least_primitive_root():
+    for q in primes_below(20000)[1:]:
+        assert element_of_order(q - 1, q) == sympy.primitive_root(q), q
+
+
+def _order(z, ell):
+    k, x = 1, z
+    while x != 1:
+        x, k = x * z % ell, k + 1
+    return k
+
+
+def test_element_of_order_has_exact_order():
+    for f in range(1, 25):
+        for ell in primes_below(500):
+            if ell % f == 1 % f:
+                z = element_of_order(f, ell)
+                assert _order(z, ell) == f, (f, ell)
+                # the first power a^((ell - 1)/f) of exact order f
+                first = next(pow(a, (ell - 1) // f, ell) for a in range(1, ell)
+                             if _order(pow(a, (ell - 1) // f, ell), ell) == f)
+                assert z == first, (f, ell)
+
+
+def test_element_of_order_rejects_f_not_dividing_ell_minus_1():
+    for f, ell in ((0, 7), (4, 7), (5, 13)):
+        with pytest.raises(ValueError, match="dividing"):
+            element_of_order(f, ell)

@@ -153,3 +153,21 @@ def test_cross_check_incomplete(tmp_path, capsys):
                     '"d_minus": null, "method": "CERTIFICATE", "grh": false}\n')
     assert main(["cross-check", "--results", str(path)]) == 1
     assert "incomplete coverage" in capsys.readouterr().out
+
+
+_ROW = {"p": 47, "status": "NotStablyRational", "d_plus": 2, "d_minus": 2,
+        "method": "QUADRATIC", "grh": False}
+
+
+@pytest.mark.parametrize("row, why", [
+    ([47, "NotStablyRational"], "not a JSON object"),
+    ({k: v for k, v in _ROW.items() if k != "p"}, 'no integer "p"'),
+    ({k: v for k, v in _ROW.items() if k != "grh"}, 'no boolean "grh"'),
+], ids=["not-an-object", "no-p", "no-grh"])
+def test_cross_check_rejects_a_malformed_row(row, why, tmp_path, capsys):
+    # a malformed file is invalid input (exit 2), not a failed check (exit 1)
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps({"p": 2, "error": "timeout"}) + "\n\n" + json.dumps(row) + "\n")
+    assert main(["cross-check", "--results", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"noether: results line 3: {why}" in captured.err

@@ -12,8 +12,9 @@ from noether.cyclotomic import (
     CycElement,
     FieldStore,
     _prime_and_root,
+    _primitive,
     _root_of_unity_mod,
-    conductor,
+    _top_kernels,
     cyclotomic_polynomial,
     subfield_minpoly,
     subfields,
@@ -40,6 +41,11 @@ def period(f, residues):
     return sum(terms[1:], terms[0])
 
 
+def constant(f, c):
+    """c ∈ Z as an element of Z[x]/(x^f - 1)."""
+    return CycElement(f, (c,) + (0,) * (f - 1))
+
+
 def subgroup_with_elements(n, els):
     for s in subgroups(unit_group(n)):
         if s.elements() == sorted(els):
@@ -52,7 +58,6 @@ def test_cyc_element_ring_ops():
     b = a * a
     assert b.coeffs == (2, 0, 1, 1, 0)  # ζ^2 + 2 + ζ^3
     assert (a + a).coeffs == (0, 2, 0, 0, 2)
-    assert a.galois_image(2).coeffs == (0, 0, 1, 1, 0)
 
 
 def test_cyclotomic_polynomial_small():
@@ -79,37 +84,34 @@ def test_period_element_examples():
 
 def test_subfield_minpoly_examples():
     h = subgroup_with_elements(5, [1, 4])
-    desc = subfield_minpoly(5, h)
+    desc = subfield_minpoly(h)
     assert desc.minpoly == (-1, 1, 1)  # x^2 + x - 1
     assert desc.degree == 2
 
     h7 = subgroup_with_elements(7, [1, 2, 4])
-    desc7 = subfield_minpoly(7, h7)
+    desc7 = subfield_minpoly(h7)
     assert desc7.minpoly == (2, 1, 1)  # x^2 + x + 2
     assert discriminant(list(desc7.minpoly)) == -7
 
     for n in (5, 7, 12, 30):
         full = full_subgroup(n)
-        assert subfield_minpoly(n, full).minpoly == (-moebius(n), 1)
+        assert subfield_minpoly(full).minpoly == (-moebius(n), 1)
 
 
-def test_conductor_examples():
-    # {1,7} mod 12 is exactly the kernel of reduction to (Z/3)*, so its
-    # fixed field is Q(ζ3); {1,5} is the mod-4 kernel; {1,11} fixes Q(√3),
-    # which needs the full modulus
-    assert conductor(subgroup_with_elements(12, [1, 7])) == 3
-    assert conductor(subgroup_with_elements(12, [1, 5])) == 4
-    assert conductor(subgroup_with_elements(12, [1, 11])) == 12
-    assert conductor(full_subgroup(12)) == 1
-    # 46 ≡ 2 (mod 4): every subfield of Q(ζ46) already lives in Q(ζ23)
-    for h in subgroups(unit_group(46)):
-        assert conductor(h) in (1, 23)
-
-
-def test_conductor_matches_definition_oracle():
-    for n, max_index in SUBGROUP_CASES:
-        for h in subgroups(unit_group(n), max_index=max_index):
-            assert conductor(h) == conductor_oracle(n, subgroup_elements(h)), (n, h.hnf)
+def test_primitive_matches_conductor_oracle():
+    # _primitive(h) says whether n is the conductor of h ⊆ (Z/n)*, for
+    # every subgroup of SUBGROUP_CASES and of the prime-power moduli whose
+    # top kernels are K_q(e - 1) with e >= 2
+    for n, max_index in SUBGROUP_CASES + [(n, None) for n in (4, 8, 16, 32, 64, 9, 27, 25, 49)]:
+        g = unit_group(n)
+        kernels = _top_kernels(g)
+        for h in subgroups(g, max_index=max_index):
+            assert _primitive(h, kernels) == (conductor_oracle(n, subgroup_elements(h)) == n), (n, h.hnf)
+    # {1, 7} mod 12 is the kernel of reduction to (Z/3)*; {1, 11} fixes
+    # Q(√3), which needs the full modulus; nothing mod 46 ≡ 2 (mod 4) is
+    assert not _primitive(subgroup_with_elements(12, [1, 7]), _top_kernels(unit_group(12)))
+    assert _primitive(subgroup_with_elements(12, [1, 11]), _top_kernels(unit_group(12)))
+    assert not any(_primitive(h, _top_kernels(unit_group(46))) for h in subgroups(unit_group(46)))
 
 
 def _field_of(n, h):
@@ -140,20 +142,22 @@ def test_each_subgroup_meets_its_field_at_the_conductor():
 
 
 def test_subfield_minpoly_degenerate_period_recovery():
-    # index-2 subgroup {1,7} of (Z/12)*: the mod-12 period ζ + ζ^7 is 0,
-    # but the field is Q(ζ3), where the plain period works at once
-    h12 = subgroup_with_elements(12, [1, 7])
-    desc = subfield_minpoly(12, h12)
-    assert desc.degree == 2
-    assert desc.period_modulus == 3
-    assert desc.minpoly == (1, 1, 1)
-    assert discriminant(list(desc.minpoly)) == -3
+    # index-2 subgroup {1,7} of (Z/12)*: the mod-12 period ζ + ζ^7 is 0.
+    # subfields() meets its field Q(ζ3) at conductor 3, where the plain
+    # period works at once, and {1,5} as Q(i) at conductor 4
+    at = {sd.period_modulus: sd for sd in subfields(12, 2, min_degree=2)}
+    assert (at[3].degree, at[3].minpoly, at[3].subgroup.elements()) == (2, (1, 1, 1), [1])
+    assert discriminant(list(at[3].minpoly)) == -3
+    assert (at[4].minpoly, at[4].subgroup.elements()) == ((1, 0, 1), [1])
 
     # {1,5,9,13} mod 16 is the mod-4 kernel: fixed field Q(i)
-    h16 = subgroup_with_elements(16, [1, 5, 9, 13])
-    desc16 = subfield_minpoly(16, h16)
-    assert desc16.minpoly == (1, 0, 1)
-    assert desc16.period_modulus == 4
+    desc16 = [sd for sd in subfields(16, 4) if sd.period_modulus == 4]
+    assert [sd.minpoly for sd in desc16] == [(1, 0, 1)]
+
+    # built at modulus 12 instead, the period's conjugates collide
+    h12 = subgroup_with_elements(12, [1, 7])
+    with pytest.raises(ArithmeticError, match="index-2 subgroup mod 12 has colliding conjugates"):
+        subfield_minpoly(h12)
 
 
 def test_colliding_conjugates_raise(monkeypatch):
@@ -162,11 +166,11 @@ def test_colliding_conjugates_raise(monkeypatch):
 
     # images that meet mod M and a zero exact discriminant leave the roots
     # unproven distinct: no minimal polynomial is returned
-    message = "the period of an index-2 subgroup mod 5 at conductor 5 has colliding conjugates"
+    message = "the period of an index-2 subgroup mod 5 has colliding conjugates"
     monkeypatch.setattr(cyc, "_pairwise_distinct", lambda images: False)
     monkeypatch.setattr(cyc, "discriminant", lambda g: 0)
     with pytest.raises(ArithmeticError, match=message):
-        subfield_minpoly(5, subgroup_with_elements(5, [1, 4]))
+        subfield_minpoly(subgroup_with_elements(5, [1, 4]))
     with pytest.raises(ArithmeticError, match="colliding conjugates"):
         subfields(15, 4, min_degree=4)
 
@@ -226,24 +230,26 @@ def test_subfields_ordering_deterministic():
 
 def test_minpoly_annihilates_period_ring_check():
     for n in (5, 7, 12, 13, 16, 21, 24, 36, 46):
-        for h in subgroups(unit_group(n), max_index=6):
-            desc = subfield_minpoly(n, h)
+        sds = subfields(n, 6)
+        assert len(sds) == len(subgroups(unit_group(n), max_index=6)), n  # one field per subgroup
+        for desc in sds:
             pm = desc.period_modulus
-            theta = period(pm, {u % pm for u in h.elements()})
-            acc = CycElement(pm, tuple([desc.minpoly[0]] + [0] * (pm - 1)))
-            power = CycElement(pm, tuple([1] + [0] * (pm - 1)))
+            theta = period(pm, desc.subgroup.elements())
+            acc = constant(pm, desc.minpoly[0])
+            power = constant(pm, 1)
             for c in desc.minpoly[1:]:
                 power = power * theta
-                acc = acc + power.scale(c)
-            assert acc.is_zero_value(), (n, h.hnf)
+                acc = acc + power * constant(pm, c)
+            assert acc.is_zero_value(), (n, desc.period_modulus, desc.subgroup.hnf)
 
 
 def test_minpoly_squarefree_and_degree_for_small_moduli():
     for n in range(3, 61):
-        g = unit_group(n)
-        for h in subgroups(g):
-            desc = subfield_minpoly(n, h)
-            assert desc.degree == euler_phi(n) // h.order
+        hs = subgroups(unit_group(n))
+        sds = subfields(n, euler_phi(n))
+        # one field per subgroup of (Z/n)*, of degree its index
+        assert sorted(sd.degree for sd in sds) == sorted(euler_phi(n) // h.order for h in hs), n
+        for desc in sds:
             assert len(desc.minpoly) == desc.degree + 1
             assert desc.minpoly[-1] == 1
             assert discriminant(list(desc.minpoly)) != 0
@@ -276,9 +282,11 @@ def test_minpoly_irreducible_over_q():
     # exact factorisation over Q, for every subfield of every small modulus
     x = sympy.symbols("x")
     for n in range(3, 61):
-        for h in subgroups(unit_group(n)):
-            desc = subfield_minpoly(n, h)
-            assert sympy.Poly(desc.minpoly[::-1], x, domain="QQ").is_irreducible, (n, h.hnf)
+        sds = subfields(n, euler_phi(n))
+        assert len(sds) == len(subgroups(unit_group(n))), n  # one field per subgroup
+        for desc in sds:
+            poly = sympy.Poly(desc.minpoly[::-1], x, domain="QQ")
+            assert poly.is_irreducible, (n, desc.period_modulus, desc.subgroup.hnf)
 
 
 def test_performance_contract_large_modulus():
@@ -286,17 +294,13 @@ def test_performance_contract_large_modulus():
 
     # worst realistic shape: n just under 20000 with plenty of subgroups
     n = 19996  # = 4 * 4999
-    g = unit_group(n)
-    subs = [s for s in subgroups(g, max_index=8) if s.index in (4, 8)]
-    assert subs
+    subs = [s for s in subgroups(unit_group(n), max_index=8) if s.index in (4, 8)]
     start = time.monotonic()
-    count = 0
-    for h in subs[:3]:
-        desc = subfield_minpoly(n, h)
-        assert desc.degree in (4, 8)
-        count += 1
+    built = subfields(n, 8, min_degree=4)
     elapsed = time.monotonic() - start
-    assert elapsed < 1.0 * count, f"{elapsed:.2f}s for {count} fields"
+    sds = [sd for sd in built if sd.degree in (4, 8)]
+    assert sds and len(sds) == len(subs)  # one field per subgroup
+    assert elapsed < 1.0 * len(built), f"{elapsed:.2f}s for {len(built)} fields"
 
 
 # Fields whose conductor needs a multi-step Hensel lift: (n, max index, indices)
@@ -310,15 +314,16 @@ _LARGE_CONDUCTORS = {
 @pytest.mark.parametrize("case", sorted(_LARGE_CONDUCTORS))
 def test_minpoly_matches_complex_oracle_large_conductors(case):
     n, max_index, indices = _LARGE_CONDUCTORS[case]
+    sds = subfields(n, max_index)
+    assert len(sds) == len(subgroups(unit_group(n), max_index=max_index)), n  # one field per subgroup
     checked = 0
-    for h in subgroups(unit_group(n), max_index=max_index):
-        if indices is not None and h.index not in indices:
+    for desc in sds:
+        if indices is not None and desc.degree not in indices:
             continue
-        desc = subfield_minpoly(n, h)
-        pm = desc.period_modulus
-        residues = sorted({u % pm for u in h.elements()})
-        assert desc.degree == h.index
-        assert list(desc.minpoly) == period_charpoly_oracle(pm, residues, (1,)), (n, h.hnf)
+        residues = desc.subgroup.elements()
+        assert desc.degree == euler_phi(desc.period_modulus) // len(residues)
+        assert list(desc.minpoly) == period_charpoly_oracle(desc.period_modulus, residues, (1,)), (
+            n, desc.period_modulus, desc.subgroup.hnf)
         checked += 1
     assert checked >= 2
 
@@ -348,23 +353,16 @@ def test_root_of_unity_modulus_stays_below_2_64():
 def test_subfield_minpoly_degree_checks_raise(monkeypatch):
     import noether.cyclotomic as cyc
 
-    # {1, 4, 16} has conductor 21; a conductor too small for the field
-    # loses degree: its residues mod 7 are {1, 2, 4}, not φ(7)/4 of them
-    quartic = subgroup_with_elements(21, [1, 4, 16])
-    monkeypatch.setattr(cyc, "_conductor", lambda h, kernels: 7)
-    with pytest.raises(ArithmeticError, match="conductor 7 of an index-4 subgroup mod 21 loses degree"):
-        subfield_minpoly(21, quartic)
-    monkeypatch.undo()
     # 1 and 4 both lie in {1, 4}: two representatives of one coset
-    monkeypatch.setattr(cyc, "_box_representatives", lambda h, f: [1, 4])
+    monkeypatch.setattr(cyc, "_box_representatives", lambda h: [1, 4])
     with pytest.raises(ArithmeticError, match="1 and 4 .* share a coset"):
-        subfield_minpoly(5, subgroup_with_elements(5, [1, 4]))
+        subfield_minpoly(subgroup_with_elements(5, [1, 4]))
     monkeypatch.undo()
     # the ring map Z[ζ_13] → Z/53 is too small for the coefficient bound
     # 2 (|H| + 1)^d = 250 of the cubic field: its coefficients would wrap
     cubic = [s for s in subgroups(unit_group(13)) if s.index == 3][0]
     with pytest.raises(ValueError, match="ring modulus 53 does not exceed the coefficient bound 250"):
-        subfield_minpoly(13, cubic, cyc._PeriodRing(13, 10))
+        subfield_minpoly(cubic, cyc._PeriodRing(13, 10))
 
 
 def test_subfields_match_field_by_field_oracle():
@@ -392,13 +390,12 @@ def test_box_representatives_are_a_coset_transversal():
 
     for n, max_index in SUBGROUP_CASES:
         for h in subgroups(unit_group(n), max_index=max_index):
-            f = n if h.index == 1 else conductor(h)
-            residues = sorted({u % f for u in h.elements()})
-            reps = _box_representatives(h, f)
+            residues = h.elements()
+            reps = _box_representatives(h)
             # each representative named by the least unit of its coset
-            least = {min(r * u % f for u in residues) for r in reps}
+            least = {min(r * u % n for u in residues) for r in reps}
             assert len(reps) == h.index, (n, h.hnf)
-            assert least == set(coset_representatives_oracle(f, residues)), (n, h.hnf)
+            assert least == set(coset_representatives_oracle(n, residues)), (n, h.hnf)
 
 
 _FALLBACK_MODULI = [(5, 4), (12, 4), (16, 8), (21, 12), (36, 12), (46, 22), (60, 16), (8836, 4)]
@@ -460,8 +457,8 @@ def _counting_minpoly(monkeypatch, built):
 
     minpoly = cyc.subfield_minpoly
 
-    def counting_minpoly(n, h, *args):
-        sd = minpoly(n, h, *args)
+    def counting_minpoly(h, *args):
+        sd = minpoly(h, *args)
         built.append(_field_of_descriptor(sd))
         return sd
 
@@ -490,7 +487,8 @@ def test_field_store_gives_the_fresh_descriptors(monkeypatch):
 
 def test_field_store_reads_back_a_conductor_n_field(monkeypatch):
     # Q(ζ_12), of degree 4 and conductor 12, is built at p = 13 (n = 12)
-    # and read back, not rebuilt, at p' = 37 ≡ 1 (mod 12)
+    # and read back, not rebuilt, at p' = 37 ≡ 1 (mod 12): the very
+    # descriptor stored at p
     built = []
     store = FieldStore()
     _counting_minpoly(monkeypatch, built)
@@ -499,8 +497,7 @@ def test_field_store_reads_back_a_conductor_n_field(monkeypatch):
     key = (4, 12, (1,))
     assert built.count(key) == 1
     first, later = ([sd for sd in at[p] if _field_of_descriptor(sd) == key] for p in (13, 37))
-    assert len(first) == len(later) == 1 and first[0].minpoly == later[0].minpoly
-    assert (first[0].n, later[0].n) == (12, 36)
+    assert len(first) == len(later) == 1 and later[0] is first[0]
     assert later == [sd for sd in subfields(36, 8, 3) if _field_of_descriptor(sd) == key]
     assert len(built) == len(set(built))
 
@@ -521,10 +518,10 @@ def test_a_failed_build_stores_nothing(monkeypatch):
 
     minpoly = cyc.subfield_minpoly
 
-    def failing_minpoly(n, h, *args):
-        if n == 36 and h.index == 6:
+    def failing_minpoly(h, *args):
+        if h.group.n == 36 and h.index == 6:
             raise ArithmeticError("failed build")
-        return minpoly(n, h, *args)
+        return minpoly(h, *args)
 
     store = FieldStore()
     monkeypatch.setattr(cyc, "subfield_minpoly", failing_minpoly)
@@ -574,7 +571,7 @@ def test_trivial_field_keeps_the_full_modulus():
     for n in (5, 12, 30, 36, 8836):
         sds = subfields(n, 2)
         assert (sds[0].degree, sds[0].minpoly, sds[0].period_modulus) == (1, (-moebius(n), 1), n)
-        assert sds[0].subgroup.index == 1 and sds[0] == subfield_minpoly(n, sds[0].subgroup)
+        assert sds[0].subgroup.index == 1 and sds[0] == subfield_minpoly(sds[0].subgroup)
         assert [sd.degree for sd in sds[1:]] == [2] * (len(sds) - 1), n
 
 
@@ -584,9 +581,9 @@ def test_subfields_without_a_store_build_every_field(monkeypatch):
     built = []
     minpoly = cyc.subfield_minpoly
 
-    def counting_minpoly(n, h, *args):
-        built.append(n)
-        return minpoly(n, h, *args)
+    def counting_minpoly(h, *args):
+        built.append(h.group.n)
+        return minpoly(h, *args)
 
     monkeypatch.setattr(cyc, "subfield_minpoly", counting_minpoly)
     first = subfields(72, 8, 3)

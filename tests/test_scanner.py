@@ -294,8 +294,8 @@ def test_backend_stage_builds_no_quadratic_fields(monkeypatch):
     built = []
     minpoly = cyc.subfield_minpoly
 
-    def counting_minpoly(n, h, *ring):
-        sd = minpoly(n, h, *ring)
+    def counting_minpoly(h, *ring):
+        sd = minpoly(h, *ring)
         built.append(sd.degree)
         return sd
 
