@@ -98,7 +98,21 @@ def test_subfield_minpoly_examples():
         assert subfield_minpoly(full).minpoly == (-moebius(n), 1)
 
 
-def test_primitive_matches_conductor_oracle():
+def test_conductor_examples():
+    # {1,7} mod 12 is exactly the kernel of reduction to (Z/3)*, so its
+    # fixed field is Q(ζ3); {1,5} is the mod-4 kernel; {1,11} fixes Q(√3),
+    # which needs the full modulus
+    kernels = _top_kernels(unit_group(12))
+    assert not _primitive(subgroup_with_elements(12, [1, 7]), kernels)
+    assert not _primitive(subgroup_with_elements(12, [1, 5]), kernels)
+    assert _primitive(subgroup_with_elements(12, [1, 11]), kernels)
+    assert sorted(sd.period_modulus for sd in subfields(12, 2, min_degree=2)) == [3, 4, 12]
+    # 46 ≡ 2 (mod 4): every subfield of Q(ζ46) already lives in Q(ζ23)
+    assert not any(_primitive(h, _top_kernels(unit_group(46))) for h in subgroups(unit_group(46)))
+    assert {sd.period_modulus for sd in subfields(46, euler_phi(46), min_degree=2)} == {23}
+
+
+def test_conductor_matches_definition_oracle():
     # _primitive(h) says whether n is the conductor of h ⊆ (Z/n)*, for
     # every subgroup of SUBGROUP_CASES and of the prime-power moduli whose
     # top kernels are K_q(e - 1) with e >= 2
@@ -107,11 +121,6 @@ def test_primitive_matches_conductor_oracle():
         kernels = _top_kernels(g)
         for h in subgroups(g, max_index=max_index):
             assert _primitive(h, kernels) == (conductor_oracle(n, subgroup_elements(h)) == n), (n, h.hnf)
-    # {1, 7} mod 12 is the kernel of reduction to (Z/3)*; {1, 11} fixes
-    # Q(√3), which needs the full modulus; nothing mod 46 ≡ 2 (mod 4) is
-    assert not _primitive(subgroup_with_elements(12, [1, 7]), _top_kernels(unit_group(12)))
-    assert _primitive(subgroup_with_elements(12, [1, 11]), _top_kernels(unit_group(12)))
-    assert not any(_primitive(h, _top_kernels(unit_group(46))) for h in subgroups(unit_group(46)))
 
 
 def _field_of(n, h):
