@@ -18,7 +18,7 @@ from .arith import euler_phi
 from .criteria import em_tables
 from .cyclotomic import subfields
 from .normsearch import BACKEND_ENV_VAR, BackendError
-from .scanner import ScanConfig, ScanError, cross_check, scan, classify_prime
+from .scanner import ScanConfig, ScanError, check_row, cross_check, scan, classify_prime
 
 ROW_FIELDS = ("p", "status", "d_plus", "d_minus", "method", "grh")
 
@@ -126,35 +126,13 @@ def _cmd_subfields(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_row(row, lineno: int) -> None:
-    """Raise ValueError unless row has what cross_check reads: an integer
-    "p" and, unless it is an error record, a string "status", "d_plus" and
-    "d_minus" each an integer or null, and a boolean "grh"."""
-    def bad(why: str) -> ValueError:
-        return ValueError(f"results line {lineno}: {why}")
-
-    if not isinstance(row, dict):
-        raise bad("not a JSON object")
-    if type(row.get("p")) is not int:
-        raise bad('no integer "p"')
-    if "error" in row and "status" not in row:
-        return
-    if not isinstance(row.get("status"), str):
-        raise bad('no string "status"')
-    for key in ("d_plus", "d_minus"):
-        if key not in row or row[key] is not None and type(row[key]) is not int:
-            raise bad(f'no integer or null "{key}"')
-    if type(row.get("grh")) is not bool:
-        raise bad('no boolean "grh"')
-
-
 def _cmd_cross_check(args: argparse.Namespace) -> int:
     rows = []
     with open(args.results) as fh:
         for lineno, line in enumerate(fh, 1):
             if line.strip():
                 rows.append(json.loads(line))
-                _check_row(rows[-1], lineno)
+                check_row(rows[-1], f"results line {lineno}")
     report = cross_check(rows)
     for failure in report.failures:
         print(failure)

@@ -1,16 +1,17 @@
 """Subfields of the n-th cyclotomic field via Gaussian periods.
 
 A subfield's minimal polynomial is the product of the conjugates of its
-Gaussian period at the conductor, which always generates it (proof in
-subfield_minpoly). The product is evaluated in Z/M for a prime power M in
-which Φ_n has a root and lifted to Z through a coefficient bound, so no
-floating point enters any minimal polynomial. subfields() enumerates
-conductor-first: every subfield has one conductor f | n and is the fixed
-field of one subgroup h of (Z/f)* that holds no reduction kernel, a
-function of f alone; its descriptor is h with the minimal polynomial, and
-subfield_minpoly(h) is the one way to build it. All fields of one call share
-that ring map and one root-of-unity power table per conductor. Exact
-elements of Z[x]/(x^n - 1) (CycElement) remain for checking the periods.
+Gaussian period at the conductor f, which always generates it (proof in
+subfield_minpoly). The product is evaluated through a ring map
+Z[ζ_f] → Z/M, M a prime power in which Φ_f has a root, and lifted to Z
+through a coefficient bound, so no floating point enters any minimal
+polynomial. subfields() enumerates conductor-first: every subfield has one
+conductor f | n and is the fixed field of one subgroup h of (Z/f)* that
+holds no reduction kernel, a function of f alone; its descriptor is h with
+the minimal polynomial, and subfield_minpoly(h) is the one way to build it.
+The fields of one conductor share one ring map of their own, so nothing in
+a build depends on n. Exact elements of Z[x]/(x^n - 1) (CycElement) remain
+for checking the periods.
 
 A scan that builds the subfields of many moduli can hand subfields() a
 FieldStore it owns, in which the fields of each conductor are built once
@@ -156,7 +157,6 @@ def _primitive(h: Subgroup, kernels: list[list[tuple[int, ...]]]) -> bool:
     return not any(all(h.contains(v) for v in gens) for gens in kernels)
 
 
-@lru_cache(maxsize=None)
 def _prime_and_root(f: int) -> tuple[int, int]:
     """The least prime ℓ ≡ 1 (mod f), and z = element_of_order(f, ℓ), of
     exact order f modulo ℓ."""
@@ -168,15 +168,19 @@ def _prime_and_root(f: int) -> tuple[int, int]:
     return ell, element_of_order(f, ell)
 
 
-def _root_of_unity_mod(f: int, bound: int) -> tuple[int, int]:
-    """(M, z) with M = ℓ^j the least power (j >= 1) above bound, ℓ that of
-    _prime_and_root(f), and Φ_f(z) ≡ 0 (mod M).
+def _period_ring(f: int, bound: int) -> tuple[int, list[int]]:
+    """The ring map Z[ζ_f] → Z/M, ζ_f ↦ z, of one conductor, as
+    (M, powers) with powers[e] = z^e mod M for 0 <= e < f (z = powers[1]
+    when f > 1).
 
-    z is the Hensel lift, on x^f - 1, of a root of Φ_f modulo ℓ. As
-    ℓ ≡ 1 (mod f), ℓ ∤ f: x^f - 1 is separable modulo ℓ and f z^(f-1) is
-    a unit, so each Newton step doubles the precision (capped at M) and the
-    lift is unique. The other factors Φ_e (e | f, e < f) are units at z,
-    because z has exact order f modulo ℓ, so z stays a root of Φ_f.
+    M = ℓ^j is the least power (j >= 1) above bound, ℓ that of
+    _prime_and_root(f), so the period sums and products run on integers
+    no wider than the fields of f need. z is the Hensel lift, on x^f - 1,
+    of a root of Φ_f modulo ℓ. As ℓ ≡ 1 (mod f), ℓ ∤ f: x^f - 1 is
+    separable modulo ℓ and f z^(f-1) is a unit, so each Newton step
+    doubles the precision (capped at M) and the lift is unique. The other
+    factors Φ_e (e | f, e < f) are units at z, because z has exact order f
+    modulo ℓ, so z stays a root of Φ_f and ζ_f ↦ z is a ring map.
     """
     ell, z = _prime_and_root(f)
     m = ell
@@ -187,42 +191,10 @@ def _root_of_unity_mod(f: int, bound: int) -> tuple[int, int]:
         prec = min(prec * prec, m)
         zf1 = pow(z, f - 1, prec)
         z = (z - (z * zf1 - 1) * pow(f * zf1, -1, prec)) % prec
-    return m, z
-
-
-class _PeriodRing:
-    """The ring map Z[ζ_n] → Z/M, ζ_n ↦ z, of one subfields() call, with
-    one table of root-of-unity powers per conductor.
-
-    (M, z) comes from _root_of_unity_mod(n, bound): M = ℓ^j is the least
-    power of the prime ℓ ≡ 1 (mod n) above the coefficient bound of the
-    call, so the period sums and products run on integers no wider than
-    the bound needs (129 bits rather than 229 for n = 19948 at degree 12).
-    For f | n the image
-    w = z^(n/f) of ζ_f has exact order f modulo ℓ, as z has exact order n,
-    and w^f = z^n ≡ 1 (mod M). The argument of _root_of_unity_mod, with f
-    in place of n, makes w a root of Φ_f modulo M, so ζ_f ↦ w is a ring
-    map Z[ζ_f] → Z/M.
-    """
-
-    def __init__(self, n: int, bound: int):
-        self.n = n
-        self.m, self.z = _root_of_unity_mod(n, bound)
-        self.tables: dict[int, list[int]] = {}
-
-    def powers(self, f: int) -> list[int]:
-        """w^e mod M for 0 <= e < f, w the image of ζ_f."""
-        if f not in self.tables:
-            self.tables[f] = self._table(f)
-        return self.tables[f]
-
-    def _table(self, f: int) -> list[int]:
-        m = self.m
-        w = pow(self.z, self.n // f, m)
-        table = [1] * f
-        for e in range(1, f):
-            table[e] = table[e - 1] * w % m
-        return table
+    powers = [1] * f
+    for e in range(1, f):
+        powers[e] = powers[e - 1] * z % m
+    return m, powers
 
 
 def _box_representatives(h: Subgroup) -> list[int]:
@@ -250,7 +222,7 @@ def _pairwise_distinct(images: list[int]) -> bool:
     return len(set(images)) == len(images)
 
 
-def subfield_minpoly(h: Subgroup, ring: _PeriodRing | None = None) -> SubfieldDescriptor:
+def subfield_minpoly(h: Subgroup, ring: tuple[int, list[int]] | None = None) -> SubfieldDescriptor:
     """The descriptor (h, minimal polynomial) of the fixed field K of
     h ⊆ (Z/f)*, f = h.group.n, a monic integer polynomial.
 
@@ -279,13 +251,18 @@ def subfield_minpoly(h: Subgroup, ring: _PeriodRing | None = None) -> SubfieldDe
       Some s in S has r(s) = (1, ..., 1), a generator, and s·ker r ⊆ S,
       so <S> ⊇ ker r and r(<S>) is everything: <S> = X.  ∎
 
-    The product of x - σ_c(η) is formed in Z/M through `ring`, the ring
-    map of a subfields() call (a fresh one when none is given). It is
-    exact: ℓ is a proven prime (below 2^64, where is_prime is
-    deterministic) and ζ_f ↦ z^(n/f) is a ring map Z[ζ_f] → Z/M (see
-    _PeriodRing). As |σ_c(η)| <= |h|, the k-th coefficient is at most
+    The product of x - σ_c(η) is formed in Z/M through `ring`, the
+    (M, powers) of _period_ring(f, ...) that subfields() shares among the
+    fields of conductor f (a fresh one, sized for h, when none is given).
+    A ring of another conductor f' holds f' powers, not f, and raises
+    ValueError: read as powers of ζ_f they would give a wrong polynomial
+    that the distinct-roots check need not catch. The product is exact: ℓ
+    is a proven prime (below 2^64, where is_prime is deterministic) and
+    ζ_f ↦ z is a ring map Z[ζ_f] → Z/M (see _period_ring). As
+    |σ_c(η)| <= |h|, the k-th coefficient is at most
     C(d, k) |h|^k <= (|h| + 1)^d < M/2 in absolute value, and the
-    symmetric lift recovers it. The result does not rest on the theorem,
+    symmetric lift recovers it; a ring with M at or below that bound
+    raises ValueError. The result does not rest on the theorem,
     which a plain branch, not an assert, checks, so every returned
     polynomial is proven squarefree under python -O too: the images mod M
     must be pairwise distinct, or else the exact discriminant nonzero;
@@ -304,9 +281,9 @@ def subfield_minpoly(h: Subgroup, ring: _PeriodRing | None = None) -> SubfieldDe
                 raise ArithmeticError(
                     f"representatives {a} and {b} of an index-{d} subgroup mod {f} share a coset")
     bound = 2 * (len(residues) + 1) ** d
-    if ring is None:
-        ring = _PeriodRing(f, bound)
-    m, zpow = ring.m, ring.powers(f)
+    m, zpow = _period_ring(f, bound) if ring is None else ring
+    if len(zpow) != f:
+        raise ValueError(f"a ring of {len(zpow)} powers is not the ring map of conductor {f}")
     if m <= bound:
         raise ValueError(f"ring modulus {m} does not exceed the coefficient bound {bound}")
     images = [sum(zpow[c * u % f] for u in residues) % m for c in reps]
@@ -344,13 +321,14 @@ def subfields(n: int, max_degree: int, min_degree: int = 1,
     field of exactly one subgroup h of (Z/f)*, of conductor f
     (_primitive) and index [K:Q], and its descriptor is (h, the
     characteristic polynomial of the period at f): a function of f and
-    the degree range alone; n only fixes the ring map it is computed
-    through. A store keeps the descriptors under (f, min_degree,
-    max_degree): a conductor already in it is read back with no period
-    computed, and the others are built through one _PeriodRing of n,
-    sized for the fields built, and stored once all of them are. Q itself
-    is the fixed field of (Z/n)*, with period μ(n) at modulus n. Without a
-    store, a fresh one serves the call.
+    the degree range alone. A store keeps the descriptors under
+    (f, min_degree, max_degree): a conductor already in it is read back
+    with no period computed. Each other conductor's fields are built
+    through one _period_ring of f, sized for them, and stored as soon as
+    they all are, so a build that raises stores nothing for its conductor.
+    Q itself is the fixed field of (Z/n)*, with period μ(n) at modulus n,
+    built through a ring of its own. Without a store, a fresh one serves
+    the call.
     """
     if n < 3:
         raise ValueError("subfields() requires n >= 3")
@@ -358,31 +336,21 @@ def subfields(n: int, max_degree: int, min_degree: int = 1,
         raise ValueError("subfields() requires max_degree >= 1")
     if store is None:
         store = FieldStore()
-    todo: list[Subgroup] = []  # the fields to build
-    if min_degree <= 1:
-        todo.append(subgroups(unit_group(n), 1)[0])
+    out = [subfield_minpoly(subgroups(unit_group(n), 1)[0])] if min_degree <= 1 else []
     conductors = [f for f in divisors(n) if f >= 3 and f % 4 != 2]
-    fresh: dict[int, list[SubfieldDescriptor]] = {}
     for f in conductors:
-        if (f, min_degree, max_degree) not in store:
+        key = (f, min_degree, max_degree)
+        if key not in store:
             g = unit_group(f)
             kernels = _top_kernels(g)
-            fresh[f] = []
-            todo += [h for h in subgroups(g, max_degree, store.lattices)
-                     if h.index >= min_degree and _primitive(h, kernels)]
-    out = []
-    if todo:
-        # |h| + 1 bounds the conjugates of each period: one ring for all
-        ring = _PeriodRing(n, max(2 * (h.order + 1) ** h.index for h in todo))
-        for h in todo:
-            sd = subfield_minpoly(h, ring)
-            if h.index == 1:  # Q, the only field of index 1
-                out.append(sd)
-            else:
-                fresh[h.group.n].append(sd)
-    # stored only once every field of the call is built
-    store.update(((f, min_degree, max_degree), fields) for f, fields in fresh.items())
-    for f in conductors:
-        out += store[f, min_degree, max_degree]
+            hs = [h for h in subgroups(g, max_degree, store.lattices)
+                  if h.index >= min_degree and _primitive(h, kernels)]
+            fields = []
+            if hs:
+                # |h| + 1 bounds the conjugates of each period: one ring for all
+                ring = _period_ring(f, max(2 * (h.order + 1) ** h.index for h in hs))
+                fields = [subfield_minpoly(h, ring) for h in hs]
+            store[key] = fields
+        out += store[key]
     out.sort(key=lambda s: (s.degree, s.minpoly))
     return out

@@ -37,6 +37,7 @@ __all__ = [
     "classify_prime",
     "scan",
     "cross_check",
+    "check_row",
     "STATUS_RATIONAL",
     "STATUS_NOT_STABLY_RATIONAL",
     "STATUS_UNDETERMINED",
@@ -329,10 +330,27 @@ class CrossCheckReport:
     checked: int
 
 
-def _row_of(rec) -> dict:
-    if isinstance(rec, (Verdict, ScanError)):
-        return rec.to_row()
-    return rec
+def check_row(row, where: str) -> None:
+    """Raise ValueError, naming `where`, unless row has what cross_check
+    reads: an integer "p" and, unless it is an error record, a string
+    "status", "d_plus" and "d_minus" each an integer or null, and a
+    boolean "grh"."""
+    def bad(why: str) -> ValueError:
+        return ValueError(f"{where}: {why}")
+
+    if not isinstance(row, dict):
+        raise bad("not a JSON object")
+    if type(row.get("p")) is not int:
+        raise bad('no integer "p"')
+    if "error" in row and "status" not in row:
+        return
+    if not isinstance(row.get("status"), str):
+        raise bad('no string "status"')
+    for key in ("d_plus", "d_minus"):
+        if key not in row or row[key] is not None and type(row[key]) is not int:
+            raise bad(f'no integer or null "{key}"')
+    if type(row.get("grh")) is not bool:
+        raise bad('no boolean "grh"')
 
 
 def _quadratic_obstructions(p: int) -> list[tuple[int, int]]:
@@ -357,11 +375,19 @@ def cross_check(results: Iterable, fixtures: Optional[FixtureSets] = None) -> Cr
     degree-2 norm tests in both signs (recomputed here, not taken from the
     stream); (e) for every reference row with degrees (d+, d-), d_s = 2
     exactly when some quadratic subfield obstructs sign s (recomputed).
+
+    A dict row is checked by check_row first: a malformed one raises
+    ValueError naming its position in the stream (from 1) and its "p".
     """
     fx = fixtures or load_fixtures()
     rows: dict[int, dict] = {}
-    for rec in results:
-        row = _row_of(rec)
+    for i, rec in enumerate(results, 1):
+        if isinstance(rec, (Verdict, ScanError)):
+            row = rec.to_row()
+        else:
+            row = rec
+            p = row.get("p") if isinstance(row, dict) else None
+            check_row(row, f"row {i} (p = {p!r})")
         if "error" in row and "status" not in row:
             continue  # error records leave their prime uncovered
         rows[row["p"]] = row

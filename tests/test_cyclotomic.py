@@ -11,9 +11,9 @@ from noether.arith import euler_phi, primes_below
 from noether.cyclotomic import (
     CycElement,
     FieldStore,
+    _period_ring,
     _prime_and_root,
     _primitive,
-    _root_of_unity_mod,
     _top_kernels,
     cyclotomic_polynomial,
     subfield_minpoly,
@@ -301,20 +301,23 @@ def test_minpoly_irreducible_over_q():
 def test_performance_contract_large_modulus():
     import time
 
-    # worst realistic shape: n just under 20000 with plenty of subgroups
-    n = 19996  # = 4 * 4999
+    # worst realistic shape: n just under 20000 with plenty of subgroups of
+    # index 4 and 8, (Z/19960)* ≅ C996 × C2^3 (19996 = 4 · 4999 has none of
+    # index 8)
+    n = 19960  # = 8 * 5 * 499
     subs = [s for s in subgroups(unit_group(n), max_index=8) if s.index in (4, 8)]
     start = time.monotonic()
     built = subfields(n, 8, min_degree=4)
     elapsed = time.monotonic() - start
     sds = [sd for sd in built if sd.degree in (4, 8)]
-    assert sds and len(sds) == len(subs)  # one field per subgroup
+    assert {sd.degree for sd in sds} == {4, 8}
+    assert len(sds) == len(subs)  # one field per subgroup
     assert elapsed < 1.0 * len(built), f"{elapsed:.2f}s for {len(built)} fields"
 
 
 # Fields whose conductor needs a multi-step Hensel lift: (n, max index, indices)
 _LARGE_CONDUCTORS = {
-    "19996-index-4-8-12": (19996, 12, {4, 8, 12}),
+    "19996-index-4-12": (19996, 12, {4, 12}),  # (Z/19996)* has no subgroup of index 8
     "8836-index-le-46": (8836, 46, None),  # all three quadratics are imprimitive
     "19948-index-le-12": (19948, 12, None),
 }
@@ -325,7 +328,7 @@ def test_minpoly_matches_complex_oracle_large_conductors(case):
     n, max_index, indices = _LARGE_CONDUCTORS[case]
     sds = subfields(n, max_index)
     assert len(sds) == len(subgroups(unit_group(n), max_index=max_index)), n  # one field per subgroup
-    checked = 0
+    met = set()
     for desc in sds:
         if indices is not None and desc.degree not in indices:
             continue
@@ -333,15 +336,16 @@ def test_minpoly_matches_complex_oracle_large_conductors(case):
         assert desc.degree == euler_phi(desc.period_modulus) // len(residues)
         assert list(desc.minpoly) == period_charpoly_oracle(desc.period_modulus, residues, (1,)), (
             n, desc.period_modulus, desc.subgroup.hnf)
-        checked += 1
-    assert checked >= 2
+        met.add(desc.degree)
+    assert len(met) >= 2 and (indices is None or met == indices), met
 
 
 @given(st.integers(min_value=1, max_value=400), st.integers(min_value=0, max_value=10**300))
 @settings(max_examples=60, deadline=None)
 def test_root_of_unity_modulus(f, bound):
     ell, _ = _prime_and_root(f)
-    m, z = _root_of_unity_mod(f, bound)
+    m, powers = _period_ring(f, bound)
+    z = powers[1 % f]
     assert naive_is_prime(ell) and ell < 2**64
     assert ell % f == 1 % f and not any(naive_is_prime(k * f + 1) for k in range(1, (ell - 1) // f))
     power = m
@@ -352,11 +356,21 @@ def test_root_of_unity_modulus(f, bound):
     for c in reversed(cyclotomic_polynomial(f)):
         acc = (acc * z + c) % m
     assert acc == 0
+    # the table holds the powers of z up to z^(f-1), and z^f = 1
+    assert len(powers) == f and powers == [pow(z, e, m) for e in range(f)]
+    assert pow(z, f, m) == 1
 
 
-def test_root_of_unity_modulus_stays_below_2_64():
+def test_root_of_unity_modulus_stays_below_2_64(monkeypatch):
+    import noether.cyclotomic as cyc
+
+    # the prime search gives up before any table of 2^64 - 1 powers is built
+    def no_root(f, ell):
+        raise AssertionError("a root of unity was sought")
+
+    monkeypatch.setattr(cyc, "element_of_order", no_root)
     with pytest.raises(ArithmeticError, match="2\\^64"):
-        _root_of_unity_mod(2**64 - 1, 10)
+        _period_ring(2**64 - 1, 10)
 
 
 def test_subfield_minpoly_degree_checks_raise(monkeypatch):
@@ -371,7 +385,18 @@ def test_subfield_minpoly_degree_checks_raise(monkeypatch):
     # 2 (|H| + 1)^d = 250 of the cubic field: its coefficients would wrap
     cubic = [s for s in subgroups(unit_group(13)) if s.index == 3][0]
     with pytest.raises(ValueError, match="ring modulus 53 does not exceed the coefficient bound 250"):
-        subfield_minpoly(cubic, cyc._PeriodRing(13, 10))
+        subfield_minpoly(cubic, cyc._period_ring(13, 10))
+
+
+def test_a_ring_of_another_conductor_raises():
+    # the powers of ζ_26 read as those of ζ_13 give distinct images and a
+    # wrong polynomial (x^3 + 3615538 x^2 + ...): the ring's conductor is
+    # checked, as is the shorter table of ζ_7
+    cubic = [s for s in subgroups(unit_group(13)) if s.index == 3][0]
+    for other in (26, 7):
+        with pytest.raises(ValueError, match=f"a ring of {other} powers is not the ring map of conductor 13"):
+            subfield_minpoly(cubic, _period_ring(other, 10**6))
+    assert subfield_minpoly(cubic, _period_ring(13, 10**6)) == subfield_minpoly(cubic)
 
 
 def test_subfields_match_field_by_field_oracle():
@@ -431,17 +456,25 @@ def test_one_power_table_per_conductor(monkeypatch):
     import noether.cyclotomic as cyc
 
     built = []
-    table = cyc._PeriodRing._table
+    period_ring = cyc._period_ring
 
-    def counting_table(self, f):
+    def counting_ring(f, bound):
         built.append(f)
-        return table(self, f)
+        return period_ring(f, bound)
 
-    monkeypatch.setattr(cyc._PeriodRing, "_table", counting_table)
+    monkeypatch.setattr(cyc, "_period_ring", counting_ring)
+    # from degree 2, so that Q and its own ring at n are left out
     for n, max_degree in ((60, 16), (8836, 12), (19948, 12)):
         built.clear()
-        conductors = {sd.period_modulus for sd in subfields(n, max_degree)}
+        conductors = {sd.period_modulus for sd in subfields(n, max_degree, min_degree=2)}
         assert sorted(built) == sorted(conductors) and len(conductors) > 2, n
+    # with the conductors 3, 4, 8, 12 and 24 of 24 in the store, 72 gets
+    # rings only for the conductors 24 lacks
+    store = FieldStore()
+    subfields(24, 6, 2, store)
+    built.clear()
+    subfields(72, 6, 2, store)
+    assert sorted(built) == [9, 36, 72]
 
 
 def test_cyclotomic_division_check_survives_optimize(monkeypatch):
@@ -521,8 +554,9 @@ def test_field_store_keys_carry_the_degree_range():
 
 
 def test_a_failed_build_stores_nothing(monkeypatch):
-    # a build that raises leaves no partial conductor in the store, so the
-    # next call with that store builds the conductor in full
+    # a build that raises leaves no entry for its conductor, so the next
+    # call with that store builds the conductor in full; the conductors
+    # built before it are stored whole
     import noether.cyclotomic as cyc
 
     minpoly = cyc.subfield_minpoly
@@ -537,7 +571,11 @@ def test_a_failed_build_stores_nothing(monkeypatch):
     with pytest.raises(ArithmeticError, match="failed build"):
         subfields(72, 8, 3, store)
     monkeypatch.undo()
-    assert store == {}
+    assert (36, 3, 8) not in store and store
+    for (f, lo, hi), fields in store.items():
+        fresh = FieldStore()
+        subfields(f, hi, lo, fresh)
+        assert fields == fresh[f, lo, hi], f
     assert subfields(72, 8, 3, store) == subfields(72, 8, 3)
 
 

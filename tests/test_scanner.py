@@ -257,6 +257,26 @@ def test_cross_check_accepts_row_dicts(full_scan):
     assert rep == cross_check(full_scan)
 
 
+def _without(key):
+    return lambda row: {k: v for k, v in row.items() if k != key}
+
+
+@pytest.mark.parametrize("malform, p, why", [
+    (lambda row: [row["p"], row["status"]], None, "not a JSON object"),
+    (_without("p"), None, 'no integer "p"'),
+    (_without("grh"), 47, 'no boolean "grh"'),
+], ids=["not-an-object", "no-p", "no-grh"])
+def test_cross_check_rejects_a_malformed_row(full_scan, malform, p, why):
+    # a full set of rows, one of them malformed: invalid input raises
+    # ValueError naming the row's position and p, never a KeyError
+    rows = [v.to_row() for v in full_scan]
+    i = next(i for i, row in enumerate(rows) if row["p"] == 47)
+    assert rows[i]["status"] == STATUS_NOT_STABLY_RATIONAL
+    rows[i] = malform(rows[i])
+    with pytest.raises(ValueError, match=re.escape(f"row {i + 1} (p = {p!r}): {why}")):
+        cross_check(rows)
+
+
 
 # Each check that decides a verdict must fire with assert stripped, too.
 _BROKEN_STAGES = {
