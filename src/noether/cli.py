@@ -127,12 +127,12 @@ def _cmd_subfields(args: argparse.Namespace) -> int:
 
 
 def _cmd_cross_check(args: argparse.Namespace) -> int:
-    rows = []
+    rows, seen = [], set()
     with open(args.results) as fh:
         for lineno, line in enumerate(fh, 1):
             if line.strip():
                 rows.append(json.loads(line))
-                check_row(rows[-1], f"results line {lineno}")
+                check_row(rows[-1], f"results line {lineno}", seen)
     report = cross_check(rows)
     for failure in report.failures:
         print(failure)

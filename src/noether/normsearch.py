@@ -387,13 +387,8 @@ class BackendClient:
                     f"backend witness has norm {got}, wanted {prob.target}"
                 )
             return BackendDecision("solvable", tuple(witness), certified, grh)
-        if outcome == "unsolvable":
-            if not certified:
-                return BackendDecision("unknown", None, certified, grh)
-            if grh and not grh_allowed:
-                return BackendDecision("unknown", None, certified, grh)
-            return BackendDecision("unsolvable", None, certified, grh)
-        return BackendDecision("unknown", None, certified, grh)
+        proof = outcome == "unsolvable" and certified and (grh_allowed or not grh)
+        return BackendDecision("unsolvable" if proof else "unknown", None, certified, grh)
 
     def _write(self, data: memoryview) -> int:
         try:

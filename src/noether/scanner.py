@@ -18,7 +18,8 @@ from __future__ import annotations
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cache
 from itertools import groupby
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Optional, Union
@@ -122,58 +123,37 @@ def _client_slot() -> Iterator[list[BackendClient]]:
             client.close()
 
 
-@dataclass
-class _SignScan:
-    """Obstruction search state for one target sign."""
-
-    degree: Optional[int] = None
-    grh: bool = False
-    witness: Optional[dict] = None
-
-    @property
-    def proven(self) -> bool:
-        return self.degree is not None
-
-
-def _scan_quadratic(p: int, sides: dict[int, _SignScan]) -> None:
+def _scan_quadratic(p: int, sides: dict[int, Optional[dict]]) -> None:
     for disc in quadratic_subfield_discs(p - 1):
-        for sign, state in sides.items():
-            if state.proven:
-                continue
-            if not solve_norm(disc, p, sign).solvable:
-                state.degree = 2
-                state.witness = {"degree": 2, "disc": disc}
+        for sign, witness in sides.items():
+            if witness is None and not solve_norm(disc, p, sign).solvable:
+                sides[sign] = {"degree": 2, "disc": disc}
 
 
-def _scan_backend(p: int, cfg: ScanConfig, sides: dict[int, _SignScan],
+def _scan_backend(p: int, cfg: ScanConfig, sides: dict[int, Optional[dict]],
                   store: Optional[FieldStore], slot: list[BackendClient]) -> None:
     """Ask the backend about the subfields of degree 3..max_degree, one
     degree at a time: every field of the degree and every sign still open
-    goes out in one batch, and the answers are read in order until both
-    signs are proven.  A sign keeps the first field in subfields() order
-    that proves it; a later field of the same degree may be asked it too."""
+    (its witness None) goes out in one batch, and the answers are read in
+    order until both signs are proven.  A sign's witness is the first field
+    in subfields() order that proves it; a later field of the same degree
+    may be asked it too."""
     if not slot:
         slot.append(BackendClient(cfg.backend))
     client = slot[0]
     fields = subfields(p - 1, cfg.max_degree, 3, store)
     for _, same_degree in groupby(fields, key=attrgetter("degree")):
-        open_sides = [(sign, state) for sign, state in sides.items() if not state.proven]
-        if not open_sides:
+        open_signs = [sign for sign, witness in sides.items() if witness is None]
+        if not open_signs:
             return
-        batch = [(desc, state, NormProblem.from_squarefree(desc.minpoly, sign * p))
-                 for desc in same_degree for sign, state in open_sides]
+        batch = [(desc, sign, NormProblem.from_squarefree(desc.minpoly, sign * p))
+                 for desc in same_degree for sign in open_signs]
         client.send([prob for _, _, prob in batch])
-        for desc, state, prob in batch:
+        for desc, sign, prob in batch:
             dec = client.decide(prob, grh_allowed=cfg.allow_grh)
-            if dec.outcome == "unsolvable" and not state.proven:
-                state.degree = desc.degree
-                state.grh = dec.grh
-                state.witness = {
-                    "degree": desc.degree,
-                    "minpoly": list(desc.minpoly),
-                    "grh": dec.grh,
-                }
-                if all(side.proven for side in sides.values()):
+            if dec.outcome == "unsolvable" and sides[sign] is None:
+                sides[sign] = {"degree": desc.degree, "minpoly": list(desc.minpoly), "grh": dec.grh}
+                if None not in sides.values():
                     return
 
 
@@ -195,6 +175,13 @@ def classify_prime(p: int, cfg: ScanConfig = ScanConfig(),
     reported d_plus/d_minus are the minimal subfield degrees at which each
     sign was proven impossible, so they do not depend on enumeration order.
 
+    A sign's proof is its witness: {"degree": 2, "disc": D} from the
+    degree-2 stage, or {"degree", "minpoly", "grh"} from the backend.  Once
+    both signs have one, the one NotStablyRational verdict reads d_s and
+    grh from them, and its method is the congruence criterion the prime
+    meets (EM_I, EM_II), else BACKEND if a degree is above 2, else
+    QUADRATIC.
+
     store and slot are the field store and the backend client slot of the
     scan this prime belongs to (see cyclotomic.subfields and _classify_all).
     Without a store every field is built; without a slot the backend stage
@@ -206,45 +193,35 @@ def classify_prime(p: int, cfg: ScanConfig = ScanConfig(),
         # Q(zeta_{p-1}) = Q, where p itself has norm p
         return _certified(p, tuple(cyclotomic_polynomial(p - 1)), (p,))
 
-    em_i = em_criterion_i(p)
-    em_ii = em_criterion_ii(p)
-    sides = {1: _SignScan(), -1: _SignScan()}
+    # sign -> the witness proving it is not a norm, or None while open
+    sides: dict[int, Optional[dict]] = {1: None, -1: None}
     _scan_quadratic(p, sides)
-
-    if em_i or em_ii:
+    em = METHOD_EM_I if em_criterion_i(p) else METHOD_EM_II if em_criterion_ii(p) else None
+    if em and None in sides.values():
         # the congruence shapes are two-sided degree-2 obstructions in
         # disguise, so the scan above must have proven both signs
-        if not (sides[1].proven and sides[-1].proven):
-            raise RuntimeError(f"{p} meets a congruence criterion but has no two-sided degree-2 obstruction")
-        return Verdict(
-            p,
-            STATUS_NOT_STABLY_RATIONAL,
-            d_plus=sides[1].degree,
-            d_minus=sides[-1].degree,
-            method=METHOD_EM_I if em_i else METHOD_EM_II,
-            grh=False,
-            witnesses={"plus": sides[1].witness, "minus": sides[-1].witness},
-        )
+        raise RuntimeError(f"{p} meets a congruence criterion but has no two-sided degree-2 obstruction")
 
-    if cfg.max_degree > 2 and not all(s.proven for s in sides.values()):
+    if cfg.max_degree > 2 and None in sides.values():
         with _client_slot() if slot is None else nullcontext(slot) as slot:
             _scan_backend(p, cfg, sides, store, slot)
 
-    if sides[1].proven and sides[-1].proven:
-        backend_used = sides[1].degree > 2 or sides[-1].degree > 2
+    plus, minus = sides[1], sides[-1]
+    if plus and minus:
+        d_plus, d_minus = plus["degree"], minus["degree"]
         return Verdict(
             p,
             STATUS_NOT_STABLY_RATIONAL,
-            d_plus=sides[1].degree,
-            d_minus=sides[-1].degree,
-            method=METHOD_BACKEND if backend_used else METHOD_QUADRATIC,
-            grh=sides[1].grh or sides[-1].grh,
-            witnesses={"plus": sides[1].witness, "minus": sides[-1].witness},
+            d_plus=d_plus,
+            d_minus=d_minus,
+            method=em or (METHOD_BACKEND if max(d_plus, d_minus) > 2 else METHOD_QUADRATIC),
+            grh=plus.get("grh", False) or minus.get("grh", False),
+            witnesses={"plus": plus, "minus": minus},
         )
 
     # p - 1 >= 4, so Q(zeta_{p-1}) is totally imaginary and every norm is
     # positive: only +p can be a norm
-    if not sides[1].proven and euler_phi(p - 1) <= CERTIFICATE_DEGREE_LIMIT:
+    if plus is None and euler_phi(p - 1) <= CERTIFICATE_DEGREE_LIMIT:
         g = tuple(cyclotomic_polynomial(p - 1))
         witness = certificate_search(NormProblem.from_squarefree(g, p), CERTIFICATE_BOUND)
         if witness is not None:
@@ -330,22 +307,30 @@ class CrossCheckReport:
     checked: int
 
 
-def check_row(row, where: str) -> None:
-    """Raise ValueError, naming `where`, unless row has what cross_check
-    reads: an integer "p" and, unless it is an error record, a string
-    "status", "d_plus" and "d_minus" each an integer or null, and a
-    boolean "grh"."""
+def check_row(row, where: str, seen: Optional[set] = None) -> None:
+    """Raise ValueError, naming `where`, unless row is one an honest scan
+    writes: a prime "p" that is not in `seen` (the primes of the rows
+    before it, to which p is added) and, unless it is an error record, a
+    "status" that is one of the three, "d_plus" and "d_minus" each an
+    integer or null, and a boolean "grh"."""
     def bad(why: str) -> ValueError:
         return ValueError(f"{where}: {why}")
 
     if not isinstance(row, dict):
         raise bad("not a JSON object")
-    if type(row.get("p")) is not int:
+    p = row.get("p")
+    if type(p) is not int:
         raise bad('no integer "p"')
+    if not is_prime(p):
+        raise bad(f'"p" = {p} is not prime')
+    if seen is not None:
+        if p in seen:
+            raise bad(f"a second row for p = {p}")
+        seen.add(p)
     if "error" in row and "status" not in row:
         return
-    if not isinstance(row.get("status"), str):
-        raise bad('no string "status"')
+    if row.get("status") not in (STATUS_RATIONAL, STATUS_NOT_STABLY_RATIONAL, STATUS_UNDETERMINED):
+        raise bad(f'"status" {row.get("status")!r} is none of the three')
     for key in ("d_plus", "d_minus"):
         if key not in row or row[key] is not None and type(row[key]) is not int:
             raise bad(f'no integer or null "{key}"')
@@ -355,7 +340,10 @@ def check_row(row, where: str) -> None:
 
 def _quadratic_obstructions(p: int) -> list[tuple[int, int]]:
     """The (disc, sign) pairs whose degree-2 norm test fails at p, in the
-    order of quadratic_subfield_discs and then +p before -p."""
+    order of quadratic_subfield_discs and then +p before -p; none below 5,
+    where Q(zeta_{p-1}) = Q."""
+    if p < 5:
+        return []
     return [
         (disc, sign)
         for disc in quadratic_subfield_discs(p - 1)
@@ -371,26 +359,27 @@ def cross_check(results: Iterable, fixtures: Optional[FixtureSets] = None) -> Cr
     (b) every unconditional NotStablyRational verdict lies outside the
     known-rational and undetermined sets; (c) every prime whose reference
     row is (2, 2, 0) is classified NotStablyRational with degrees (2, 2)
-    unconditionally; (d) every undetermined-set prime passes all its
-    degree-2 norm tests in both signs (recomputed here, not taken from the
-    stream); (e) for every reference row with degrees (d+, d-), d_s = 2
-    exactly when some quadratic subfield obstructs sign s (recomputed).
+    unconditionally, and every degree d_s a row of the stream claims is 2
+    exactly when some quadratic subfield obstructs sign s (recomputed here,
+    not taken from the stream); (d) every undetermined-set prime passes all
+    its degree-2 norm tests in both signs (recomputed); (e) for every
+    reference row with degrees (d+, d-), d_s = 2 exactly when some
+    quadratic subfield obstructs sign s (recomputed).  The degree-2 tests
+    of each prime are computed once for all three.
 
-    A dict row is checked by check_row first: a malformed one raises
-    ValueError naming its position in the stream (from 1) and its "p".
+    Every row is checked by check_row first: a malformed row, or a second
+    row for one prime, raises ValueError naming its position in the stream
+    (from 1) and its "p".
     """
     fx = fixtures or load_fixtures()
     rows: dict[int, dict] = {}
+    seen: set[int] = set()
     for i, rec in enumerate(results, 1):
-        if isinstance(rec, (Verdict, ScanError)):
-            row = rec.to_row()
-        else:
-            row = rec
-            p = row.get("p") if isinstance(row, dict) else None
-            check_row(row, f"row {i} (p = {p!r})")
-        if "error" in row and "status" not in row:
-            continue  # error records leave their prime uncovered
-        rows[row["p"]] = row
+        row = rec.to_row() if isinstance(rec, (Verdict, ScanError)) else rec
+        p = row.get("p") if isinstance(row, dict) else None
+        check_row(row, f"row {i} (p = {p!r})", seen)
+        if "status" in row:  # error records leave their prime uncovered
+            rows[p] = row
 
     failures: list[str] = []
     expected = set(fx.result_rows)
@@ -404,6 +393,19 @@ def cross_check(results: Iterable, fixtures: Optional[FixtureSets] = None) -> Cr
 
     rational = set(fx.known_rational)
     undetermined = set(fx.undetermined)
+    obstructions = cache(_quadratic_obstructions)
+
+    def degree_two_rule(rule: str, p: int, source: str, degrees) -> None:
+        for sign, d in zip((1, -1), degrees):
+            if d is None:
+                continue
+            obstructed = any(s == sign for _, s in obstructions(p))
+            if (d == 2) != obstructed:
+                failures.append(
+                    f"({rule}) prime {p}: {source} d{'+' if sign > 0 else '-'} = {d}, but "
+                    f"sign {sign:+d} is {'' if obstructed else 'not '}"
+                    f"obstructed by a quadratic subfield"
+                )
 
     for p in sorted(rational):
         if rows[p]["status"] == STATUS_NOT_STABLY_RATIONAL:
@@ -428,9 +430,11 @@ def cross_check(results: Iterable, fixtures: Optional[FixtureSets] = None) -> Cr
             want = (STATUS_NOT_STABLY_RATIONAL, 2, 2, False)
             if got != want:
                 failures.append(f"(c) prime {p}: reference row (2,2,0) but verdict {got}")
+    for p, row in sorted(rows.items()):
+        degree_two_rule("c", p, "verdict", (row["d_plus"], row["d_minus"]))
 
     for p in sorted(undetermined):
-        bad = _quadratic_obstructions(p)
+        bad = obstructions(p)
         if bad:
             disc, sign = bad[0]
             failures.append(
@@ -439,15 +443,7 @@ def cross_check(results: Iterable, fixtures: Optional[FixtureSets] = None) -> Cr
             )
 
     for p, ref in sorted(fx.result_rows.items()):
-        if not isinstance(ref, tuple):
-            continue
-        obstructed = {sign for _, sign in _quadratic_obstructions(p)}
-        for sign, d in ((1, ref[0]), (-1, ref[1])):
-            if (d == 2) != (sign in obstructed):
-                failures.append(
-                    f"(e) prime {p}: reference d{'+' if sign > 0 else '-'} = {d}, but "
-                    f"sign {sign:+d} is {'' if sign in obstructed else 'not '}"
-                    f"obstructed by a quadratic subfield"
-                )
+        if isinstance(ref, tuple):
+            degree_two_rule("e", p, "reference", ref[:2])
 
     return CrossCheckReport(not failures, tuple(failures), len(rows))

@@ -10,6 +10,8 @@ argument picks a behaviour:
   wrong-id        answer with a mismatched request id
   chatty          answer unknown twice per request, in one write
   die             exit immediately without answering
+  answer O C G    answer outcome O, certified C and grh G (true/false) to
+                  every request
 
 The scripted table replays two published degree>2 decisions: degree-8
 unsolvability for both signs of 5507 (unconditional) and degree-46
@@ -64,6 +66,9 @@ def main() -> None:
                 "certified": True,
                 "grh": False,
             }
+        elif mode == "answer":
+            outcome, certified, grh = sys.argv[2], sys.argv[3] == "true", sys.argv[4] == "true"
+            resp = {"id": rid, "outcome": outcome, "certified": certified, "grh": grh}
         elif mode == "scripted" and (degree, target) in SCRIPT:
             outcome, certified, grh = SCRIPT[(degree, target)]
             resp = {"id": rid, "outcome": outcome, "certified": certified, "grh": grh}

@@ -163,7 +163,10 @@ _ROW = {"p": 47, "status": "NotStablyRational", "d_plus": 2, "d_minus": 2,
     ([47, "NotStablyRational"], "not a JSON object"),
     ({k: v for k, v in _ROW.items() if k != "p"}, 'no integer "p"'),
     ({k: v for k, v in _ROW.items() if k != "grh"}, 'no boolean "grh"'),
-], ids=["not-an-object", "no-p", "no-grh"])
+    ({**_ROW, "p": 4}, '"p" = 4 is not prime'),
+    ({**_ROW, "status": "Bogus"}, '"status" \'Bogus\' is none of the three'),
+    ({**_ROW, "p": 2}, "a second row for p = 2"),
+], ids=["not-an-object", "no-p", "no-grh", "not-prime", "bogus-status", "second-row"])
 def test_cross_check_rejects_a_malformed_row(row, why, tmp_path, capsys):
     # a malformed file is invalid input (exit 2), not a failed check (exit 1)
     path = tmp_path / "bad.jsonl"

@@ -294,6 +294,31 @@ def test_backend_grh_downgrade():
         assert dec.outcome == "unknown"
 
 
+# an answer's (outcome, certified, grh) -> the decided outcome without and
+# with grh_allowed: only a certified unsolvable answer is a proof, and a
+# GRH-only one only when GRH is allowed
+_PROOF_RULE = {
+    ("unsolvable", True, False): ("unsolvable", "unsolvable"),
+    ("unsolvable", True, True): ("unknown", "unsolvable"),
+    ("unsolvable", False, False): ("unknown", "unknown"),
+    ("unsolvable", False, True): ("unknown", "unknown"),
+    ("unknown", True, False): ("unknown", "unknown"),
+    ("unknown", True, True): ("unknown", "unknown"),
+}
+
+
+def test_backend_proof_rule():
+    for (outcome, certified, grh), want in _PROOF_RULE.items():
+        flags = ["true" if flag else "false" for flag in (certified, grh)]
+        with BackendClient(fake_cmd("answer") + [outcome, *flags]) as client:
+            got = []
+            for grh_allowed in (False, True):
+                dec = client.decide(NormProblem(DEG8, 5507), grh_allowed=grh_allowed)
+                assert (dec.witness, dec.certified, dec.grh) == (None, certified, grh)
+                got.append(dec.outcome)
+        assert tuple(got) == want, (outcome, certified, grh)
+
+
 def test_backend_unknown_for_unscripted():
     with BackendClient(fake_cmd("scripted")) as client:
         dec = client.decide(NormProblem(DEG8, 7), grh_allowed=True)

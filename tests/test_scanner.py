@@ -218,6 +218,9 @@ def test_cross_check_flags_injected_faults(full_scan):
             corrupted.append(Verdict(47, STATUS_RATIONAL, method="CERTIFICATE"))
         elif v.p == 5:
             corrupted.append(Verdict(5, STATUS_NOT_STABLY_RATIONAL, 2, 2, "QUADRATIC", False))
+        elif v.p == 53:
+            # reference row (6, 2, 0): only -53 is obstructed by a quadratic subfield
+            corrupted.append(Verdict(53, STATUS_NOT_STABLY_RATIONAL, 2, 2, "QUADRATIC", False))
         else:
             corrupted.append(v)
     rep = cross_check(corrupted, fx)
@@ -225,6 +228,8 @@ def test_cross_check_flags_injected_faults(full_scan):
     assert any(f.startswith("(c) prime 47") for f in rep.failures)
     assert any(f.startswith("(a) known-rational prime 5") for f in rep.failures)
     assert any("(b)" in f and " 5," in f for f in rep.failures)
+    assert "(c) prime 53: verdict d+ = 2, but sign +1 is not obstructed by a quadratic subfield" in rep.failures
+    assert not any("prime 53: verdict d-" in f for f in rep.failures)
 
 
 def test_cross_check_rule_e_reads_every_degree_row(full_scan):
@@ -265,7 +270,10 @@ def _without(key):
     (lambda row: [row["p"], row["status"]], None, "not a JSON object"),
     (_without("p"), None, 'no integer "p"'),
     (_without("grh"), 47, 'no boolean "grh"'),
-], ids=["not-an-object", "no-p", "no-grh"])
+    (lambda row: {**row, "p": 4}, 4, '"p" = 4 is not prime'),
+    (lambda row: {**row, "status": "Bogus"}, 47, '"status" \'Bogus\' is none of the three'),
+    (lambda row: {**row, "p": 43}, 43, "a second row for p = 43"),
+], ids=["not-an-object", "no-p", "no-grh", "not-prime", "bogus-status", "second-row"])
 def test_cross_check_rejects_a_malformed_row(full_scan, malform, p, why):
     # a full set of rows, one of them malformed: invalid input raises
     # ValueError naming the row's position and p, never a KeyError
@@ -275,7 +283,6 @@ def test_cross_check_rejects_a_malformed_row(full_scan, malform, p, why):
     rows[i] = malform(rows[i])
     with pytest.raises(ValueError, match=re.escape(f"row {i + 1} (p = {p!r}): {why}")):
         cross_check(rows)
-
 
 
 # Each check that decides a verdict must fire with assert stripped, too.
@@ -323,7 +330,7 @@ def test_backend_stage_builds_no_quadratic_fields(monkeypatch):
     stage = scanner._scan_backend
 
     def recording_stage(p, cfg, sides, *args):
-        entered.append((p, {sign for sign, state in sides.items() if state.proven}))
+        entered.append((p, {sign for sign, witness in sides.items() if witness is not None}))
         stage(p, cfg, sides, *args)
 
     sent, answers = [], {}
