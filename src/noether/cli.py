@@ -18,7 +18,7 @@ from .arith import euler_phi
 from .criteria import em_tables
 from .cyclotomic import subfields
 from .normsearch import BACKEND_ENV_VAR, BackendError
-from .scanner import ScanConfig, ScanError, check_row, cross_check, scan, classify_prime
+from .scanner import RowError, ScanConfig, ScanError, cross_check, scan, classify_prime
 
 ROW_FIELDS = ("p", "status", "d_plus", "d_minus", "method", "grh")
 
@@ -127,13 +127,12 @@ def _cmd_subfields(args: argparse.Namespace) -> int:
 
 
 def _cmd_cross_check(args: argparse.Namespace) -> int:
-    rows, seen = [], set()
     with open(args.results) as fh:
-        for lineno, line in enumerate(fh, 1):
-            if line.strip():
-                rows.append(json.loads(line))
-                check_row(rows[-1], f"results line {lineno}", seen)
-    report = cross_check(rows)
+        lines = [(lineno, line) for lineno, line in enumerate(fh, 1) if line.strip()]
+    try:
+        report = cross_check([json.loads(line) for _, line in lines])
+    except RowError as exc:  # name the file's line, not the row's position
+        raise ValueError(f"results line {lines[exc.index - 1][0]}: {exc.why}") from None
     for failure in report.failures:
         print(failure)
     print(f"cross-check: {'ok' if report.ok else 'FAILED'} "

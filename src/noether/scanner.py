@@ -39,6 +39,7 @@ __all__ = [
     "scan",
     "cross_check",
     "check_row",
+    "RowError",
     "STATUS_RATIONAL",
     "STATUS_NOT_STABLY_RATIONAL",
     "STATUS_UNDETERMINED",
@@ -307,26 +308,35 @@ class CrossCheckReport:
     checked: int
 
 
-def check_row(row, where: str, seen: Optional[set] = None) -> None:
-    """Raise ValueError, naming `where`, unless row is one an honest scan
-    writes: a prime "p" that is not in `seen` (the primes of the rows
-    before it, to which p is added) and, unless it is an error record, a
-    "status" that is one of the three, "d_plus" and "d_minus" each an
-    integer or null, and a boolean "grh"."""
-    def bad(why: str) -> ValueError:
-        return ValueError(f"{where}: {why}")
+class RowError(ValueError):
+    """A row that no honest scan writes: `index` is its position in the
+    stream given to cross_check (from 1), `why` what is wrong with it."""
+
+    def __init__(self, index: int, p, why: str):
+        super().__init__(f"row {index} (p = {p!r}): {why}")
+        self.index, self.why = index, why
+
+
+def check_row(row, index: int, seen: set[int]) -> None:
+    """Raise RowError unless row, the index-th of a stream, is one an
+    honest scan writes: a prime "p" that is not in `seen` (the primes of
+    the rows before it, to which p is added) and, unless it is an error
+    record, a "status" that is one of the three, "d_plus" and "d_minus"
+    each an integer or null, and a boolean "grh"."""
+    p = row.get("p") if isinstance(row, dict) else None
+
+    def bad(why: str) -> RowError:
+        return RowError(index, p, why)
 
     if not isinstance(row, dict):
         raise bad("not a JSON object")
-    p = row.get("p")
     if type(p) is not int:
         raise bad('no integer "p"')
     if not is_prime(p):
         raise bad(f'"p" = {p} is not prime')
-    if seen is not None:
-        if p in seen:
-            raise bad(f"a second row for p = {p}")
-        seen.add(p)
+    if p in seen:
+        raise bad(f"a second row for p = {p}")
+    seen.add(p)
     if "error" in row and "status" not in row:
         return
     if row.get("status") not in (STATUS_RATIONAL, STATUS_NOT_STABLY_RATIONAL, STATUS_UNDETERMINED):
@@ -368,7 +378,7 @@ def cross_check(results: Iterable, fixtures: Optional[FixtureSets] = None) -> Cr
     of each prime are computed once for all three.
 
     Every row is checked by check_row first: a malformed row, or a second
-    row for one prime, raises ValueError naming its position in the stream
+    row for one prime, raises RowError naming its position in the stream
     (from 1) and its "p".
     """
     fx = fixtures or load_fixtures()
@@ -376,10 +386,9 @@ def cross_check(results: Iterable, fixtures: Optional[FixtureSets] = None) -> Cr
     seen: set[int] = set()
     for i, rec in enumerate(results, 1):
         row = rec.to_row() if isinstance(rec, (Verdict, ScanError)) else rec
-        p = row.get("p") if isinstance(row, dict) else None
-        check_row(row, f"row {i} (p = {p!r})", seen)
+        check_row(row, i, seen)
         if "status" in row:  # error records leave their prime uncovered
-            rows[p] = row
+            rows[row["p"]] = row
 
     failures: list[str] = []
     expected = set(fx.result_rows)
