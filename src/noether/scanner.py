@@ -15,9 +15,10 @@ small.  Anything left over is Undetermined.
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cache
 from itertools import groupby
@@ -54,6 +55,10 @@ METHOD_EM_II = "EM_II"
 METHOD_QUADRATIC = "QUADRATIC"
 METHOD_BACKEND = "BACKEND"
 METHOD_CERTIFICATE = "CERTIFICATE"
+# the methods that prove a NotStablyRational verdict whose degrees are both
+# 2, and those that prove one with a degree above 2
+DEGREE_TWO_METHODS = frozenset({METHOD_EM_I, METHOD_EM_II, METHOD_QUADRATIC})
+HIGHER_DEGREE_METHODS = frozenset({METHOD_BACKEND})
 
 # a cost bound on the full-field certificate search: phi(70) = 24 is the
 # largest field degree among the rational primes of the paper's range
@@ -113,17 +118,6 @@ class ScanConfig:
             raise ValueError("parallelism must be >= 1")
 
 
-@contextmanager
-def _client_slot() -> Iterator[list[BackendClient]]:
-    """An empty slot for a backend client, whose child is reaped on exit."""
-    slot: list[BackendClient] = []
-    try:
-        yield slot
-    finally:
-        for client in slot:
-            client.close()
-
-
 def _scan_quadratic(p: int, sides: dict[int, Optional[dict]]) -> None:
     for disc in quadratic_subfield_discs(p - 1):
         for sign, witness in sides.items():
@@ -132,16 +126,13 @@ def _scan_quadratic(p: int, sides: dict[int, Optional[dict]]) -> None:
 
 
 def _scan_backend(p: int, cfg: ScanConfig, sides: dict[int, Optional[dict]],
-                  store: Optional[FieldStore], slot: list[BackendClient]) -> None:
+                  store: Optional[FieldStore], client: BackendClient) -> None:
     """Ask the backend about the subfields of degree 3..max_degree, one
     degree at a time: every field of the degree and every sign still open
     (its witness None) goes out in one batch, and the answers are read in
     order until both signs are proven.  A sign's witness is the first field
     in subfields() order that proves it; a later field of the same degree
     may be asked it too."""
-    if not slot:
-        slot.append(BackendClient(cfg.backend))
-    client = slot[0]
     fields = subfields(p - 1, cfg.max_degree, 3, store)
     for _, same_degree in groupby(fields, key=attrgetter("degree")):
         open_signs = [sign for sign, witness in sides.items() if witness is None]
@@ -171,7 +162,7 @@ def _certified(p: int, g: tuple[int, ...], witness: tuple[int, ...]) -> Verdict:
 
 def classify_prime(p: int, cfg: ScanConfig = ScanConfig(),
                    store: Optional[FieldStore] = None,
-                   slot: Optional[list[BackendClient]] = None) -> Verdict:
+                   client: Optional[BackendClient] = None) -> Verdict:
     """Classify one prime.  See the module docstring for the pipeline; the
     reported d_plus/d_minus are the minimal subfield degrees at which each
     sign was proven impossible, so they do not depend on enumeration order.
@@ -183,10 +174,11 @@ def classify_prime(p: int, cfg: ScanConfig = ScanConfig(),
     meets (EM_I, EM_II), else BACKEND if a degree is above 2, else
     QUADRATIC.
 
-    store and slot are the field store and the backend client slot of the
-    scan this prime belongs to (see cyclotomic.subfields and _classify_all).
-    Without a store every field is built; without a slot the backend stage
-    starts a solver child of its own and reaps it before this returns.
+    store and client are the field store and the backend client of the scan
+    this prime belongs to (see cyclotomic.subfields and _classify_all).
+    Without a store every field is built; without a client the backend
+    stage starts a solver child of its own and reaps it before this
+    returns, so a prime decided before that stage starts none.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -204,8 +196,8 @@ def classify_prime(p: int, cfg: ScanConfig = ScanConfig(),
         raise RuntimeError(f"{p} meets a congruence criterion but has no two-sided degree-2 obstruction")
 
     if cfg.max_degree > 2 and None in sides.values():
-        with _client_slot() if slot is None else nullcontext(slot) as slot:
-            _scan_backend(p, cfg, sides, store, slot)
+        with BackendClient(cfg.backend) if client is None else nullcontext(client) as client:
+            _scan_backend(p, cfg, sides, store, client)
 
     plus, minus = sides[1], sides[-1]
     if plus and minus:
@@ -235,22 +227,22 @@ Record = Union[Verdict, ScanError]
 
 
 def _classify_all(primes: Iterable[int], cfg: ScanConfig) -> Iterator[Record]:
-    """Classify primes through one field store and one backend client slot,
-    whose solver child starts at the first backend prime and is reaped when
-    the generator ends or is closed.  Failures become ScanError records."""
+    """Classify primes through one field store and, above degree 2, one
+    backend client, whose solver child starts with the first record and is
+    reaped when the generator ends or is closed.  Failures of a prime become
+    ScanError records; a backend that cannot be started raises."""
     store = FieldStore()
-    with _client_slot() as slot:
+    with BackendClient(cfg.backend) if cfg.max_degree > 2 else nullcontext() as client:
         for p in primes:
             try:
-                rec: Record = classify_prime(p, cfg, store, slot)
+                rec: Record = classify_prime(p, cfg, store, client)
             except Exception as exc:
                 rec = ScanError(p, f"{type(exc).__name__}: {exc}")
             yield rec
 
 
-def _scan_chunk(args: tuple[list[int], ScanConfig]) -> list[Record]:
-    """Classify one pool task's primes with a store and a client of its own."""
-    primes, cfg = args
+def _scan_task(primes: list[int], cfg: ScanConfig) -> list[Record]:
+    """Classify one pool worker's primes with a store and a client of its own."""
     return list(_classify_all(primes, cfg))
 
 
@@ -262,9 +254,13 @@ def scan(
 ) -> dict:
     """Classify every prime in [frm, to], feed records to sink in ascending
     prime order, and return summary counts.  Per-prime failures become
-    ScanError records; the scan always continues.  The scan owns one field
-    store and one backend client (one each per pool task when parallel),
-    whose child is reaped before it returns, also when the sink raises.
+    ScanError records and the scan continues; a backend command that cannot
+    be started raises BackendUnavailableError before any record.  The scan
+    owns one field store and, above degree 2, one backend client, whose
+    child starts with the scan and is reaped before it returns, also when
+    the sink raises.  With parallelism J, each of min(J, #primes) pool
+    workers classifies every J-th prime with a store and a client of its
+    own, and the sink gets the records once every worker has finished.
     """
     if not 2 <= frm <= to:
         raise ValueError("need 2 <= frm <= to")
@@ -272,13 +268,13 @@ def scan(
     counts: Counter = Counter()
     methods: Counter = Counter()
 
-    if cfg.parallelism == 1:
+    jobs = min(cfg.parallelism, len(primes))
+    if jobs <= 1:
         records: Iterator[Record] = _classify_all(primes, cfg)
     else:
-        pool = ProcessPoolExecutor(max_workers=cfg.parallelism)
-        size = max(1, len(primes) // (cfg.parallelism * 8))
-        tasks = [(primes[i:i + size], cfg) for i in range(0, len(primes), size)]
-        records = (rec for recs in pool.map(_scan_chunk, tasks) for rec in recs)
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            tasks = list(pool.map(_scan_task, [primes[i::jobs] for i in range(jobs)], [cfg] * jobs))
+        records = heapq.merge(*tasks, key=attrgetter("p"))
 
     try:
         for rec in records:
@@ -292,8 +288,6 @@ def scan(
                 sink(rec)
     finally:
         records.close()
-        if cfg.parallelism != 1:
-            pool.shutdown()
     return {
         "primes": len(primes),
         "status": dict(counts),
@@ -322,7 +316,13 @@ def check_row(row, index: int, seen: set[int]) -> None:
     honest scan writes: a prime "p" that is not in `seen` (the primes of
     the rows before it, to which p is added) and, unless it is an error
     record, a "status" that is one of the three, "d_plus" and "d_minus"
-    each an integer or null, and a boolean "grh"."""
+    each an integer or null, a "method" and a boolean "grh", tied to the
+    status:
+    - NotStablyRational: two degrees >= 2; a method in DEGREE_TWO_METHODS
+      when both are 2, else in HIGHER_DEGREE_METHODS; "grh" true only
+      with METHOD_BACKEND;
+    - Rational: null degrees, METHOD_CERTIFICATE, "grh" false;
+    - Undetermined: null degrees, a null method, "grh" false."""
     p = row.get("p") if isinstance(row, dict) else None
 
     def bad(why: str) -> RowError:
@@ -346,6 +346,19 @@ def check_row(row, index: int, seen: set[int]) -> None:
             raise bad(f'no integer or null "{key}"')
     if type(row.get("grh")) is not bool:
         raise bad('no boolean "grh"')
+    if "method" not in row:
+        raise bad('no "method"')
+    status, method, grh = row["status"], row["method"], row["grh"]
+    degrees = (row["d_plus"], row["d_minus"])
+    if status == STATUS_NOT_STABLY_RATIONAL:
+        if None in degrees or min(degrees) < 2:
+            raise bad(f"{status} with degrees {degrees}")
+        if method not in (HIGHER_DEGREE_METHODS if max(degrees) > 2 else DEGREE_TWO_METHODS):
+            raise bad(f"method {method!r} for degrees {degrees}")
+        if grh and method != METHOD_BACKEND:
+            raise bad(f'"grh" true with method {method!r}')
+    elif degrees != (None, None) or grh or method != {STATUS_RATIONAL: METHOD_CERTIFICATE}.get(status):
+        raise bad(f"{status} with degrees {degrees}, method {method!r} and grh {grh}")
 
 
 def _quadratic_obstructions(p: int) -> list[tuple[int, int]]:
@@ -365,7 +378,8 @@ def _quadratic_obstructions(p: int) -> list[tuple[int, int]]:
 def cross_check(results: Iterable, fixtures: Optional[FixtureSets] = None) -> CrossCheckReport:
     """Validate a full scan result stream against the reference data.
 
-    Checks: (a) no known-rational prime is classified NotStablyRational;
+    Checks: (a) no known-rational prime is classified NotStablyRational,
+    and no prime whose reference row has degrees is classified Rational;
     (b) every unconditional NotStablyRational verdict lies outside the
     known-rational and undetermined sets; (c) every prime whose reference
     row is (2, 2, 0) is classified NotStablyRational with degrees (2, 2)
@@ -419,6 +433,9 @@ def cross_check(results: Iterable, fixtures: Optional[FixtureSets] = None) -> Cr
     for p in sorted(rational):
         if rows[p]["status"] == STATUS_NOT_STABLY_RATIONAL:
             failures.append(f"(a) known-rational prime {p} classified NotStablyRational")
+    for p, ref in sorted(fx.result_rows.items()):
+        if isinstance(ref, tuple) and rows[p]["status"] == STATUS_RATIONAL:
+            failures.append(f"(a) prime {p}: reference row {ref} but classified Rational")
 
     for p in sorted(rows):
         row = rows[p]

@@ -232,6 +232,16 @@ def test_cross_check_flags_injected_faults(full_scan):
     assert not any("prime 53: verdict d-" in f for f in rep.failures)
 
 
+def test_cross_check_flags_a_rational_verdict_with_reference_degrees(full_scan):
+    # 53's reference row is (6, 2, 0) and 5987's (2, 8, 0): neither may be Rational
+    forged = [Verdict(v.p, STATUS_RATIONAL, method="CERTIFICATE") if v.p in (53, 5987) else v
+              for v in full_scan]
+    assert cross_check(forged).failures == (
+        "(a) prime 53: reference row (6, 2, 0) but classified Rational",
+        "(a) prime 5987: reference row (2, 8, 0) but classified Rational",
+    )
+
+
 def test_cross_check_rule_e_reads_every_degree_row(full_scan):
     # a reference d_s = 2 that no quadratic subfield bears out, and a
     # reference d_s > 2 where one does, are both flagged; 5987 as transcribed
@@ -266,20 +276,36 @@ def _without(key):
     return lambda row: {k: v for k, v in row.items() if k != key}
 
 
-@pytest.mark.parametrize("malform, p, why", [
-    (lambda row: [row["p"], row["status"]], None, "not a JSON object"),
-    (_without("p"), None, 'no integer "p"'),
-    (_without("grh"), 47, 'no boolean "grh"'),
-    (lambda row: {**row, "p": 4}, 4, '"p" = 4 is not prime'),
-    (lambda row: {**row, "status": "Bogus"}, 47, '"status" \'Bogus\' is none of the three'),
-    (lambda row: {**row, "p": 43}, 43, "a second row for p = 43"),
-], ids=["not-an-object", "no-p", "no-grh", "not-prime", "bogus-status", "second-row"])
-def test_cross_check_rejects_a_malformed_row(full_scan, malform, p, why):
+@pytest.mark.parametrize("target, malform, p, why", [
+    (47, lambda row: [row["p"], row["status"]], None, "not a JSON object"),
+    (47, _without("p"), None, 'no integer "p"'),
+    (47, _without("grh"), 47, 'no boolean "grh"'),
+    (47, lambda row: {**row, "p": 4}, 4, '"p" = 4 is not prime'),
+    (47, lambda row: {**row, "status": "Bogus"}, 47, '"status" \'Bogus\' is none of the three'),
+    (47, lambda row: {**row, "p": 43}, 43, "a second row for p = 43"),
+    # rows of the right shape whose status, degrees, method and grh disagree
+    (53, lambda row: {**row, "status": STATUS_NOT_STABLY_RATIONAL}, 53,
+     "NotStablyRational with degrees (None, None)"),
+    (53, _without("method"), 53, 'no "method"'),
+    (53, lambda row: {**row, "d_plus": 6, "d_minus": 2}, 53,
+     "Undetermined with degrees (6, 2), method None and grh False"),
+    (47, lambda row: {**row, "method": "Bogus"}, 47, "method 'Bogus' for degrees (2, 2)"),
+    (5507, lambda row: {**row, "status": STATUS_NOT_STABLY_RATIONAL, "d_plus": 8, "d_minus": 8,
+                        "method": "QUADRATIC"}, 5507, "method 'QUADRATIC' for degrees (8, 8)"),
+    (47, lambda row: {**row, "grh": True}, 47, '"grh" true with method \'EM_I\''),
+    (5, lambda row: {**row, "method": None}, 5,
+     "Rational with degrees (None, None), method None and grh False"),
+], ids=["not-an-object", "no-p", "no-grh", "not-prime", "bogus-status", "second-row",
+        "nsr-without-degrees", "no-method", "undetermined-with-degrees", "bogus-method", "quadratic-above-2",
+        "grh-without-backend", "rational-without-certificate"])
+def test_cross_check_rejects_a_malformed_row(full_scan, target, malform, p, why):
     # a full set of rows, one of them malformed: invalid input raises
     # ValueError naming the row's position and p, never a KeyError
     rows = [v.to_row() for v in full_scan]
-    i = next(i for i, row in enumerate(rows) if row["p"] == 47)
-    assert rows[i]["status"] == STATUS_NOT_STABLY_RATIONAL
+    i = next(i for i, row in enumerate(rows) if row["p"] == target)
+    honest = {5: STATUS_RATIONAL, 47: STATUS_NOT_STABLY_RATIONAL,
+              53: STATUS_UNDETERMINED, 5507: STATUS_UNDETERMINED}
+    assert rows[i]["status"] == honest[target]
     rows[i] = malform(rows[i])
     with pytest.raises(ValueError, match=re.escape(f"row {i + 1} (p = {p!r}): {why}")):
         cross_check(rows)
@@ -395,7 +421,7 @@ def test_a_sign_proven_mid_degree_keeps_its_first_field():
     assert [len(polys) for polys in by_degree.values()] == [1, 7, 3, 3]
     # +p fails in every field of degree 4, -p only in the last of degree 6
     stub = StubClient({(g, p) for g in by_degree[4]} | {(by_degree[6][-1], -p)})
-    v = classify_prime(p, ScanConfig(max_degree=8, backend="unused"), None, [stub])
+    v = classify_prime(p, ScanConfig(max_degree=8, backend="unused"), None, stub)
 
     assert (v.status, v.method, v.d_plus, v.d_minus) == (STATUS_NOT_STABLY_RATIONAL, "BACKEND", 4, 6)
     assert v.witnesses["plus"]["minpoly"] == list(by_degree[4][0])
@@ -519,8 +545,25 @@ def test_parallel_scan_reaps_every_child(monkeypatch, tmp_path):
     monkeypatch.setattr(BackendClient, "__init__", recording_init)
     scan(5400, 5600, ScanConfig(max_degree=8, backend=fake_backend("scripted"), parallelism=2))
     started = [int(pid) for pid in pids.read_text().split()]
-    assert started
+    assert len(started) == 2, "one solver child per worker"
     assert [pid for pid in started if os.path.exists(f"/proc/{pid}")] == []
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_an_unstartable_backend_fails_the_scan(jobs, tmp_path, capsys):
+    from noether.cli import main
+
+    cfg = ScanConfig(max_degree=8, backend="/nonexistent/solver", parallelism=int(jobs))
+    rows = []
+    with pytest.raises(BackendUnavailableError, match="cannot start backend"):
+        scan(2, 60, cfg, rows.append)
+    assert rows == []
+
+    out = tmp_path / "scan.jsonl"
+    assert main(["scan", "--from", "2", "--to", "60", "--max-degree", "8", "--jobs", jobs,
+                 "--backend", "/nonexistent/solver", "--out", str(out)]) == 2
+    assert out.read_text() == ""
+    assert "cannot start backend" in capsys.readouterr().err
 
 
 def test_lone_classify_reaps_its_child(monkeypatch):
