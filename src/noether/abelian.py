@@ -1,7 +1,10 @@
 """Structure of (Z/nZ)* and enumeration of its subgroups.
 
-The unit group is presented in invariant-factor form (orders d_1, d_2, ...
-with d_{i+1} | d_i, one explicit generator per factor). Subgroups are
+The unit group is presented by its CRT component generators: a
+primitive root at each odd prime power q^e ∥ n, and at 2^e ∥ n none
+(e = 1), 3 (e = 2) or -1 then 3 (e >= 3), each lifted to be 1 modulo the
+other prime powers. Their orders d_1, d_2, ... need not form a
+divisibility chain, and nothing needs one. Subgroups are
 encoded as Hermite-normal-form bases of the integer lattices sitting
 between diag(d)*Z^k and Z^k; HNF is canonical per lattice, so enumeration
 is duplicate-free by construction.
@@ -11,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from math import lcm
+from math import lcm, prod
 
 from .arith import divisors, element_of_order, euler_phi, factor
 
@@ -19,12 +22,12 @@ from .arith import divisors, element_of_order, euler_phi, factor
 def _primary_components(n: int) -> list[tuple[int, int]]:
     """Cyclic decomposition of (Z/nZ)* as (order, generator mod n) pairs.
 
-    One or two components per prime power q^e in n, combined through CRT so
-    each generator is a residue mod n that is 1 modulo the other prime
-    powers: a primitive root at odd q; none at 2, -1 (written 3) at 4, and
-    -1 then 3 at 2^e for e >= 3.
+    One or two components per prime power q^e ∥ n, in the order of the
+    primes, each lifted through CRT to the residue mod n that is 1 modulo
+    the other prime powers: a primitive root at odd q; none at 2, -1
+    (written 3) at 4, and -1 then 3 at 2^e for e >= 3.
     """
-    parts = []  # (modulus q^e, [(order, generator mod q^e), ...])
+    out = []
     for q, e in factor(n):
         m = q**e
         if q == 2:
@@ -38,121 +41,59 @@ def _primary_components(n: int) -> list[tuple[int, int]]:
             g = element_of_order(q - 1, q)  # the least primitive root
             if e > 1 and pow(g, q - 1, q * q) == 1:
                 g += q
-            gens = [(euler_phi(m), g % m)]
-        parts.append((m, gens))
-
-    out = []
-    for m, gens in parts:
+            gens = [(euler_phi(m), g)]
         rest = n // m
-        for order, g in gens:
-            if rest == 1:
-                out.append((order, g % n))
-            else:
-                # CRT lift: ≡ g (mod m), ≡ 1 (mod n/m)
-                inv = pow(rest, -1, m)
-                lifted = (1 + rest * ((g - 1) * inv % m)) % n
-                out.append((order, lifted))
+        inv = pow(rest, -1, m)
+        out += [(order, (1 + rest * ((g - 1) * inv % m)) % n) for order, g in gens]
     return out
 
 
 @dataclass(frozen=True)
 class UnitGroup:
-    """Invariant-factor presentation of (Z/nZ)*.
-
-    components holds, for each CRT component generator c of
-    _primary_components(n) in its order, the pair (c, v) with v the
-    exponent vector of c over the invariant-factor generators.
-
-    Construction checks what every subgroup lattice rests on: the orders
-    multiply to φ(n) and form a divisibility chain d_1, d_2, ... with
-    d_(i+1) | d_i; and each v evaluates back to its c, ∏ g_i^(v_i) ≡ c
-    (mod n)."""
+    """(Z/nZ)* presented by the CRT component generators of
+    _primary_components(n), in its order: generators[i] has order
+    cyclic_orders[i], and each unit is exactly one product ∏ g_i^(c_i),
+    0 <= c_i < d_i, as the orders multiply to φ(n) and the generators are
+    independent:
+    - by CRT, those of different q^e ∥ n are each ≡ 1 modulo the other
+      prime powers;
+    - at 2^e, <-1> ∩ <3> = 1, because every power of 3 is ≡ 1 (mod 4).
+    Construction checks what every subgroup lattice rests on, with raises
+    that python -O keeps: the orders multiply to φ(n), and each generator
+    has exactly its stated order."""
 
     n: int
     cyclic_orders: tuple[int, ...]
     generators: tuple[int, ...]
-    components: tuple[tuple[int, tuple[int, ...]], ...] = ()
 
     def __post_init__(self):
         if self.order != euler_phi(self.n):
             raise ArithmeticError(
-                f"invariant factors {self.cyclic_orders} of (Z/{self.n})* do not multiply to φ(n)")
-        for a, b in zip(self.cyclic_orders, self.cyclic_orders[1:]):
-            if a % b:
-                raise ArithmeticError(
-                    f"invariant factors {self.cyclic_orders} of (Z/{self.n})* are no divisibility chain")
-        for c, v in self.components:
-            value = 1
-            for base, e in zip(self.generators, v):
-                value = value * pow(base, e, self.n) % self.n
-            if len(v) != len(self.generators) or value != c:
-                raise ArithmeticError(
-                    f"exponent vector {v} of the component {c} of (Z/{self.n})* gives {value}")
+                f"cyclic orders {self.cyclic_orders} of (Z/{self.n})* do not multiply to φ(n)")
+        for d, g in zip(self.cyclic_orders, self.generators):
+            if pow(g, d, self.n) != 1 or any(pow(g, d // q, self.n) == 1 for q, _ in factor(d)):
+                raise ArithmeticError(f"generator {g} of (Z/{self.n})* does not have order {d}")
 
     @property
     def order(self) -> int:
-        out = 1
-        for d in self.cyclic_orders:
-            out *= d
-        return out
+        return prod(self.cyclic_orders)
 
 
 @lru_cache(maxsize=None)
 def unit_group(n: int) -> UnitGroup:
-    """Canonical invariant-factor decomposition of (Z/nZ)* with generators,
-    and the exponent vector of each CRT component generator c over them.
-
-    The invariant factor d_i collects, over the primes r, the i-th largest
-    r-piece c^(o/r^a) of the components (o = ord c), and g_i their product.
-    As c = ∏_r (c^(o/r^a))^(t_r) with t_r = (o/r^a)^(-1) mod r^a, and the
-    r-piece in slot i is g_i^(ε) for ε the idempotent of Z/d_i for r^a
-    (ε ≡ 1 mod r^a, ε ≡ 0 mod d_i/r^a), entry i of c's vector is the sum
-    of t_r·ε mod d_i over c's pieces in slot i.
-    """
+    """(Z/nZ)* presented by the CRT component generators of
+    _primary_components(n) (n >= 3, so there is at least one)."""
     if n < 3:
         raise ValueError("unit_group() requires n >= 3")
-    comps = _primary_components(n)
-
-    # group the prime-power pieces by prime, largest exponents first
-    by_prime: dict[int, list[tuple[int, int, int]]] = {}
-    for j, (order, g) in enumerate(comps):
-        for q, a in factor(order):
-            qa = q**a
-            # element of order q^a inside the cyclic group generated by g
-            by_prime.setdefault(q, []).append((qa, pow(g, order // qa, n), j))
-    for q in by_prime:
-        by_prime[q].sort(key=lambda t: -t[0])
-
-    k = max(len(v) for v in by_prime.values()) if by_prime else 0
-    orders, gens = [], []
-    for i in range(k):
-        d = 1
-        g = 1
-        for q, pieces in by_prime.items():
-            if i < len(pieces):
-                qa, elem, _ = pieces[i]
-                d *= qa
-                g = g * elem % n
-        orders.append(d)
-        gens.append(g)
-    if not orders:  # n = 3, 4, 6 have nontrivial groups; only n<3 is trivial
-        orders, gens = [1], [1]
-    vectors = [[0] * len(orders) for _ in comps]
-    for pieces in by_prime.values():
-        for i, (qa, _, j) in enumerate(pieces):
-            rest = orders[i] // qa
-            t = pow(comps[j][0] // qa, -1, qa)
-            eps = rest * pow(rest, -1, qa)
-            vectors[j][i] = (vectors[j][i] + t * eps) % orders[i]
-    components = tuple((c, tuple(v)) for (_, c), v in zip(comps, vectors))
-    return UnitGroup(n, tuple(orders), tuple(gens), components)
+    orders, gens = zip(*_primary_components(n))
+    return UnitGroup(n, orders, gens)
 
 
 @dataclass(frozen=True)
 class Subgroup:
     """A subgroup of (Z/nZ)*, encoded by an upper-triangular HNF basis.
 
-    Rows of hnf are exponent vectors over the invariant-factor generators;
+    Rows of hnf are exponent vectors over the generators of the unit group;
     the row lattice contains diag(cyclic_orders)*Z^k. Entry (i, j) for j > i
     lies in [0, hnf[j][j]).
     """

@@ -82,28 +82,39 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
+    # the output is opened, and a CSV header written, at the first record or
+    # at the end of a scan with none: a scan that fails before its first
+    # record leaves --out as it was
     cfg = _config(args, jobs=args.jobs)
-    out = open(args.out, "w") if args.out else sys.stdout
-    try:
+    out = writer = None
+
+    def start() -> None:
+        nonlocal out, writer
+        out = open(args.out, "w") if args.out else sys.stdout
         if args.format == "csv":
             writer = csv.writer(out)
             writer.writerow(ROW_FIELDS)
 
-            def sink(rec) -> None:
-                if isinstance(rec, ScanError):
-                    writer.writerow([rec.p, "Error", "", "", rec.error, ""])
-                else:
-                    row = rec.to_row()
-                    writer.writerow([row[f] for f in ROW_FIELDS])
-
+    def csv_sink(rec) -> None:
+        if out is None:
+            start()
+        if isinstance(rec, ScanError):
+            writer.writerow([rec.p, "Error", "", "", rec.error, ""])
         else:
+            row = rec.to_row()
+            writer.writerow([row[f] for f in ROW_FIELDS])
 
-            def sink(rec) -> None:
-                out.write(json.dumps(rec.to_row()) + "\n")
+    def jsonl_sink(rec) -> None:
+        if out is None:
+            start()
+        out.write(json.dumps(rec.to_row()) + "\n")
 
-        summary = scan(args.frm, args.to, cfg, sink)
+    try:
+        summary = scan(args.frm, args.to, cfg, csv_sink if args.format == "csv" else jsonl_sink)
+        if out is None:
+            start()
     finally:
-        if args.out:
+        if args.out and out is not None:
             out.close()
     print(json.dumps(summary), file=sys.stderr)
     return 0
@@ -129,8 +140,14 @@ def _cmd_subfields(args: argparse.Namespace) -> int:
 def _cmd_cross_check(args: argparse.Namespace) -> int:
     with open(args.results) as fh:
         lines = [(lineno, line) for lineno, line in enumerate(fh, 1) if line.strip()]
+    rows = []
+    for lineno, line in lines:
+        try:
+            rows.append(json.loads(line))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"results line {lineno}: not JSON ({exc})") from None
     try:
-        report = cross_check([json.loads(line) for _, line in lines])
+        report = cross_check(rows)
     except RowError as exc:  # name the file's line, not the row's position
         raise ValueError(f"results line {lines[exc.index - 1][0]}: {exc.why}") from None
     for failure in report.failures:

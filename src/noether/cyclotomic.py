@@ -109,36 +109,32 @@ def _top_kernels(g: UnitGroup) -> list[list[tuple[int, ...]]]:
 
     For 0 <= a <= e, K_q(a) is the group of units u ≡ 1 (mod n/q^e) with
     u ≡ 1 (mod q^a). Its generators are words in the CRT component
-    generators of q, the c ≡ 1 (mod n/q^e) of UnitGroup.components, whose
-    exponent vectors the unit group records:
+    generators of q, the generators c_i of g with c_i ≡ 1 (mod n/q^e),
+    whose exponent vectors are the unit vectors e_i:
     - K_q(0) ≅ (Z/q^e)* is generated by the components of q (none at
       q^e = 2, where it is trivial);
     - at odd q, for 1 <= a < e, K_q(a) is the subgroup of order q^(e-a) of
       the cyclic K_q(0) = <c_q>, so it is generated by c_q^((q-1)q^(a-1));
-    - at q = 2, with -1 and 3 the components (-1 alone, written 3, when
-      e = 2), K_2(1) = K_2(0) = <-1, 3> as every unit is odd. For a >= 2,
-      a unit u with v₂(u - 1) = a generates the cyclic group of the units
-      ≡ 1 (mod 2^a), of order 2^(e-a). So K_2(2) = <-3>, as v₂(-3 - 1) = 2,
-      and K_2(a) = <3^(2^(a-2))> for 3 <= a < e, as v₂(3^(2^m) - 1) = m + 2
-      for m >= 1.
+    - at q = 2, with -1 and 3 the components in that order (-1 alone,
+      written 3, when e = 2), K_2(1) = K_2(0) = <-1, 3> as every unit is
+      odd. For a >= 2, a unit u with v₂(u - 1) = a generates the cyclic
+      group of the units ≡ 1 (mod 2^a), of order 2^(e-a). So
+      K_2(2) = <-3>, as v₂(-3 - 1) = 2, and K_2(a) = <3^(2^(a-2))> for
+      3 <= a < e, as v₂(3^(2^m) - 1) = m + 2 for m >= 1.
     """
-    n, d = g.n, g.cyclic_orders
-
-    def power(v: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
-        return [tuple(x * k % di for x, di in zip(v, d))]
-
     out = []
-    for q, e in factor(n):
-        rest = n // q**e
-        comps = [v for c, v in g.components if (c - 1) % rest == 0]
+    for q, e in factor(g.n):
+        rest = g.n // q**e
+        unit = [tuple(int(j == i) for j in range(len(g.generators)))
+                for i, c in enumerate(g.generators) if (c - 1) % rest == 0]
         if e == 1 or (q, e) == (2, 2):
-            out.append(comps)
+            out.append(unit)
         elif q > 2:
-            out.append(power(comps[0], (q - 1) * q ** (e - 2)))
+            out.append([tuple(x * (q - 1) * q ** (e - 2) for x in unit[0])])
         elif e == 3:
-            out.append([tuple(x + y for x, y in zip(*comps))])  # -3 = -1 · 3
+            out.append([tuple(x + y for x, y in zip(*unit))])  # -3 = -1 · 3
         else:
-            out.append(power(comps[1], 2 ** (e - 3)))
+            out.append([tuple(x * 2 ** (e - 3) for x in unit[1])])
     return out
 
 
@@ -151,8 +147,9 @@ def _primitive(h: Subgroup, kernels: list[list[tuple[int, ...]]]) -> bool:
     of subgroups lies in h iff each factor does. K_q(a) shrinks as a grows
     and K_q(e) is trivial, so h holds the kernel of some proper divisor iff
     it holds one K_q(e - 1), kernels = _top_kernels(h.group). A subgroup
-    lies in h iff its generators do, which forward substitution in h's HNF
-    decides (Subgroup.contains). As K_2(0) is trivial at q^e = 2, no
+    lies in h iff its generators do: each is a power or product of q's own
+    component generators, and forward substitution in h's HNF decides its
+    exponent vector (Subgroup.contains). As K_2(0) is trivial at q^e = 2, no
     modulus ≡ 2 (mod 4) is ever a conductor."""
     return not any(all(h.contains(v) for v in gens) for gens in kernels)
 

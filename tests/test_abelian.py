@@ -1,5 +1,6 @@
 import re
-from math import gcd
+from itertools import product
+from math import gcd, lcm
 
 import pytest
 
@@ -11,6 +12,7 @@ from oracles import (
     all_subgroups_brute,
     closure,
     hnf_subgroup_closure,
+    naive_factor,
     subgroups_exhaustive,
     unit_residues,
 )
@@ -27,13 +29,32 @@ def test_unit_group_rejects_small():
         unit_group(2)
 
 
+def assert_crt_shape(n, g):
+    """Each generator of g is ≡ 1 modulo n/q^e for exactly one q^e ∥ n,
+    the components of each q^e come together and in the order of the
+    primes, one at odd q^e and at 4, none at 2, and at 2^e >= 8 two,
+    ≡ -1 and ≡ 3 (mod 2^e) in that order."""
+    parts = [q**e for q, e in naive_factor(n)]
+    owners = []
+    for c in g.generators:
+        mine = [m for m in parts if (c - 1) % (n // m) == 0]
+        assert len(mine) == 1, (n, c, mine)
+        owners.append(mine[0])
+    assert owners == sorted(owners, key=parts.index), (n, g.generators)
+    for m in parts:
+        mine = [c % m for c, owner in zip(g.generators, owners) if owner == m]
+        if m % 2:
+            assert len(mine) == 1, (n, m, mine)
+        else:
+            assert mine == {2: [], 4: [3]}.get(m, [m - 1, 3]), (n, m, mine)
+
+
 def test_unit_group_structure_small():
     for n in range(3, 120):
         g = unit_group(n)
         assert g.order == euler_phi(n)
-        for a, b in zip(g.cyclic_orders, g.cyclic_orders[1:]):
-            assert a % b == 0
-        # generator orders are exactly the claimed invariant factors
+        assert_crt_shape(n, g)
+        # generator orders are exactly the claimed cyclic orders
         for d, gen in zip(g.cyclic_orders, g.generators):
             assert pow(gen, d, n) == 1
             for q in {q for q, _ in factor(d)}:
@@ -44,39 +65,38 @@ def test_unit_group_structure_small():
 
 def test_unit_group_direct_product():
     # every unit is a unique product of generator powers
-    for n in (15, 16, 20, 24, 35, 40, 63, 100):
+    for n in range(3, 200):
         g = unit_group(n)
         seen = set()
         exps = [range(d) for d in g.cyclic_orders]
-        from itertools import product as iproduct
-
-        for combo in iproduct(*exps):
+        for combo in product(*exps):
             val = 1
             for e, base in zip(combo, g.generators):
                 val = val * pow(base, e, n) % n
             seen.add(val)
-        assert len(seen) == g.order
-        assert seen == set(unit_residues(n))
+        assert len(seen) == g.order, n
+        assert seen == set(unit_residues(n)), n
 
 
-def test_component_vectors_evaluate_to_their_generators():
+def test_generators_are_the_crt_components():
     for n in range(3, 2001):
         g = unit_group(n)
-        assert [c for c, _ in g.components] == [c for _, c in abelian._primary_components(n)], n
-        for c, v in g.components:
-            assert len(v) == len(g.cyclic_orders), (n, c)
-            value = 1
-            for e, base, d in zip(v, g.generators, g.cyclic_orders):
-                assert 0 <= e < d, (n, c, v)
-                value = value * pow(base, e, n) % n
-            assert value == c, (n, c, v)
+        assert list(zip(g.cyclic_orders, g.generators)) == abelian._primary_components(n), n
+        assert_crt_shape(n, g)
+
+
+def test_unit_group_checks_hold_on_the_scan_range():
+    # every conductor a scan of 2..20000 meets divides some p - 1 < 20000
+    for n in range(3, 20000):
+        g = unit_group(n)
+        assert g.n == n and g.order == euler_phi(n)
 
 
 def test_subgroup_count_examples():
     assert len(subgroups(unit_group(46))) == 4  # cyclic of order 22
     assert len(subgroups(unit_group(8))) == 5  # C2 x C2
-    assert len(subgroups(unit_group(16))) == 8  # C4 x C2: orders [4,2]
-    assert unit_group(16).cyclic_orders == (4, 2)
+    assert len(subgroups(unit_group(16))) == 8  # C2 x C4: <-1> and <3>
+    assert unit_group(16).cyclic_orders == (2, 4)
 
 
 def test_subgroup_indices_of_cyclic_22():
@@ -102,10 +122,14 @@ def test_subgroups_deterministic_order():
 def test_subgroups_match_exhaustive_enumeration():
     # every candidate HNF tried against diag(d): the same lattices in the
     # same order, capped and uncapped, and a memo hit equals a fresh call
-    memo, oracle = {}, {}
+    memo, oracle, keys, calls = {}, {}, set(), 0
     for n in range(3, 2000):
         g = unit_group(n)
         for cap in (1, 2, 3, 4, 6, 8, 12) + ((None,) if n <= 200 else ()):
+            c = g.order if cap is None else cap
+            ell = lcm(*range(1, c + 1))
+            keys.add((c, tuple(gcd(d, ell) for d in g.cyclic_orders)))
+            calls += 1
             key = (g.cyclic_orders, cap)  # the oracle's answer depends on no more
             if key not in oracle:
                 oracle[key] = subgroups_exhaustive(*key)
@@ -113,8 +137,9 @@ def test_subgroups_match_exhaustive_enumeration():
             assert [h.hnf for h in subgroups(g, cap)] == expected, (n, cap)
             assert [h.hnf for h in subgroups(g, cap, memo)] == expected, (n, cap)
             assert all(h.group is g for h in subgroups(g, cap, memo)), (n, cap)
-    # the moduli below 2000 share far fewer reduced orders than moduli
-    assert len(memo) < 1000
+    # one HNF list per (cap, gcd(d_j, lcm(1..cap))_j), which moduli share
+    assert set(memo) == keys
+    assert len(keys) < calls
 
 
 def test_subgroup_memo_is_keyed_by_the_reduced_orders():
@@ -189,12 +214,10 @@ _BROKEN_GROUPS = {
     # components of total order 2 for (Z/15)*, of order 8
     "product": ("abelian._primary_components = lambda n: [(2, n - 1)]\n"
                 "abelian.unit_group.__wrapped__(15)",
-                "invariant factors (2,) of (Z/15)* do not multiply to φ(n)"),
-    "chain": ("abelian.UnitGroup(15, (2, 4), (14, 2))",
-              "invariant factors (2, 4) of (Z/15)* are no divisibility chain"),
-    # unit_group(15) records 7 as (1, 0) over the generators (7, 11)
-    "vector": ("abelian.UnitGroup(15, (4, 2), (7, 11), ((11, (0, 1)), (7, (1, 1))))",
-               "exponent vector (1, 1) of the component 7 of (Z/15)* gives 2"),
+                "cyclic orders (2,) of (Z/15)* do not multiply to φ(n)"),
+    # 4 has order 2 mod 15, not 4
+    "order": ("abelian.UnitGroup(15, (2, 4), (11, 4))",
+              "generator 4 of (Z/15)* does not have order 4"),
 }
 
 

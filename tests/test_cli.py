@@ -92,6 +92,8 @@ _GOLDEN_SCANS = {
     (2, 800, 8): "88c359be968d16c73a18128585cafc701a277ff26b540c31432602f6be37d740",
     (5500, 5508, 8): "7c89c34c257774c909360c3a76b7372e874a6a289a58a3646405699cc21f93f6",
     (19800, 19960, 12): "00ba882cfebe643e9e4b12fa17542336a9cbdd4592cdd782a22d0d354b2f7b22",
+    # every conductor up to 20000 at cap 8
+    (2, 20000, 8): "8a501a2ef995d8da37c769ec82fcc31c13ff15461c0773ede47dec650b7c7412",
 }
 
 
@@ -115,6 +117,13 @@ def test_scan_csv_to_file(tmp_path, capsys):
     assert lines[0] == "p,status,d_plus,d_minus,method,grh"
     assert len(lines) == 16  # header + the 15 primes up to 50
     assert lines[1].startswith("2,Rational")
+
+
+def test_scan_without_primes_writes_a_csv_header(tmp_path, capsys):
+    out = tmp_path / "results.csv"
+    assert main(["scan", "--from", "24", "--to", "28", "--format", "csv", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_text().splitlines() == ["p,status,d_plus,d_minus,method,grh"]
 
 
 def test_em_tables_output(capsys):
@@ -174,3 +183,14 @@ def test_cross_check_rejects_a_malformed_row(row, why, tmp_path, capsys):
     assert main(["cross-check", "--results", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and f"noether: results line 3: {why}" in captured.err
+
+
+def test_cross_check_names_a_line_that_is_not_json(tmp_path, capsys):
+    # a CSV scan output is not a results file: its header is line 1
+    path = tmp_path / "results.csv"
+    assert main(["scan", "--from", "2", "--to", "50", "--format", "csv", "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["cross-check", "--results", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "noether: results line 1: not JSON (Expecting value: line 1 column 1 (char 0))" in captured.err

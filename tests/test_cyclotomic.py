@@ -264,7 +264,7 @@ def test_minpoly_squarefree_and_degree_for_small_moduli():
             assert discriminant(list(desc.minpoly)) != 0
 
 
-def test_degree2_counts_match_even_invariant_factors():
+def test_degree2_counts_match_even_cyclic_orders():
     for n in (5, 8, 12, 15, 16, 24, 46, 60, 100):
         g = unit_group(n)
         t = sum(1 for d in g.cyclic_orders if d % 2 == 0)

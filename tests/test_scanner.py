@@ -559,10 +559,13 @@ def test_an_unstartable_backend_fails_the_scan(jobs, tmp_path, capsys):
         scan(2, 60, cfg, rows.append)
     assert rows == []
 
+    # the results of an earlier scan survive one that fails before its first record
     out = tmp_path / "scan.jsonl"
+    earlier = '{"p": 2, "error": "timeout"}\n'
+    out.write_text(earlier)
     assert main(["scan", "--from", "2", "--to", "60", "--max-degree", "8", "--jobs", jobs,
                  "--backend", "/nonexistent/solver", "--out", str(out)]) == 2
-    assert out.read_text() == ""
+    assert out.read_text() == earlier
     assert "cannot start backend" in capsys.readouterr().err
 
 
