@@ -13,10 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
-from math import lcm, prod
+from math import gcd, lcm, prod
 
-from .arith import divisors, element_of_order, euler_phi, factor
+from .arith import divisors, element_of_order, euler_phi, factor, power_table
 
 
 def _primary_components(n: int) -> list[tuple[int, int]]:
@@ -117,21 +116,20 @@ class Subgroup:
 
     def contains(self, v) -> bool:
         """Does h hold the unit with exponent vector v (over the generators
-        of the unit group)?
-
-        Solves sum_i c_i row_i = v in the HNF by forward substitution:
-        column m involves only rows i <= m, so c_m is forced and must be an
-        integer."""
-        coeff = []
+        of the unit group)? Iff _clear_column clears every column of v."""
         for m, row in enumerate(self.hnf):
-            s = v[m]
-            for c, above in zip(coeff, self.hnf):
-                s -= c * above[m]
-            c, r = divmod(s, row[m])
-            if r:
+            v = _clear_column(v, row, m)
+            if v is None:
                 return False
-            coeff.append(c)
         return True
+
+
+def _clear_column(v, row, m: int):
+    """v less the multiple of HNF row m that clears column m, or None when
+    its pivot does not divide v[m]: rows below m are zero up to column m,
+    so with columns 0..m-1 cleared, only row m can clear column m."""
+    a, r = divmod(v[m], row[m])
+    return None if r else [x - a * y for x, y in zip(v, row)] if a else v
 
 
 def _reduced_orders(d: tuple[int, ...], cap: int) -> tuple[int, ...]:
@@ -145,13 +143,16 @@ def _hnfs(d: tuple[int, ...], cap: int) -> list[tuple[tuple[int, ...], ...]]:
     """The HNF bases of the lattices of index <= cap between diag(d)·Z^k
     and Z^k, ordered by index then lexicographically.
 
-    Rows are placed from the bottom. Row j has its pivot h_j | d_j in
-    column j and entries in [0, h_m) in the columns m > j, and it is kept
-    only if d_j·e_j lies in the span of rows j..k-1: rows above j have a
-    nonzero entry left of column j, so they cannot take part, and forward
-    substitution over columns j+1..k-1 decides it. Once every row is
-    placed, every d_j·e_j is in the lattice. A branch stops once the
-    product of its pivots exceeds cap.
+    Rows are placed from the bottom. Row j has its pivot h | d_j in column
+    j and entries t_m in [0, h_m) in the columns m > j, and d_j·e_j must
+    lie in the span of rows j..k-1; rows above j, nonzero left of column j,
+    cannot take part, so with c = d_j / h the tail c·t must lie in the span
+    of rows j+1..k-1. It is solved column by column, by the reduction of
+    Subgroup.contains: with w the residual so far, c·t_m + w_m must be a
+    multiple of h_m, so for g = gcd(c, h_m) there is no t_m unless g | w_m,
+    and else g of them, t_m ≡ -(w_m / g)·(c / g)^-1 (mod h_m / g). Once
+    every row is placed, every d_j·e_j is in the lattice. A branch stops
+    once the product of its pivots exceeds cap.
     """
     k = len(d)
     rows: list[tuple[int, ...]] = [()] * k
@@ -165,17 +166,18 @@ def _hnfs(d: tuple[int, ...], cap: int) -> list[tuple[tuple[int, ...], ...]]:
             if index * h > cap:
                 break
             c = d[j] // h
-            for tail in product(*(range(rows[m][m]) for m in range(j + 1, k))):
-                # d_j e_j - c·row_j must lie in the span of rows j+1..k-1
-                coeff = []
-                for m in range(j + 1, k):
-                    s = -c * tail[m - j - 1] - sum(a * rows[i][m] for a, i in zip(coeff, range(j + 1, m)))
-                    if s % rows[m][m]:
-                        break
-                    coeff.append(s // rows[m][m])
-                else:
-                    rows[j] = (0,) * j + (h,) + tail
-                    place(j - 1, index * h)
+            tails = [((), [0] * k)]  # (tail so far, residual)
+            for m in range(j + 1, k):
+                row = rows[m]
+                g = gcd(c, row[m])
+                step = row[m] // g
+                inv = pow(c // g, -1, step)
+                tails = [(tail + (t,), _clear_column(w[:m] + [w[m] + c * t] + w[m + 1:], row, m))
+                         for tail, w in tails if w[m] % g == 0
+                         for t in range(-w[m] // g * inv % step, row[m], step)]
+            for tail, _ in tails:
+                rows[j] = (0,) * j + (h,) + tail
+                place(j - 1, index * h)
 
     place(k - 1, 1)
     found.sort()
@@ -204,6 +206,16 @@ def subgroups(g: UnitGroup, max_index: int | None = None,
     return [Subgroup(g, hnf) for hnf in memo[cap, d]]
 
 
+def _box(bases, sizes, n: int) -> list[int]:
+    """∏ b_i^(c_i) mod n over 0 <= c_i < n_i, the last base varying
+    fastest."""
+    out = [1]
+    for base, size in zip(bases, sizes):
+        powers = power_table(base, size, n)
+        out = [x * y % n for x in out for y in powers]
+    return out
+
+
 def subgroup_elements(h: Subgroup) -> list[int]:
     """Residues mod n in the subgroup, sorted ascending.
 
@@ -214,17 +226,21 @@ def subgroup_elements(h: Subgroup) -> list[int]:
     distinct c_i give distinct values mod d_i. The map is injective and
     both sides have |h| = prod m_i elements.
     """
-    g = h.group
-    n = g.n
-    out = [1]
-    for i, row in enumerate(h.hnf):
-        img = 1
-        for e, base in zip(row, g.generators):
-            img = img * pow(base, e, n) % n
-        powers = [1]
-        for _ in range(g.cyclic_orders[i] // row[i] - 1):
-            powers.append(powers[-1] * img % n)
-        out = [x * y % n for x in out for y in powers]
+    g, n = h.group, h.group.n
+    images = [prod(pow(base, e, n) for e, base in zip(row, g.generators)) % n for row in h.hnf]
+    out = _box(images, [d // row[i] for i, (d, row) in enumerate(zip(g.cyclic_orders, h.hnf))], n)
     if len(out) != h.order:
         raise ArithmeticError(f"HNF {h.hnf} mod {n} gives {len(out)} elements, not {h.order}")
     return sorted(out)
+
+
+def coset_representatives(h: Subgroup) -> list[int]:
+    """∏ g_i^(c_i) mod n = h.group.n over 0 <= c_i < hnf[i][i], the g_i the
+    generators of the unit group: one unit per coset of h.
+
+    The box of the HNF diagonal is a transversal of the row lattice of an
+    upper-triangular basis (reduce an exponent vector column by column;
+    two box vectors differing by a lattice vector agree column by column),
+    and that lattice is h in exponent form.
+    """
+    return _box(h.group.generators, [row[i] for i, row in enumerate(h.hnf)], h.group.n)

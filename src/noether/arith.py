@@ -1,5 +1,6 @@
 """Elementary integer arithmetic: primality, factorization, units of a
-given order and square roots modulo a prime.
+given order modulo split primes, power tables and square roots modulo a
+prime.
 
 Everything here is exact integer arithmetic; no floating point. Primality is
 deterministic for the full range handled by the pipeline (inputs < 2^64).
@@ -150,6 +151,28 @@ def element_of_order(f: int, ell: int) -> int:
         if all(pow(z, c, ell) != 1 for c in cofactors):
             return z
     raise ArithmeticError(f"no unit of order {f} modulo {ell}: {ell} is not prime")
+
+
+def split_prime(m: int, avoid: int = 0) -> tuple[int, int]:
+    """The least prime ℓ ≡ 1 (mod m) other than avoid, and
+    element_of_order(m, ℓ), of exact order m modulo ℓ. Unless ℓ lies below
+    2^64, where is_prime is exact, ArithmeticError is raised first."""
+    ell = m + 1
+    while ell < 1 << 64 and (ell == avoid or not is_prime(ell)):
+        ell += m
+    if ell >> 64:
+        raise ArithmeticError(f"least prime = 1 mod {m} is not below 2^64")
+    return ell, element_of_order(m, ell)
+
+
+def power_table(z: int, count: int, m: int) -> list[int]:
+    """[z^e mod m for 0 <= e < count], each entry from the one before."""
+    out = []
+    x = 1 % m
+    for _ in range(count):
+        out.append(x)
+        x = x * z % m
+    return out
 
 
 def is_squarefree(n: int) -> bool:

@@ -84,8 +84,14 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 def _cmd_scan(args: argparse.Namespace) -> int:
     # the output is opened, and a CSV header written, at the first record or
     # at the end of a scan with none: a scan that fails before its first
-    # record leaves --out as it was
+    # record leaves --out as it was; an --out that cannot be opened fails
+    # before the scan starts, and the probe leaves no file behind
     cfg = _config(args, jobs=args.jobs)
+    if args.out:
+        existed = os.path.exists(args.out)
+        open(args.out, "a").close()
+        if not existed:
+            os.remove(args.out)
     out = writer = None
 
     def start() -> None:

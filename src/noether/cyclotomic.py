@@ -22,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .abelian import Subgroup, UnitGroup, subgroup_elements, subgroups, unit_group
-from .arith import divisors, element_of_order, factor, is_prime
+from .abelian import Subgroup, UnitGroup, coset_representatives, subgroup_elements, subgroups, unit_group
+from .arith import divisors, factor, power_table, split_prime
 from .polyops import Poly, discriminant, poly_divmod_monic, poly_mul
 
 
@@ -102,43 +102,37 @@ class SubfieldDescriptor:
         return self.subgroup.group.n
 
 
-def _top_kernels(g: UnitGroup) -> list[list[tuple[int, ...]]]:
-    """For each q^e ∥ n = g.n, the generators of K_q(e - 1) (of K_q(0) when
-    e = 1) as exponent vectors over g's generators: what _primitive tests,
+def _top_kernels(g: UnitGroup) -> list[tuple[int, ...]]:
+    """For each q^e ∥ n = g.n, a generator of the cyclic group K_q(e - 1)
+    as an exponent vector over g's generators: what _primitive tests,
     built once per conductor.
 
     For 0 <= a <= e, K_q(a) is the group of units u ≡ 1 (mod n/q^e) with
-    u ≡ 1 (mod q^a). Its generators are words in the CRT component
-    generators of q, the generators c_i of g with c_i ≡ 1 (mod n/q^e),
-    whose exponent vectors are the unit vectors e_i:
-    - K_q(0) ≅ (Z/q^e)* is generated by the components of q (none at
-      q^e = 2, where it is trivial);
-    - at odd q, for 1 <= a < e, K_q(a) is the subgroup of order q^(e-a) of
-      the cyclic K_q(0) = <c_q>, so it is generated by c_q^((q-1)q^(a-1));
+    u ≡ 1 (mod q^a), so K_q(e - 1) is that of the u ≡ 1 (mod n/q). Its
+    generator is a word in the components of q, the generators
+    c_i ≡ 1 (mod n/q^e) of g, whose exponent vectors are the unit vectors:
+    - at odd q, K_q(0) = <c_q>, and for e >= 2 K_q(e - 1) is the subgroup
+      of order q of (Z/q^e)* = <c_q>, generated by c_q^((q-1)q^(e-2));
     - at q = 2, with -1 and 3 the components in that order (-1 alone,
-      written 3, when e = 2), K_2(1) = K_2(0) = <-1, 3> as every unit is
-      odd. For a >= 2, a unit u with v₂(u - 1) = a generates the cyclic
-      group of the units ≡ 1 (mod 2^a), of order 2^(e-a). So
-      K_2(2) = <-3>, as v₂(-3 - 1) = 2, and K_2(a) = <3^(2^(a-2))> for
-      3 <= a < e, as v₂(3^(2^m) - 1) = m + 2 for m >= 1.
+      written 3, when e = 2), K_2(0) is trivial (the zero vector) at e = 1
+      and K_2(1) = <-1> at e = 2 as every unit is odd.
+      For e >= 3, K_2(e - 1) = {1, 1 + 2^(e-1)} is generated by any u with
+      v₂(u - 1) = e - 1: by -3 at e = 3, and by 3^(2^(e-3)) for e >= 4,
+      as v₂(3^(2^m) - 1) = m + 2 for m >= 1.
     """
     out = []
     for q, e in factor(g.n):
-        rest = g.n // q**e
-        unit = [tuple(int(j == i) for j in range(len(g.generators)))
-                for i, c in enumerate(g.generators) if (c - 1) % rest == 0]
-        if e == 1 or (q, e) == (2, 2):
-            out.append(unit)
-        elif q > 2:
-            out.append([tuple(x * (q - 1) * q ** (e - 2) for x in unit[0])])
-        elif e == 3:
-            out.append([tuple(x + y for x, y in zip(*unit))])  # -3 = -1 · 3
-        else:
-            out.append([tuple(x * 2 ** (e - 3) for x in unit[1])])
+        comps = [i for i, c in enumerate(g.generators) if (c - 1) % (g.n // q**e) == 0]
+        v = [0] * len(g.generators)
+        if q == 2 and e >= 3:  # -3 = -1 · 3 at e = 3, else 3^(2^(e-3))
+            v[comps[0]], v[comps[1]] = int(e == 3), 2 ** (e - 3)
+        elif comps:  # none at q^e = 2
+            v[comps[0]] = (q - 1) * q ** (e - 2) if q > 2 and e > 1 else 1
+        out.append(tuple(v))
     return out
 
 
-def _primitive(h: Subgroup, kernels: list[list[tuple[int, ...]]]) -> bool:
+def _primitive(h: Subgroup, kernels: list[tuple[int, ...]]) -> bool:
     """Is n = h.group.n the conductor of h's fixed field, i.e. does h hold
     the kernel of reduction mod no proper divisor of n?
 
@@ -146,23 +140,11 @@ def _primitive(h: Subgroup, kernels: list[list[tuple[int, ...]]]) -> bool:
     f = ∏ q^(b_q) is, by CRT, the product of the K_q(b_q), and a product
     of subgroups lies in h iff each factor does. K_q(a) shrinks as a grows
     and K_q(e) is trivial, so h holds the kernel of some proper divisor iff
-    it holds one K_q(e - 1), kernels = _top_kernels(h.group). A subgroup
-    lies in h iff its generators do: each is a power or product of q's own
-    component generators, and forward substitution in h's HNF decides its
-    exponent vector (Subgroup.contains). As K_2(0) is trivial at q^e = 2, no
-    modulus ≡ 2 (mod 4) is ever a conductor."""
-    return not any(all(h.contains(v) for v in gens) for gens in kernels)
-
-
-def _prime_and_root(f: int) -> tuple[int, int]:
-    """The least prime ℓ ≡ 1 (mod f), and z = element_of_order(f, ℓ), of
-    exact order f modulo ℓ."""
-    ell = f + 1
-    while ell < 1 << 64 and not is_prime(ell):
-        ell += f
-    if ell >= 1 << 64:
-        raise ArithmeticError(f"least prime = 1 mod {f} is not below 2^64")
-    return ell, element_of_order(f, ell)
+    it holds one K_q(e - 1), kernels = _top_kernels(h.group). That cyclic
+    group lies in h iff its generator does, which Subgroup.contains decides
+    from the generator's exponent vector. As K_2(0) is trivial at q^e = 2,
+    no modulus ≡ 2 (mod 4) is ever a conductor."""
+    return not any(h.contains(v) for v in kernels)
 
 
 def _period_ring(f: int, bound: int) -> tuple[int, list[int]]:
@@ -171,7 +153,7 @@ def _period_ring(f: int, bound: int) -> tuple[int, list[int]]:
     when f > 1).
 
     M = ℓ^j is the least power (j >= 1) above bound, ℓ that of
-    _prime_and_root(f), so the period sums and products run on integers
+    arith.split_prime(f), so the period sums and products run on integers
     no wider than the fields of f need. z is the Hensel lift, on x^f - 1,
     of a root of Φ_f modulo ℓ. As ℓ ≡ 1 (mod f), ℓ ∤ f: x^f - 1 is
     separable modulo ℓ and f z^(f-1) is a unit, so each Newton step
@@ -179,7 +161,7 @@ def _period_ring(f: int, bound: int) -> tuple[int, list[int]]:
     factors Φ_e (e | f, e < f) are units at z, because z has exact order f
     modulo ℓ, so z stays a root of Φ_f and ζ_f ↦ z is a ring map.
     """
-    ell, z = _prime_and_root(f)
+    ell, z = split_prime(f)
     m = ell
     while m <= bound:
         m *= ell
@@ -188,29 +170,7 @@ def _period_ring(f: int, bound: int) -> tuple[int, list[int]]:
         prec = min(prec * prec, m)
         zf1 = pow(z, f - 1, prec)
         z = (z - (z * zf1 - 1) * pow(f * zf1, -1, prec)) % prec
-    powers = [1] * f
-    for e in range(1, f):
-        powers[e] = powers[e - 1] * z % m
-    return m, powers
-
-
-def _box_representatives(h: Subgroup) -> list[int]:
-    """∏ g_i^(c_i) mod f = h.group.n over 0 <= c_i < hnf[i][i], the g_i the
-    generators of the unit group: one unit per coset of h.
-
-    The box of the HNF diagonal is a transversal of the row lattice of an
-    upper-triangular basis (reduce an exponent vector column by column;
-    two box vectors differing by a lattice vector agree column by column),
-    and that lattice is h in exponent form.
-    """
-    f = h.group.n
-    reps = [1]
-    for i, base in enumerate(h.group.generators):
-        powers = [1]
-        for _ in range(h.hnf[i][i] - 1):
-            powers.append(powers[-1] * base % f)
-        reps = [r * p % f for r in reps for p in powers]
-    return reps
+    return m, power_table(z, f, m)
 
 
 def _pairwise_distinct(images: list[int]) -> bool:
@@ -269,7 +229,7 @@ def subfield_minpoly(h: Subgroup, ring: tuple[int, list[int]] | None = None) -> 
     """
     f, d = h.group.n, h.index
     residues = subgroup_elements(h)
-    reps = _box_representatives(h)
+    reps = coset_representatives(h)
     hset = set(residues)
     for i, a in enumerate(reps):
         a_inv = pow(a, -1, f)

@@ -22,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .arith import element_of_order, is_prime
+from .arith import is_prime, power_table, split_prime
 from .polyops import degree, is_squarefree_poly, normalize, poly_eval, resultant
 
 __all__ = [
@@ -125,23 +125,12 @@ class BackendVerificationError(BackendError):
 
 
 def _split_prime(g: Sequence[int], m: int, q: int) -> tuple[int, list[int], list[int]]:
-    """The data of the norm filter of `certificate_search`: (ell, zpow, ks).
-
-    ell is the least prime = 1 (mod m) other than q, zpow[k] = z^k mod ell
-    for 0 <= k < m with z = element_of_order(m, ell), of exact order m, and
-    ks lists the exponents k, ascending, with g(z^k) = 0 (mod ell).  The
-    z^k are distinct, so ks holds at most deg g of them.  ks is empty when ell is not below 2^64, where
-    `is_prime` stops being exact.
-    """
-    ell = m + 1
-    while ell == q or not is_prime(ell):
-        ell += m
-    if ell >> 64:
-        return ell, [1], []
-    z = element_of_order(m, ell)
-    zpow = [1] * m
-    for k in range(1, m):
-        zpow[k] = zpow[k - 1] * z % ell
+    """The data of the norm filter of `certificate_search`: (ell, zpow, ks)
+    for (ell, z) = arith.split_prime(m, q), with zpow[k] = z^k mod ell for
+    0 <= k < m and ks the k, ascending, with g(z^k) = 0 (mod ell): at most
+    deg g of them, as the z^k are distinct."""
+    ell, z = split_prime(m, q)
+    zpow = power_table(z, m, ell)
     ks = [k for k in range(m) if poly_eval(g, zpow[k]) % ell == 0]
     return ell, zpow, ks
 
@@ -182,7 +171,8 @@ def certificate_search(prob: NormProblem, bound: int) -> Optional[tuple[int, ...
     ell differs from q because target = 0 (mod q) and every member of the
     prime has a root of minpoly mod q as a zero, so mod q nothing would be
     skipped.  The filter only prunes: the order of candidates and the exact
-    norm of the one returned are unchanged.
+    norm of the one returned are unchanged.  An ell not below 2^64 raises
+    ArithmeticError (arith.split_prime); for q < 20000 ell is below 10^6.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")

@@ -15,9 +15,11 @@ from noether.arith import (
     is_square,
     is_squarefree,
     jacobi,
+    power_table,
     primes_below,
+    split_prime,
 )
-from oracles import moebius, naive_factor, naive_is_prime, naive_phi
+from oracles import _least_prime_and_root, moebius, naive_factor, naive_is_prime, naive_phi
 
 
 def test_is_prime_agrees_with_sieve_sample():
@@ -191,3 +193,39 @@ def test_element_of_order_rejects_f_not_dividing_ell_minus_1():
     for f, ell in ((0, 7), (4, 7), (5, 13)):
         with pytest.raises(ValueError, match="dividing"):
             element_of_order(f, ell)
+
+
+def test_split_prime_matches_naive_search():
+    for m in range(1, 401):
+        assert split_prime(m) == _least_prime_and_root(m), m
+
+
+def test_split_prime_avoids_the_given_prime():
+    # for 53 and 73 the least prime = 1 (mod p - 1) is p itself; the next
+    # are 157 = 3*52 + 1 (105 = 3*5*7) and 433 = 6*72 + 1 (145, 217 = 7*31,
+    # 289 = 17^2, 361 = 19^2)
+    for p, ell in ((53, 157), (73, 433)):
+        assert split_prime(p - 1) == _least_prime_and_root(p - 1) and split_prime(p - 1)[0] == p
+        got, z = split_prime(p - 1, p)
+        assert got == ell and z == element_of_order(p - 1, ell)
+
+
+def test_split_prime_stays_below_2_64(monkeypatch):
+    import noether.arith as arith
+
+    # the prime search gives up before any root of unity is sought
+    def no_root(f, ell):
+        raise AssertionError("a root of unity was sought")
+
+    monkeypatch.setattr(arith, "element_of_order", no_root)
+    with pytest.raises(ArithmeticError, match="2\\^64"):
+        split_prime(2**64 - 1)
+
+
+def test_power_table():
+    assert power_table(3, 6, 7) == [1, 3, 2, 6, 4, 5]
+    assert power_table(3, 0, 7) == []
+    assert power_table(3, 1, 7) == [1]
+    # modulo 1 every power is 0, as pow(z, e, 1) is
+    assert power_table(3, 4, 1) == [0, 0, 0, 0] == [pow(3, e, 1) for e in range(4)]
+    assert power_table(5, 1, 1) == [0]

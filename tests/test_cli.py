@@ -126,6 +126,21 @@ def test_scan_without_primes_writes_a_csv_header(tmp_path, capsys):
     assert out.read_text().splitlines() == ["p,status,d_plus,d_minus,method,grh"]
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_scan_to_an_unopenable_out_fails_before_the_scan(jobs, tmp_path, monkeypatch, capsys):
+    import noether.cli as cli
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("the scan started")
+
+    monkeypatch.setattr(cli, "scan", no_scan)
+    for out in (tmp_path / "missing" / "x.jsonl", tmp_path):
+        assert main(["scan", "--from", "2", "--to", "20000", "--jobs", jobs, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("noether: ") and str(out) in err, err
+    assert [p.name for p in tmp_path.iterdir()] == []
+
+
 def test_em_tables_output(capsys):
     assert main(["em-tables", "--limit", "250"]) == 0
     blocks = capsys.readouterr().out.split("\n\n")

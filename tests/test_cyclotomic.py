@@ -1,18 +1,18 @@
 import hashlib
 import re
+from math import gcd
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noether.abelian import subgroup_elements, subgroups, unit_group
-from noether.arith import euler_phi, primes_below
+from noether.abelian import coset_representatives, subgroup_elements, subgroups, unit_group
+from noether.arith import euler_phi, factor, primes_below, split_prime
 from noether.cyclotomic import (
     CycElement,
     FieldStore,
     _period_ring,
-    _prime_and_root,
     _primitive,
     _top_kernels,
     cyclotomic_polynomial,
@@ -110,6 +110,26 @@ def test_conductor_examples():
     # 46 ≡ 2 (mod 4): every subfield of Q(ζ46) already lives in Q(ζ23)
     assert not any(_primitive(h, _top_kernels(unit_group(46))) for h in subgroups(unit_group(46)))
     assert {sd.period_modulus for sd in subfields(46, euler_phi(46), min_degree=2)} == {23}
+
+
+def test_top_kernels_generate_the_units_1_mod_n_over_q():
+    # one vector per q^e ∥ n, whose residue generates the units ≡ 1
+    # (mod n/q), found by brute force over the residues mod n alone
+    for n in range(3, 500):
+        g = unit_group(n)
+        kernels = _top_kernels(g)
+        assert len(kernels) == len(factor(n)), n
+        for (q, _), v in zip(factor(n), kernels):
+            r = 1
+            for base, c in zip(g.generators, v):
+                r = r * pow(base, c, n) % n
+            generated = {1}
+            x = r
+            while x != 1:
+                generated.add(x)
+                x = x * r % n
+            units = {u for u in range(1, n) if gcd(u, n) == 1 and u % (n // q) == 1 % (n // q)}
+            assert generated == units, (n, q, v)
 
 
 def test_conductor_matches_definition_oracle():
@@ -343,7 +363,7 @@ def test_minpoly_matches_complex_oracle_large_conductors(case):
 @given(st.integers(min_value=1, max_value=400), st.integers(min_value=0, max_value=10**300))
 @settings(max_examples=60, deadline=None)
 def test_root_of_unity_modulus(f, bound):
-    ell, _ = _prime_and_root(f)
+    ell, _ = split_prime(f)
     m, powers = _period_ring(f, bound)
     z = powers[1 % f]
     assert naive_is_prime(ell) and ell < 2**64
@@ -362,13 +382,13 @@ def test_root_of_unity_modulus(f, bound):
 
 
 def test_root_of_unity_modulus_stays_below_2_64(monkeypatch):
-    import noether.cyclotomic as cyc
+    import noether.arith as arith
 
     # the prime search gives up before any table of 2^64 - 1 powers is built
     def no_root(f, ell):
         raise AssertionError("a root of unity was sought")
 
-    monkeypatch.setattr(cyc, "element_of_order", no_root)
+    monkeypatch.setattr(arith, "element_of_order", no_root)
     with pytest.raises(ArithmeticError, match="2\\^64"):
         _period_ring(2**64 - 1, 10)
 
@@ -377,7 +397,7 @@ def test_subfield_minpoly_degree_checks_raise(monkeypatch):
     import noether.cyclotomic as cyc
 
     # 1 and 4 both lie in {1, 4}: two representatives of one coset
-    monkeypatch.setattr(cyc, "_box_representatives", lambda h: [1, 4])
+    monkeypatch.setattr(cyc, "coset_representatives", lambda h: [1, 4])
     with pytest.raises(ArithmeticError, match="1 and 4 .* share a coset"):
         subfield_minpoly(subgroup_with_elements(5, [1, 4]))
     monkeypatch.undo()
@@ -420,12 +440,10 @@ def test_subfields_match_field_by_field_oracle():
 
 
 def test_box_representatives_are_a_coset_transversal():
-    from noether.cyclotomic import _box_representatives
-
     for n, max_index in SUBGROUP_CASES:
         for h in subgroups(unit_group(n), max_index=max_index):
             residues = h.elements()
-            reps = _box_representatives(h)
+            reps = coset_representatives(h)
             # each representative named by the least unit of its coset
             least = {min(r * u % n for u in residues) for r in reps}
             assert len(reps) == h.index, (n, h.hnf)
