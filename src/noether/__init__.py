@@ -34,7 +34,6 @@ from .normsearch import (
     norm_of,
 )
 from .quadforms import (
-    FormCycle,
     NormDecision,
     fundamental_discriminant,
     is_fundamental,
@@ -67,7 +66,6 @@ __all__ = [
     "CrossCheckReport",
     "CycElement",
     "FixtureSets",
-    "FormCycle",
     "NormDecision",
     "NormProblem",
     "ScanConfig",

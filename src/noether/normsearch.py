@@ -17,7 +17,6 @@ import os
 import selectors
 import shlex
 import subprocess
-import time
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -390,25 +389,15 @@ class BackendClient:
 
     def close(self) -> None:
         """Close the child's input, wait for the end of its output and reap
-        it; after CLOSE_TIMEOUT_S it is killed."""
+        it; after CLOSE_TIMEOUT_S it is killed and reaped without reading
+        on, so a grandchild holding the pipe cannot hold up the close."""
         sel = getattr(self, "_sel", None)
         if sel is None:
             return  # never started, or closed already
         self._sel = None
         proc = self._proc
-        deadline = time.monotonic() + self.CLOSE_TIMEOUT_S
         try:
-            proc.stdin.close()
-        except OSError:
-            pass
-        try:
-            while True:
-                left = deadline - time.monotonic()
-                if left <= 0 or not sel.select(left):
-                    raise subprocess.TimeoutExpired(proc.args, self.CLOSE_TIMEOUT_S)
-                if not os.read(self._rfd, self._READ_SIZE):
-                    break
-            proc.wait(timeout=max(deadline - time.monotonic(), 0))
+            proc.communicate(timeout=self.CLOSE_TIMEOUT_S)
         except subprocess.TimeoutExpired:
             proc.kill()
             proc.wait()

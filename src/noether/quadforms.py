@@ -12,7 +12,7 @@ returned.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 
@@ -155,21 +155,13 @@ def _reduce_indefinite(a: int, b: int, c: int, D: int, s: int) -> tuple[Form, Ma
     return (a, b, c), (p, q, r, t)
 
 
-@dataclass(frozen=True)
-class FormCycle:
-    """The cycle of reduced forms properly equivalent to the principal form
-    of a positive non-square fundamental discriminant."""
-
-    disc: int
-    # every form (a, b, c) of the cycle, in cycle order, to the transform M
-    # that maps its coordinates back to principal-form coordinates:
-    # principal(M @ z) = form(z)
-    transform_of: dict[Form, Mat] = field(hash=False)
-
-
 @lru_cache(maxsize=None)
-def principal_cycle(D: int) -> FormCycle:
-    """Full rho-cycle of the principal form, with witness transforms."""
+def principal_cycle(D: int) -> dict[Form, Mat]:
+    """The rho-cycle of the principal form of a positive non-square
+    fundamental discriminant D: every reduced form (a, b, c) properly
+    equivalent to it, in cycle order, to the transform M that maps its
+    coordinates back to principal-form coordinates, principal(M @ z) =
+    form(z)."""
     if D <= 0 or is_square(D) or not is_fundamental(D):
         raise ValueError("principal_cycle() needs a positive non-square "
                          "fundamental discriminant")
@@ -184,7 +176,7 @@ def principal_cycle(D: int) -> FormCycle:
         a, b, c, k = _rho_step(a, b, c, D, s)
         p, q, r, t = q, k * q - p, t, k * t - r
         if (a, b, c) == first:
-            return FormCycle(D, transform_of)
+            return transform_of
         transform_of[a, b, c] = (p, q, r, t)
         if len(transform_of) >= limit:
             raise ArithmeticError(f"principal cycle of {D} does not close "
@@ -249,7 +241,7 @@ def solve_norm(D: int, p: int, sign: int) -> NormDecision:
         mp = _ID
     else:
         red, m = _reduce_indefinite(t, b, (b * b - D) // (4 * t), D, isqrt(D))
-        mp = principal_cycle(D).transform_of.get(red)
+        mp = principal_cycle(D).get(red)
         if mp is None:
             return NormDecision(D, sign, False)
     # cand(M @ z) = red(z) = principal(Mp @ z) and cand(1, 0) = sign*p, so

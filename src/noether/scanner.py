@@ -118,11 +118,19 @@ class ScanConfig:
             raise ValueError("parallelism must be >= 1")
 
 
-def _scan_quadratic(p: int, sides: dict[int, Optional[dict]]) -> None:
+def _scan_quadratic(p: int) -> dict[int, Optional[dict]]:
+    """sign -> {"degree": 2, "disc": D} for the first D of
+    quadratic_subfield_discs(p - 1) at which sign*p is not a norm, or None
+    when there is none, as for every p < 5, where Q(zeta_{p-1}) = Q.  A
+    sign is tested only until its D is found."""
+    sides: dict[int, Optional[dict]] = {1: None, -1: None}
+    if p < 5:
+        return sides
     for disc in quadratic_subfield_discs(p - 1):
         for sign, witness in sides.items():
             if witness is None and not solve_norm(disc, p, sign).solvable:
                 sides[sign] = {"degree": 2, "disc": disc}
+    return sides
 
 
 def _scan_backend(p: int, cfg: ScanConfig, sides: dict[int, Optional[dict]],
@@ -187,8 +195,7 @@ def classify_prime(p: int, cfg: ScanConfig = ScanConfig(),
         return _certified(p, tuple(cyclotomic_polynomial(p - 1)), (p,))
 
     # sign -> the witness proving it is not a norm, or None while open
-    sides: dict[int, Optional[dict]] = {1: None, -1: None}
-    _scan_quadratic(p, sides)
+    sides = _scan_quadratic(p)
     em = METHOD_EM_I if em_criterion_i(p) else METHOD_EM_II if em_criterion_ii(p) else None
     if em and None in sides.values():
         # the congruence shapes are two-sided degree-2 obstructions in
@@ -361,20 +368,6 @@ def check_row(row, index: int, seen: set[int]) -> None:
         raise bad(f"{status} with degrees {degrees}, method {method!r} and grh {grh}")
 
 
-def _quadratic_obstructions(p: int) -> list[tuple[int, int]]:
-    """The (disc, sign) pairs whose degree-2 norm test fails at p, in the
-    order of quadratic_subfield_discs and then +p before -p; none below 5,
-    where Q(zeta_{p-1}) = Q."""
-    if p < 5:
-        return []
-    return [
-        (disc, sign)
-        for disc in quadratic_subfield_discs(p - 1)
-        for sign in (1, -1)
-        if not solve_norm(disc, p, sign).solvable
-    ]
-
-
 def cross_check(results: Iterable, fixtures: Optional[FixtureSets] = None) -> CrossCheckReport:
     """Validate a full scan result stream against the reference data.
 
@@ -384,12 +377,12 @@ def cross_check(results: Iterable, fixtures: Optional[FixtureSets] = None) -> Cr
     known-rational and undetermined sets; (c) every prime whose reference
     row is (2, 2, 0) is classified NotStablyRational with degrees (2, 2)
     unconditionally, and every degree d_s a row of the stream claims is 2
-    exactly when some quadratic subfield obstructs sign s (recomputed here,
-    not taken from the stream); (d) every undetermined-set prime passes all
-    its degree-2 norm tests in both signs (recomputed); (e) for every
-    reference row with degrees (d+, d-), d_s = 2 exactly when some
-    quadratic subfield obstructs sign s (recomputed).  The degree-2 tests
-    of each prime are computed once for all three.
+    exactly when some quadratic subfield obstructs sign s; (d) no
+    undetermined-set prime has a sign obstructed by a quadratic subfield;
+    (e) for every reference row with degrees (d+, d-), d_s = 2 exactly
+    when some quadratic subfield obstructs sign s.  Whether one does is
+    read from the scan's own degree-2 stage (_scan_quadratic), run here
+    once per prime for all three rules, not taken from the stream.
 
     Every row is checked by check_row first: a malformed row, or a second
     row for one prime, raises RowError naming its position in the stream
@@ -416,13 +409,13 @@ def cross_check(results: Iterable, fixtures: Optional[FixtureSets] = None) -> Cr
 
     rational = set(fx.known_rational)
     undetermined = set(fx.undetermined)
-    obstructions = cache(_quadratic_obstructions)
+    quadratic = cache(_scan_quadratic)
 
     def degree_two_rule(rule: str, p: int, source: str, degrees) -> None:
         for sign, d in zip((1, -1), degrees):
             if d is None:
                 continue
-            obstructed = any(s == sign for _, s in obstructions(p))
+            obstructed = quadratic(p)[sign] is not None
             if (d == 2) != obstructed:
                 failures.append(
                     f"({rule}) prime {p}: {source} d{'+' if sign > 0 else '-'} = {d}, but "
@@ -460,12 +453,14 @@ def cross_check(results: Iterable, fixtures: Optional[FixtureSets] = None) -> Cr
         degree_two_rule("c", p, "verdict", (row["d_plus"], row["d_minus"]))
 
     for p in sorted(undetermined):
-        bad = obstructions(p)
-        if bad:
-            disc, sign = bad[0]
+        # the discriminants ascend, so the first obstructed (D, sign) has
+        # the least D, and +1 before -1 at one D
+        obstructed = [(w["disc"], sign) for sign, w in quadratic(p).items() if w]
+        if obstructed:
+            disc, sign = min(obstructed, key=lambda ds: (ds[0], -ds[1]))
             failures.append(
-                f"(d) undetermined-set prime {p} fails {len(bad)} degree-2 "
-                f"tests (first: discriminant {disc}, sign {sign:+d})"
+                f"(d) undetermined-set prime {p} fails a degree-2 test "
+                f"(first: discriminant {disc}, sign {sign:+d})"
             )
 
     for p, ref in sorted(fx.result_rows.items()):

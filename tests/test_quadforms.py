@@ -85,14 +85,14 @@ def test_principal_form_examples():
 
 
 def test_principal_cycle_examples():
-    assert (1, 1, -1) in principal_cycle(5).transform_of
-    assert (1, 3, -1) in principal_cycle(13).transform_of
+    assert (1, 1, -1) in principal_cycle(5)
+    assert (1, 3, -1) in principal_cycle(13)
     cyc12 = principal_cycle(12)
-    assert all(OracleForm(*f).disc == 12 for f in cyc12.transform_of)
+    assert all(OracleForm(*f).disc == 12 for f in cyc12)
     # cycles close: every stored transform reproduces its form from the
     # principal form
     pf = principal(12)
-    for f, m in cyc12.transform_of.items():
+    for f, m in cyc12.items():
         a = pf.value(m[0], m[2])
         c = pf.value(m[1], m[3])
         b = 2 * pf.a * m[0] * m[1] + pf.b * (m[0] * m[3] + m[1] * m[2]) + 2 * pf.c * m[2] * m[3]
@@ -110,10 +110,10 @@ def test_principal_cycle_structure():
     # the cycle
     for D in _real_fundamental(5, 3000):
         cyc = principal_cycle(D)
-        forms = [OracleForm(*f) for f in cyc.transform_of]
+        forms = [OracleForm(*f) for f in cyc]
         assert len(set(forms)) == len(forms), D
         pf = principal(D)
-        for f, m in zip(forms, cyc.transform_of.values()):
+        for f, m in zip(forms, cyc.values()):
             assert f.disc == D and is_reduced_indefinite_oracle(f), (D, f)
             assert m[0] * m[3] - m[1] * m[2] == 1, (D, m)
             assert pf.transform(m) == f, (D, f, m)
@@ -134,7 +134,7 @@ def test_rho_step_matches_oracle_along_cycles():
         for start in starts:
             f = OracleForm(*start)
             a, b, c = start
-            for _ in range(2 * len(principal_cycle(D).transform_of) + 20):
+            for _ in range(2 * len(principal_cycle(D)) + 20):
                 g, m = rho_step_oracle(f)
                 a, b, c, k = qf._rho_step(a, b, c, D, s)
                 assert (a, b, c) == (g.a, g.b, g.c) and m == (0, -1, 1, k), (D, start, f)
@@ -148,9 +148,9 @@ def test_solve_norm_on_long_cycles_against_diop_dn():
     # cycles where +p or -p is not a norm. diop_DN takes ~0.5 s per D.
     pairs = [(D, p) for p in primes_below(20000) if p > 3
              for D in quadratic_subfield_discs(p - 1) if D > 1000]
-    pairs.sort(key=lambda dp: -len(principal_cycle(dp[0]).transform_of))
+    pairs.sort(key=lambda dp: -len(principal_cycle(dp[0])))
     for D, p in pairs[:3] + [(2545, 10181), (9489, 18979), (6609, 13219)]:
-        assert len(principal_cycle(D).transform_of) >= 50, D
+        assert len(principal_cycle(D)) >= 50, D
         for sign in (1, -1):
             assert solve_norm(D, p, sign).solvable == norm_decision_oracle(D, sign * p), (D, p, sign)
     assert not solve_norm(2545, 10181, 1).solvable

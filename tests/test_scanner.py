@@ -5,6 +5,7 @@ from itertools import groupby, product
 
 import pytest
 
+from noether.arith import primes_below
 from noether.criteria import load_fixtures
 from noether.cyclotomic import subfields
 from noether.normsearch import (
@@ -26,6 +27,7 @@ from noether.scanner import (
     cross_check,
     scan,
 )
+from oracles import quadratic_discs_oracle
 
 FAKE = os.path.join(os.path.dirname(__file__), "fake_backend.py")
 
@@ -152,6 +154,22 @@ def test_nsr_witnesses_replay():
         elif v.method == "CERTIFICATE":
             w = v.witnesses
             assert norm_of(w["minpoly"], w["coefficients"]) == w["target"]
+
+
+def test_quadratic_stage_keeps_the_first_failing_disc_of_each_sign():
+    # each sign's witness against the discriminants of the divisor-scan
+    # oracle: the first D at which sign*p is not a norm, None when there is
+    # none (as at 2 and 3, where there is no D); the stage stops testing a
+    # sign at its D, this test does not
+    from noether.scanner import _scan_quadratic
+
+    for p in primes_below(20001):
+        discs = quadratic_discs_oracle(p - 1)
+        want = {}
+        for sign in (1, -1):
+            first = next((D for D in discs if not solve_norm(D, p, sign).solvable), None)
+            want[sign] = None if first is None else {"degree": 2, "disc": first}
+        assert _scan_quadratic(p) == want, p
 
 
 def test_backend_errors_propagate_from_classify():
@@ -315,7 +333,7 @@ def test_cross_check_rejects_a_malformed_row(full_scan, target, malform, p, why)
 _BROKEN_STAGES = {
     # 47 = 2*23 + 1 meets criterion i, so both signs must have been proven
     "em-without-obstruction": (
-        "_scan_quadratic", "lambda p, sides: None", 47,
+        "_scan_quadratic", "lambda p: {1: None, -1: None}", 47,
         "47 meets a congruence criterion but has no two-sided degree-2 obstruction"),
     # (1, 0) is 1 in Z[i], not an element of norm 5
     "wrong-certificate": (
