@@ -14,8 +14,9 @@ a build depends on n. Exact elements of Z[x]/(x^n - 1) (CycElement) remain
 for checking the periods.
 
 A scan that builds the subfields of many moduli can hand subfields() a
-FieldStore it owns, in which the fields of each conductor are built once
-and then read back (see subfields()).
+FieldStore it owns, made for the scan's degree cap: it lists the subgroups
+of each conductor once at that cap, builds a field only when a call asks
+for its degree, and reads it back at every later modulus (see subfields()).
 """
 from __future__ import annotations
 
@@ -254,15 +255,20 @@ def subfield_minpoly(h: Subgroup, ring: tuple[int, list[int]] | None = None) -> 
 
 
 class FieldStore(dict):
-    """The fields of one scan, each built once: a dict from
-    (f, min_degree, max_degree) to the list of descriptors of the
-    subfields of conductor exactly f with degree in that range, and in
-    `lattices` the HNF memo that abelian.subgroups keeps for the unit
-    groups of the conductors. A scan owns one; nothing in it is global."""
+    """The fields of one scan of degree at most `cap`, each built once: a
+    dict from each built field's subgroup h to its descriptor, with three
+    memos: `lattices`, the HNF memo of abelian.subgroups at the cap;
+    `listed`, the primitive subgroups of index <= cap of each conductor
+    met; `rings`, the _period_ring, sized for every field listed there,
+    of each conductor of the last modulus asked with a built field. A
+    scan owns one; nothing in it is global."""
 
-    def __init__(self):
+    def __init__(self, cap: int):
         super().__init__()
+        self.cap = cap
         self.lattices: dict = {}
+        self.listed: dict[int, list[Subgroup]] = {}
+        self.rings: dict[int, tuple[int, list[int]]] = {}
 
 
 def subfields(n: int, max_degree: int, min_degree: int = 1,
@@ -270,44 +276,47 @@ def subfields(n: int, max_degree: int, min_degree: int = 1,
     """One descriptor per subfield of Q(ζ_n) of degree in
     [min_degree, max_degree], ordered by degree then by minimal polynomial
     coefficients (no ties: subfields of an abelian field with one minimal
-    polynomial are conjugate, hence equal). Subfields below min_degree are
-    never built.
+    polynomial are conjugate, hence equal). Only the fields in that range
+    are built.
 
     Conductor-first. By Galois theory in Q(ζ_f), each subfield K ≠ Q of
     Q(ζ_n) has one conductor f | n (f >= 3, f ≢ 2 mod 4) and is the fixed
     field of exactly one subgroup h of (Z/f)*, of conductor f
     (_primitive) and index [K:Q], and its descriptor is (h, the
-    characteristic polynomial of the period at f): a function of f and
-    the degree range alone. A store keeps the descriptors under
-    (f, min_degree, max_degree): a conductor already in it is read back
-    with no period computed. Each other conductor's fields are built
-    through one _period_ring of f, sized for them, and stored as soon as
-    they all are, so a build that raises stores nothing for its conductor.
-    Q itself is the fixed field of (Z/n)*, with period μ(n) at modulus n,
-    built through a ring of its own. Without a store, a fresh one serves
-    the call.
+    characteristic polynomial of the period at f): a function of h alone.
+    The store lists the h of each conductor once, at its cap, and builds
+    each field the first time a call asks for its degree, through one
+    ring of f kept while the calls ask for multiples of f; a field built
+    is read back with no period computed, and a build that raises stores
+    nothing for its field. A max_degree above the store's cap raises
+    ValueError. Q itself is the fixed field of (Z/n)*, with period μ(n)
+    at modulus n, built through a ring of its own. Without a store, a
+    fresh one of cap max_degree serves the call.
     """
     if n < 3:
         raise ValueError("subfields() requires n >= 3")
     if max_degree < 1:
         raise ValueError("subfields() requires max_degree >= 1")
     if store is None:
-        store = FieldStore()
+        store = FieldStore(max_degree)
+    elif max_degree > store.cap:
+        raise ValueError(f"max_degree {max_degree} is above the store's cap {store.cap}")
     out = [subfield_minpoly(subgroups(unit_group(n), 1)[0])] if min_degree <= 1 else []
+    # a ring holds f powers: keep only those n can use, not every one of the scan
+    store.rings = {f: ring for f, ring in store.rings.items() if n % f == 0}
     conductors = [f for f in divisors(n) if f >= 3 and f % 4 != 2]
     for f in conductors:
-        key = (f, min_degree, max_degree)
-        if key not in store:
+        if f not in store.listed:
             g = unit_group(f)
             kernels = _top_kernels(g)
-            hs = [h for h in subgroups(g, max_degree, store.lattices)
-                  if h.index >= min_degree and _primitive(h, kernels)]
-            fields = []
-            if hs:
-                # |h| + 1 bounds the conjugates of each period: one ring for all
-                ring = _period_ring(f, max(2 * (h.order + 1) ** h.index for h in hs))
-                fields = [subfield_minpoly(h, ring) for h in hs]
-            store[key] = fields
-        out += store[key]
+            store.listed[f] = [h for h in subgroups(g, store.cap, store.lattices) if _primitive(h, kernels)]
+        for h in store.listed[f]:
+            if min_degree <= h.index <= max_degree:
+                if h not in store:
+                    if f not in store.rings:
+                        # |h| + 1 bounds the conjugates of each period: one ring for all
+                        store.rings[f] = _period_ring(f, max(2 * (k.order + 1) ** k.index for k in store.listed[f]))
+                    store[h] = subfield_minpoly(h, store.rings[f])
+                out.append(store[h])
     out.sort(key=lambda s: (s.degree, s.minpoly))
     return out

@@ -348,7 +348,7 @@ class BackendClient:
             raise BackendProtocolError(f"backend sent invalid JSON: {line!r}") from exc
         if not isinstance(resp, dict):
             raise BackendProtocolError(f"backend response is not an object: {resp!r}")
-        if resp.get("id") != rid:
+        if type(resp.get("id")) is not int or resp["id"] != rid:
             raise BackendProtocolError(
                 f"backend answered id {resp.get('id')!r}, expected {rid}"
             )

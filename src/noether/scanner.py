@@ -21,7 +21,6 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cache
-from itertools import groupby
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Optional, Union
 
@@ -134,20 +133,20 @@ def _scan_quadratic(p: int) -> dict[int, Optional[dict]]:
 
 
 def _scan_backend(p: int, cfg: ScanConfig, sides: dict[int, Optional[dict]],
-                  store: Optional[FieldStore], client: BackendClient) -> None:
+                  store: FieldStore, client: BackendClient) -> None:
     """Ask the backend about the subfields of degree 3..max_degree, one
-    degree at a time: every field of the degree and every sign still open
-    (its witness None) goes out in one batch, and the answers are read in
-    order until both signs are proven.  A sign's witness is the first field
-    in subfields() order that proves it; a later field of the same degree
-    may be asked it too."""
-    fields = subfields(p - 1, cfg.max_degree, 3, store)
-    for _, same_degree in groupby(fields, key=attrgetter("degree")):
+    degree at a time: every field of the degree, built by subfields() as
+    the degree is reached, and every sign still open (its witness None)
+    goes out in one batch, and the answers are read in order until both
+    signs are proven, so no field above that degree is built.  A sign's
+    witness is the first field in subfields() order that proves it; a
+    later field of the same degree may be asked it too."""
+    for degree in range(3, cfg.max_degree + 1):
         open_signs = [sign for sign, witness in sides.items() if witness is None]
         if not open_signs:
             return
         batch = [(desc, sign, NormProblem.from_squarefree(desc.minpoly, sign * p))
-                 for desc in same_degree for sign in open_signs]
+                 for desc in subfields(p - 1, degree, degree, store) for sign in open_signs]
         client.send([prob for _, _, prob in batch])
         for desc, sign, prob in batch:
             dec = client.decide(prob, grh_allowed=cfg.allow_grh)
@@ -184,9 +183,10 @@ def classify_prime(p: int, cfg: ScanConfig = ScanConfig(),
 
     store and client are the field store and the backend client of the scan
     this prime belongs to (see cyclotomic.subfields and _classify_all).
-    Without a store every field is built; without a client the backend
-    stage starts a solver child of its own and reaps it before this
-    returns, so a prime decided before that stage starts none.
+    Without a store the backend stage lists and builds the fields through
+    one made for this prime; without a client it starts a solver child of
+    its own and reaps it before this returns, so a prime decided before
+    that stage starts none.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -204,7 +204,7 @@ def classify_prime(p: int, cfg: ScanConfig = ScanConfig(),
 
     if cfg.max_degree > 2 and None in sides.values():
         with BackendClient(cfg.backend) if client is None else nullcontext(client) as client:
-            _scan_backend(p, cfg, sides, store, client)
+            _scan_backend(p, cfg, sides, FieldStore(cfg.max_degree) if store is None else store, client)
 
     plus, minus = sides[1], sides[-1]
     if plus and minus:
@@ -238,7 +238,7 @@ def _classify_all(primes: Iterable[int], cfg: ScanConfig) -> Iterator[Record]:
     backend client, whose solver child starts with the first record and is
     reaped when the generator ends or is closed.  Failures of a prime become
     ScanError records; a backend that cannot be started raises."""
-    store = FieldStore()
+    store = FieldStore(cfg.max_degree)
     with BackendClient(cfg.backend) if cfg.max_degree > 2 else nullcontext() as client:
         for p in primes:
             try:

@@ -8,6 +8,7 @@ argument picks a behaviour:
   bogus           answer solvable with a wrong witness for everything
   garbage         emit a non-JSON line
   wrong-id        answer with a mismatched request id
+  id J            answer unknown with the id given as the JSON text J
   chatty          answer unknown twice per request, in one write
   die             exit immediately without answering
   answer O C G    answer outcome O, certified C and grh G (true/false) to
@@ -50,6 +51,8 @@ def main() -> None:
                 "certified": False,
                 "grh": False,
             }
+        elif mode == "id":
+            resp = {"id": json.loads(sys.argv[2]), "outcome": "unknown", "certified": False, "grh": False}
         elif mode == "bogus":
             resp = {
                 "id": rid,

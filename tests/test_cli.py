@@ -94,6 +94,9 @@ _GOLDEN_SCANS = {
     (19800, 19960, 12): "00ba882cfebe643e9e4b12fa17542336a9cbdd4592cdd782a22d0d354b2f7b22",
     # every conductor up to 20000 at cap 8
     (2, 20000, 8): "8a501a2ef995d8da37c769ec82fcc31c13ff15461c0773ede47dec650b7c7412",
+    # past the paper's range: 9592 primes, 17 Rational, 8366
+    # NotStablyRational, 1209 Undetermined
+    (2, 100000, 2): "c6d61112d63f8e3cf8c2b84ea8f4eecfc6bdd513069adef4a659b08d4941d974",
 }
 
 

@@ -486,13 +486,22 @@ def test_one_power_table_per_conductor(monkeypatch):
         built.clear()
         conductors = {sd.period_modulus for sd in subfields(n, max_degree, min_degree=2)}
         assert sorted(built) == sorted(conductors) and len(conductors) > 2, n
+        # asked one degree at a time through one store, still one each
+        built.clear()
+        store = FieldStore(max_degree)
+        for d in range(2, max_degree + 1):
+            subfields(n, d, d, store)
+        assert sorted(built) == sorted(conductors), n
     # with the conductors 3, 4, 8, 12 and 24 of 24 in the store, 72 gets
     # rings only for the conductors 24 lacks
-    store = FieldStore()
+    store = FieldStore(6)
     subfields(24, 6, 2, store)
     built.clear()
     subfields(72, 6, 2, store)
     assert sorted(built) == [9, 36, 72]
+    # the store keeps only the rings of the modulus last asked
+    subfields(10, 6, 2, store)
+    assert sorted(built) == [5, 9, 36, 72] and set(store.rings) == {5}
 
 
 def test_cyclotomic_division_check_survives_optimize(monkeypatch):
@@ -530,7 +539,7 @@ def test_field_store_gives_the_fresh_descriptors(monkeypatch):
     # its build without a store, and each distinct field is built once
     built = []
     moduli = [p - 1 for p in primes_below(3000)[2:]]
-    store = FieldStore()
+    store = FieldStore(8)
     _counting_minpoly(monkeypatch, built)
     got = [subfields(n, 8, 3, store) for n in moduli]
     monkeypatch.undo()
@@ -539,9 +548,11 @@ def test_field_store_gives_the_fresh_descriptors(monkeypatch):
     distinct = {_field_of_descriptor(sd) for sd in descs}
     assert len(built) == len(set(built)) == len(distinct) < len(descs)
     assert set(built) == distinct
-    # one entry per conductor met, keyed with the degree range
-    assert set(store) == {(f, 3, 8) for n in moduli for f in range(3, n + 1)
-                          if n % f == 0 and f % 4 != 2}
+    # one listing per conductor met, one entry per field built, keyed by
+    # its subgroup
+    assert set(store.listed) == {f for n in moduli for f in range(3, n + 1)
+                                 if n % f == 0 and f % 4 != 2}
+    assert store == {sd.subgroup: sd for sd in descs}
     assert store.lattices
 
 
@@ -550,7 +561,7 @@ def test_field_store_reads_back_a_conductor_n_field(monkeypatch):
     # and read back, not rebuilt, at p' = 37 ≡ 1 (mod 12): the very
     # descriptor stored at p
     built = []
-    store = FieldStore()
+    store = FieldStore(8)
     _counting_minpoly(monkeypatch, built)
     at = {p: subfields(p - 1, 8, 3, store) for p in primes_below(38)[2:]}
     monkeypatch.undo()
@@ -562,38 +573,44 @@ def test_field_store_reads_back_a_conductor_n_field(monkeypatch):
     assert len(built) == len(set(built))
 
 
-def test_field_store_keys_carry_the_degree_range():
+def test_field_store_serves_every_degree_range_up_to_its_cap():
     # one store across calls of different degree ranges: each call still
-    # gives exactly its own fields
-    store = FieldStore()
+    # gives exactly its own fields and builds no field outside its range,
+    # and a range above the store's cap raises
+    store = FieldStore(12)
     for n, max_degree, min_degree in ((72, 8, 3), (72, 4, 1), (144, 8, 3), (144, 6, 4), (36, 12, 2), (72, 8, 3)):
         assert subfields(n, max_degree, min_degree, store) == subfields(n, max_degree, min_degree), (
             n, max_degree, min_degree)
+    assert {h.index for h in store} == {2, 3, 4, 6, 8, 12}
+    lazy = FieldStore(12)
+    assert subfields(144, 4, 4, lazy) == subfields(144, 4, 4)
+    assert lazy and {h.index for h in lazy} == {4}
+    with pytest.raises(ValueError, match="above the store's cap 12"):
+        subfields(144, 13, 3, lazy)
 
 
 def test_a_failed_build_stores_nothing(monkeypatch):
-    # a build that raises leaves no entry for its conductor, so the next
-    # call with that store builds the conductor in full; the conductors
-    # built before it are stored whole
+    # a build that raises leaves no entry for its field, so the next call
+    # with that store builds it; the fields built before it, of its
+    # conductor too, are stored as a fresh build makes them
     import noether.cyclotomic as cyc
 
     minpoly = cyc.subfield_minpoly
 
     def failing_minpoly(h, *args):
-        if h.group.n == 36 and h.index == 6:
+        if h.group.n == 24 and h.index == 8:
             raise ArithmeticError("failed build")
         return minpoly(h, *args)
 
-    store = FieldStore()
+    store = FieldStore(8)
     monkeypatch.setattr(cyc, "subfield_minpoly", failing_minpoly)
     with pytest.raises(ArithmeticError, match="failed build"):
         subfields(72, 8, 3, store)
     monkeypatch.undo()
-    assert (36, 3, 8) not in store and store
-    for (f, lo, hi), fields in store.items():
-        fresh = FieldStore()
-        subfields(f, hi, lo, fresh)
-        assert fields == fresh[f, lo, hi], f
+    assert not any(h.group.n == 24 and h.index == 8 for h in store)
+    assert any(h.group.n == 24 for h in store)
+    for h, sd in store.items():
+        assert sd == subfield_minpoly(h), h
     assert subfields(72, 8, 3, store) == subfields(72, 8, 3)
 
 
@@ -613,7 +630,7 @@ def _field_lines(sds):
 def test_subfields_of_a_scan_are_pinned(shared):
     # the sha256 of subfields(p - 1, 8, 3) for 5 <= p < 3000, in scan
     # order, with a store per call or one store for all
-    store = FieldStore() if shared else None
+    store = FieldStore(8) if shared else None
     digest = hashlib.sha256()
     for p in primes_below(3000)[2:]:
         digest.update(_field_lines(subfields(p - 1, 8, 3, store)))

@@ -348,6 +348,14 @@ def test_backend_protocol_errors():
             client.decide(NormProblem((1, 0, 1), 5))
 
 
+@pytest.mark.parametrize("rid", ["true", "1.0", '"1"'])
+def test_an_answer_id_must_be_an_integer(rid):
+    # true == 1 and 1.0 == 1 in Python, yet neither is the id of request 1
+    with BackendClient(fake_cmd("id") + [rid]) as client:
+        with pytest.raises(BackendProtocolError, match="expected 1"):
+            client.decide(NormProblem((1, 0, 1), 5))
+
+
 def test_backend_unavailable():
     with BackendClient(fake_cmd("die")) as client:
         with pytest.raises(BackendUnavailableError):

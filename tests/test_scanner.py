@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 import re
 import sys
@@ -7,7 +9,7 @@ import pytest
 
 from noether.arith import primes_below
 from noether.criteria import load_fixtures
-from noether.cyclotomic import subfields
+from noether.cyclotomic import FieldStore, subfields
 from noether.normsearch import (
     BackendClient,
     BackendDecision,
@@ -485,7 +487,46 @@ def test_lone_prime_classifies_without_a_store(monkeypatch):
     monkeypatch.setattr(scanner, "subfields", recording_subfields)
     cfg = ScanConfig(max_degree=8, backend=fake_backend("scripted"))
     assert classify_prime(5507, cfg).d_plus == 8
-    assert stores == [None]
+    # one call per degree 3..8, each with the one store made for this prime
+    assert len(stores) == 6 and all(store is stores[0] for store in stores)
+    assert isinstance(stores[0], FieldStore) and stores[0].cap == 8 and stores[0]
+
+
+@pytest.mark.parametrize("mode, builds, digest", [
+    ("answer unsolvable true false", 137, "7af242073e3de2d86caf94a8da49d7a95165b2e00c8db64095b86816d3a7a4c1"),
+    ("scripted", 757, "88c359be968d16c73a18128585cafc701a277ff26b540c31432602f6be37d740"),
+], ids=["unsolvable", "scripted"])
+def test_a_scan_builds_no_field_above_the_degree_that_proves_its_prime(mode, builds, digest, monkeypatch):
+    # the sha256 of the rows is that of a scan that builds every field of
+    # degree 3..8 of each prime that reaches the backend stage (757 fields
+    # over 2..800); when every answer is unsolvable, each such prime has
+    # both signs proven at the least degree >= 3 that Q(zeta_{p-1}) has,
+    # and only the fields of that degree are built, each once
+    import noether.cyclotomic as cyc
+
+    built = []
+    minpoly = cyc.subfield_minpoly
+
+    def counting_minpoly(h, *args):
+        built.append(h)
+        return minpoly(h, *args)
+
+    monkeypatch.setattr(cyc, "subfield_minpoly", counting_minpoly)
+    rows = []
+    scan(2, 800, ScanConfig(max_degree=8, backend=fake_backend(mode)), rows.append)
+    monkeypatch.undo()
+    text = "".join(json.dumps(rec.to_row()) + "\n" for rec in rows).encode()
+    assert hashlib.sha256(text).hexdigest() == digest
+    assert len(built) == len(set(built)) == builds
+    if mode == "scripted":
+        return
+    lowest = set()
+    for rec in rows:
+        if max(rec.d_plus or 0, rec.d_minus or 0) > 2:
+            fields = subfields(rec.p - 1, 8, 3)
+            assert max(rec.d_plus, rec.d_minus) == fields[0].degree, rec
+            lowest |= {sd.subgroup for sd in fields if sd.degree == fields[0].degree}
+    assert set(built) == lowest
 
 
 def test_backend_problems_are_not_proven_squarefree_again(monkeypatch):
