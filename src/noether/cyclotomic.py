@@ -174,6 +174,13 @@ def _period_ring(f: int, bound: int) -> tuple[int, list[int]]:
     return m, power_table(z, f, m)
 
 
+def _coefficient_bound(h: Subgroup) -> int:
+    """2 (|h| + 1)^d, d = [G:h]: twice a bound on the coefficients of the
+    minimal polynomial of h's period (see subfield_minpoly), so a ring
+    modulus above it recovers each one by the symmetric lift."""
+    return 2 * (h.order + 1) ** h.index
+
+
 def _pairwise_distinct(images: list[int]) -> bool:
     """True if the conjugate images mod M are pairwise distinct: then so
     are the conjugates, and the discriminant is nonzero."""
@@ -238,7 +245,7 @@ def subfield_minpoly(h: Subgroup, ring: tuple[int, list[int]] | None = None) -> 
             if b * a_inv % f in hset:
                 raise ArithmeticError(
                     f"representatives {a} and {b} of an index-{d} subgroup mod {f} share a coset")
-    bound = 2 * (len(residues) + 1) ** d
+    bound = _coefficient_bound(h)
     m, zpow = _period_ring(f, bound) if ring is None else ring
     if len(zpow) != f:
         raise ValueError(f"a ring of {len(zpow)} powers is not the ring map of conductor {f}")
@@ -314,8 +321,8 @@ def subfields(n: int, max_degree: int, min_degree: int = 1,
             if min_degree <= h.index <= max_degree:
                 if h not in store:
                     if f not in store.rings:
-                        # |h| + 1 bounds the conjugates of each period: one ring for all
-                        store.rings[f] = _period_ring(f, max(2 * (k.order + 1) ** k.index for k in store.listed[f]))
+                        # one ring for every field listed at f
+                        store.rings[f] = _period_ring(f, max(map(_coefficient_bound, store.listed[f])))
                     store[h] = subfield_minpoly(h, store.rings[f])
                 out.append(store[h])
     out.sort(key=lambda s: (s.degree, s.minpoly))

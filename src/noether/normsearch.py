@@ -17,9 +17,8 @@ import os
 import selectors
 import shlex
 import subprocess
-from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .arith import is_prime, power_table, split_prime
 from .polyops import degree, is_squarefree_poly, normalize, poly_eval, resultant
@@ -235,13 +234,16 @@ class BackendClient:
                "certified": bool, "grh": bool}
 
     `send` is one whole exchange: it writes a batch of requests (the scan
-    sends every request of one subfield degree at once) and reads exactly
-    one answer line per request, and `decide` answers each problem from
-    what `send` read.  So the solver must answer each request with one
-    line, in request order, and must keep reading its input while it
-    writes, as a loop that answers one line at a time does.  A batch whose
-    reads end with more lines than requests, or with a partial line, is a
-    protocol error.  `close` closes the solver's input, waits up to
+    sends every request of one subfield degree at once), reads exactly one
+    answer line per request, and returns the decisions of the batch, in
+    request order, each made by `decide` as it is read from the iterator.
+    So the solver must answer each request with one line, in request
+    order, and must keep reading its input while it writes, as a loop that
+    answers one line at a time does.  A batch whose reads end with more
+    lines than requests, or with a partial line, is a protocol error.  A
+    solver that moves no byte either way for ANSWER_TIMEOUT_S is killed
+    and reaped, and the exchange raises BackendUnavailableError, as does
+    every later one.  `close` closes the solver's input, waits up to
     CLOSE_TIMEOUT_S for the end of its output, and kills it if that does
     not come.
 
@@ -249,6 +251,10 @@ class BackendClient:
     time; run several clients for parallelism.
     """
 
+    # A guard against a hung solver, not a measured bound: no real solver's
+    # latency on the largest request (degree 54, GRH) has been timed, and a
+    # slower correct answer costs every later backend prime of the client.
+    ANSWER_TIMEOUT_S = 300.0
     CLOSE_TIMEOUT_S = 2.0
     _READ_SIZE = 1 << 16
 
@@ -258,7 +264,6 @@ class BackendClient:
             raise BackendUnavailableError("empty backend command")
         self.command = args
         self._next_id = 0
-        self._answers: deque[tuple[int, NormProblem, bytes]] = deque()  # read, undecided
         try:
             self._proc = subprocess.Popen(
                 args,
@@ -276,15 +281,13 @@ class BackendClient:
         self._sel = selectors.DefaultSelector()
         self._sel.register(self._rfd, selectors.EVENT_READ)
 
-    def send(self, probs: Sequence[NormProblem]) -> None:
-        """Write one request per problem, numbered in order, and read one
-        answer line per request for `decide`.  Answers an earlier batch
-        left undecided are dropped.  One loop reads while it writes, so a
-        batch larger than both pipe buffers cannot deadlock."""
-        self._answers.clear()
-        if not probs:
-            return
-        if self._proc.poll() is not None:
+    def send(self, probs: Sequence[NormProblem], grh_allowed: bool = False) -> Iterator[BackendDecision]:
+        """Write one request per problem, numbered in order, read one answer
+        line per request, and return an iterator that decides each answer
+        in request order (see `decide`); an answer not taken from it is
+        never judged.  One loop waits on both pipes, so a batch larger than
+        both pipe buffers cannot deadlock."""
+        if probs and self._proc.poll() is not None:
             raise BackendUnavailableError("backend process has exited")
         first = self._next_id + 1
         self._next_id += len(probs)
@@ -298,21 +301,21 @@ class BackendClient:
             self._sel.register(self._wfd, selectors.EVENT_WRITE)
         try:
             while data or len(lines) < len(probs):
-                if data:
-                    # the pipe is full: wait until it takes more or there
-                    # are answers to read; once all is written, read blocks
-                    ready = {key.fd for key, _ in self._sel.select()}
-                    if self._wfd in ready:
-                        data = data[self._write(data):]
-                        if not data:
-                            self._sel.unregister(self._wfd)
-                    if self._rfd not in ready:
-                        continue
-                chunk = os.read(self._rfd, self._READ_SIZE)
-                if not chunk:
-                    raise BackendUnavailableError("backend closed its output stream")
-                *complete, tail = (tail + chunk).split(b"\n")
-                lines.extend(complete)
+                ready = {key.fd for key, _ in self._sel.select(self.ANSWER_TIMEOUT_S)}
+                if not ready:
+                    self._proc.kill()
+                    self._proc.wait()
+                    raise BackendUnavailableError(f"backend moved no byte for {self.ANSWER_TIMEOUT_S} s")
+                if self._wfd in ready:
+                    data = data[self._write(data):]
+                    if not data:
+                        self._sel.unregister(self._wfd)
+                if self._rfd in ready:
+                    chunk = os.read(self._rfd, self._READ_SIZE)
+                    if not chunk:
+                        raise BackendUnavailableError("backend closed its output stream")
+                    *complete, tail = (tail + chunk).split(b"\n")
+                    lines.extend(complete)
         finally:
             if data:
                 self._sel.unregister(self._wfd)
@@ -321,40 +324,33 @@ class BackendClient:
                 f"backend sent {len(lines)} lines{' and a partial line' if tail else ''} "
                 f"for {len(probs)} requests"
             )
-        self._answers.extend(zip(range(first, self._next_id + 1), probs, lines))
+        return (self.decide(prob, rid, line, grh_allowed)
+                for rid, (prob, line) in enumerate(zip(probs, lines), first))
 
-    def decide(self, prob: NormProblem, grh_allowed: bool = False) -> BackendDecision:
-        """Answer the oldest problem `send` read an answer for but nobody
-        decided, which must be prob; with none, send prob first.
+    def decide(self, prob: NormProblem, rid: int, line: bytes, grh_allowed: bool) -> BackendDecision:
+        """The decision of the answer `line` to request `rid`, which asked prob.
 
         Solvable answers are re-verified locally before being accepted.
         Uncertified or GRH-only (when grh_allowed is false) unsolvability
         claims are downgraded to unknown.  Protocol violations raise, they
-        never silently degrade.
+        never silently degrade: a line that is no JSON object, nests too
+        deep to parse or holds an integer too long to convert raises
+        BackendProtocolError, whose message quotes at most 80 characters
+        of what the backend sent.
         """
-        if not self._answers:
-            self.send([prob])
-        rid, sent, line = self._answers[0]
-        if sent != prob:
-            raise ValueError(f"decide({prob}) while request {rid} asks {sent}")
-        self._answers.popleft()
-        return self._translate(line, rid, prob, grh_allowed)
-
-    def _translate(self, line: bytes, rid: int, prob: NormProblem,
-                   grh_allowed: bool) -> BackendDecision:
         try:
             resp = json.loads(line)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise BackendProtocolError(f"backend sent invalid JSON: {line!r}") from exc
+        except (ValueError, RecursionError) as exc:
+            raise BackendProtocolError(f"backend sent invalid JSON: {line!r:.80}") from exc
         if not isinstance(resp, dict):
-            raise BackendProtocolError(f"backend response is not an object: {resp!r}")
+            raise BackendProtocolError(f"backend response is not an object: {resp!r:.80}")
         if type(resp.get("id")) is not int or resp["id"] != rid:
             raise BackendProtocolError(
-                f"backend answered id {resp.get('id')!r}, expected {rid}"
+                f"backend answered id {resp.get('id')!r:.80}, expected {rid}"
             )
         outcome = resp.get("outcome")
         if outcome not in ("solvable", "unsolvable", "unknown"):
-            raise BackendProtocolError(f"backend sent unknown outcome {outcome!r}")
+            raise BackendProtocolError(f"backend sent unknown outcome {outcome!r:.80}")
         certified = resp.get("certified")
         grh = resp.get("grh")
         if not isinstance(certified, bool) or not isinstance(grh, bool):

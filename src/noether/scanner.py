@@ -137,7 +137,7 @@ def _scan_backend(p: int, cfg: ScanConfig, sides: dict[int, Optional[dict]],
     """Ask the backend about the subfields of degree 3..max_degree, one
     degree at a time: every field of the degree, built by subfields() as
     the degree is reached, and every sign still open (its witness None)
-    goes out in one batch, and the answers are read in order until both
+    goes out in one batch, whose decisions are taken in order until both
     signs are proven, so no field above that degree is built.  A sign's
     witness is the first field in subfields() order that proves it; a
     later field of the same degree may be asked it too."""
@@ -145,11 +145,10 @@ def _scan_backend(p: int, cfg: ScanConfig, sides: dict[int, Optional[dict]],
         open_signs = [sign for sign, witness in sides.items() if witness is None]
         if not open_signs:
             return
-        batch = [(desc, sign, NormProblem.from_squarefree(desc.minpoly, sign * p))
-                 for desc in subfields(p - 1, degree, degree, store) for sign in open_signs]
-        client.send([prob for _, _, prob in batch])
-        for desc, sign, prob in batch:
-            dec = client.decide(prob, grh_allowed=cfg.allow_grh)
+        batch = [(desc, sign) for desc in subfields(p - 1, degree, degree, store) for sign in open_signs]
+        decisions = client.send([NormProblem.from_squarefree(desc.minpoly, sign * p) for desc, sign in batch],
+                                cfg.allow_grh)
+        for (desc, sign), dec in zip(batch, decisions):
             if dec.outcome == "unsolvable" and sides[sign] is None:
                 sides[sign] = {"degree": desc.degree, "minpoly": list(desc.minpoly), "grh": dec.grh}
                 if None not in sides.values():

@@ -11,6 +11,7 @@ argument picks a behaviour:
   id J            answer unknown with the id given as the JSON text J
   chatty          answer unknown twice per request, in one write
   die             exit immediately without answering
+  silent          read every request and answer none
   answer O C G    answer outcome O, certified C and grh G (true/false) to
                   every request
 
@@ -40,6 +41,8 @@ def main() -> None:
         rid = req["id"]
         degree = len(req["minpoly"]) - 1
         target = req["target"]
+        if mode == "silent":
+            continue
         if mode == "garbage":
             sys.stdout.write("this is not json\n")
             sys.stdout.flush()

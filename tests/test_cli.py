@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -212,3 +213,15 @@ def test_cross_check_names_a_line_that_is_not_json(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "noether: results line 1: not JSON (Expecting value: line 1 column 1 (char 0))" in captured.err
+
+
+def test_readme_library_example_runs_as_written(capsys):
+    # the example imports every name of noether's top-level surface
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Library\n\n```python\n(.*?)```", readme, re.S).group(1)
+    names: dict = {}
+    exec(block, names)
+    assert names["v"].status == "NotStablyRational" and len(names["rows"]) == 46
+    assert capsys.readouterr().out == "1 (-1, 1)\n2 (6, 1, 1)\n"
+    assert sorted(noether.__all__) == sorted(
+        ["classify_prime", "scan", "ScanConfig", "subfields", "solve_norm", "__version__"])

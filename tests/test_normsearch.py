@@ -1,4 +1,5 @@
 import gc
+import json
 import os
 import random
 import signal
@@ -7,7 +8,7 @@ import time
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import noether.normsearch as ns
@@ -15,6 +16,7 @@ from noether.cyclotomic import cyclotomic_polynomial
 from noether.arith import primes_below
 from noether.normsearch import (
     BackendClient,
+    BackendDecision,
     BackendProtocolError,
     BackendUnavailableError,
     BackendVerificationError,
@@ -32,6 +34,12 @@ FAKE = os.path.join(os.path.dirname(__file__), "fake_backend.py")
 
 def fake_cmd(mode: str) -> list[str]:
     return [sys.executable, FAKE, mode]
+
+
+def ask(client: BackendClient, prob: NormProblem, grh_allowed: bool = False):
+    """The decision of prob, sent in a batch of its own."""
+    [dec] = client.send([prob], grh_allowed)
+    return dec
 
 
 def test_norm_of_examples():
@@ -280,7 +288,7 @@ DEG8 = (1, 0, 0, 0, 0, 0, 0, 0, 1)  # x^8 + 1, squarefree
 def test_backend_scripted_unconditional():
     with BackendClient(fake_cmd("scripted")) as client:
         for t in (5507, -5507):
-            dec = client.decide(NormProblem(DEG8, t), grh_allowed=False)
+            dec = ask(client, NormProblem(DEG8, t))
             assert dec.outcome == "unsolvable"
             assert dec.certified and not dec.grh
 
@@ -288,9 +296,9 @@ def test_backend_scripted_unconditional():
 def test_backend_grh_downgrade():
     g46 = tuple([1] * 47)  # x^46 + ... + 1, the 47th cyclotomic polynomial
     with BackendClient(fake_cmd("scripted")) as client:
-        dec = client.decide(NormProblem(g46, 8837), grh_allowed=True)
+        dec = ask(client, NormProblem(g46, 8837), grh_allowed=True)
         assert dec.outcome == "unsolvable" and dec.grh
-        dec = client.decide(NormProblem(g46, 8837), grh_allowed=False)
+        dec = ask(client, NormProblem(g46, 8837), grh_allowed=False)
         assert dec.outcome == "unknown"
 
 
@@ -313,7 +321,7 @@ def test_backend_proof_rule():
         with BackendClient(fake_cmd("answer") + [outcome, *flags]) as client:
             got = []
             for grh_allowed in (False, True):
-                dec = client.decide(NormProblem(DEG8, 5507), grh_allowed=grh_allowed)
+                dec = ask(client, NormProblem(DEG8, 5507), grh_allowed=grh_allowed)
                 assert (dec.witness, dec.certified, dec.grh) == (None, certified, grh)
                 got.append(dec.outcome)
         assert tuple(got) == want, (outcome, certified, grh)
@@ -321,14 +329,14 @@ def test_backend_proof_rule():
 
 def test_backend_unknown_for_unscripted():
     with BackendClient(fake_cmd("scripted")) as client:
-        dec = client.decide(NormProblem(DEG8, 7), grh_allowed=True)
+        dec = ask(client, NormProblem(DEG8, 7), grh_allowed=True)
         assert dec.outcome == "unknown"
         assert not dec.certified
 
 
 def test_backend_solvable_witness_verified():
     with BackendClient(fake_cmd("canned-solvable")) as client:
-        dec = client.decide(NormProblem((1, 0, 1), 5))
+        dec = ask(client, NormProblem((1, 0, 1), 5))
         assert dec.outcome == "solvable"
         assert dec.witness == (2, 1)
 
@@ -336,16 +344,16 @@ def test_backend_solvable_witness_verified():
 def test_backend_bogus_witness_rejected():
     with BackendClient(fake_cmd("bogus")) as client:
         with pytest.raises(BackendVerificationError):
-            client.decide(NormProblem((1, 0, 1), 5))
+            ask(client, NormProblem((1, 0, 1), 5))
 
 
 def test_backend_protocol_errors():
     with BackendClient(fake_cmd("garbage")) as client:
         with pytest.raises(BackendProtocolError):
-            client.decide(NormProblem((1, 0, 1), 5))
+            ask(client, NormProblem((1, 0, 1), 5))
     with BackendClient(fake_cmd("wrong-id")) as client:
         with pytest.raises(BackendProtocolError):
-            client.decide(NormProblem((1, 0, 1), 5))
+            ask(client, NormProblem((1, 0, 1), 5))
 
 
 @pytest.mark.parametrize("rid", ["true", "1.0", '"1"'])
@@ -353,13 +361,13 @@ def test_an_answer_id_must_be_an_integer(rid):
     # true == 1 and 1.0 == 1 in Python, yet neither is the id of request 1
     with BackendClient(fake_cmd("id") + [rid]) as client:
         with pytest.raises(BackendProtocolError, match="expected 1"):
-            client.decide(NormProblem((1, 0, 1), 5))
+            ask(client, NormProblem((1, 0, 1), 5))
 
 
 def test_backend_unavailable():
     with BackendClient(fake_cmd("die")) as client:
         with pytest.raises(BackendUnavailableError):
-            client.decide(NormProblem((1, 0, 1), 5))
+            ask(client, NormProblem((1, 0, 1), 5))
     with pytest.raises(BackendUnavailableError):
         BackendClient("/nonexistent/solver-binary")
 
@@ -368,7 +376,7 @@ def test_closed_client_leaks_no_pipe():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with BackendClient(fake_cmd("scripted")) as client:
-            assert client.decide(NormProblem(DEG8, 5507)).outcome == "unsolvable"
+            assert ask(client, NormProblem(DEG8, 5507)).outcome == "unsolvable"
         del client
         gc.collect()
     assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
@@ -377,22 +385,8 @@ def test_closed_client_leaks_no_pipe():
 def test_backend_request_ids_advance():
     with BackendClient(fake_cmd("scripted")) as client:
         for _ in range(5):
-            dec = client.decide(NormProblem(DEG8, 5507))
+            dec = ask(client, NormProblem(DEG8, 5507))
             assert dec.outcome == "unsolvable"
-
-
-def test_send_drops_answers_left_undecided():
-    with BackendClient(fake_cmd("scripted")) as client:
-        probs = [NormProblem(DEG8, t) for t in (5507, 7, -5507)]
-        client.send(probs)
-        with pytest.raises(ValueError):
-            client.decide(probs[1])  # the oldest undecided answer is probs[0]'s
-        assert client.decide(probs[0]).outcome == "unsolvable"
-        # the next send drops the answers to 7 and -5507 this batch left
-        # undecided, so none is read as this one's
-        client.send([NormProblem(DEG8, 11)])
-        assert client.decide(NormProblem(DEG8, 11)).outcome == "unknown"
-        assert client.decide(NormProblem(DEG8, -5507)).outcome == "unsolvable"
 
 
 def test_an_extra_answer_line_fails_its_own_batch():
@@ -402,20 +396,6 @@ def test_an_extra_answer_line_fails_its_own_batch():
         prob = NormProblem(DEG8, 7)
         with pytest.raises(BackendProtocolError):
             client.send([prob])
-            client.decide(prob)
-
-
-@pytest.fixture
-def alarm():
-    """Fail the test if it runs longer than the given seconds, instead of
-    hanging."""
-    def expired(signum, frame):
-        raise AssertionError("the test ran out of time")  # not an OSError the client catches
-
-    previous = signal.signal(signal.SIGALRM, expired)
-    yield signal.alarm
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
 
 
 def test_large_batch_cannot_deadlock(alarm):
@@ -426,8 +406,7 @@ def test_large_batch_cannot_deadlock(alarm):
     probs = [NormProblem(DEG8, t) for t in targets]
     alarm(30)
     with BackendClient(fake_cmd("scripted")) as client:
-        client.send(probs)
-        outcomes = [client.decide(prob).outcome for prob in probs]
+        outcomes = [dec.outcome for dec in client.send(probs)]
     assert outcomes == ["unknown"] * 5000 + ["unsolvable"]
 
 
@@ -438,3 +417,59 @@ def test_close_kills_a_child_that_ignores_eof(alarm):
     client.close()
     assert time.monotonic() - t0 < BackendClient.CLOSE_TIMEOUT_S + 1
     assert client._proc.returncode == -signal.SIGKILL
+
+
+def test_a_silent_backend_is_killed_at_the_answer_deadline(alarm, monkeypatch):
+    monkeypatch.setattr(BackendClient, "ANSWER_TIMEOUT_S", 0.5)
+    alarm(10)
+    with BackendClient(fake_cmd("silent")) as client:
+        t0 = time.monotonic()
+        with pytest.raises(BackendUnavailableError, match="no byte for 0.5 s"):
+            client.send([NormProblem((1, 0, 1), 5)])
+        assert time.monotonic() - t0 < BackendClient.ANSWER_TIMEOUT_S + 1
+        assert client._proc.returncode == -signal.SIGKILL
+        t0 = time.monotonic()
+        with pytest.raises(BackendUnavailableError, match="backend process has exited"):
+            client.send([NormProblem((1, 0, 1), 5)])
+        assert time.monotonic() - t0 < BackendClient.ANSWER_TIMEOUT_S
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+# answer-shaped objects: each field of the protocol, well formed or not
+# (objects with fields missing come from _JSON_VALUES)
+_ANSWERS = st.fixed_dictionaries({
+    "id": st.just(1) | _JSON_VALUES,
+    "outcome": st.sampled_from(["solvable", "unsolvable", "unknown"]) | _JSON_VALUES,
+    "certified": st.booleans() | _JSON_VALUES,
+    "grh": st.booleans() | _JSON_VALUES,
+}, optional={"witness": st.lists(st.integers(-3, 3), min_size=2, max_size=2) | _JSON_VALUES})
+
+
+@pytest.fixture(scope="module")
+def scripted_client():
+    with BackendClient(fake_cmd("scripted")) as client:
+        yield client
+
+
+@given(line=st.binary(max_size=200) | (_ANSWERS | _JSON_VALUES).map(lambda v: json.dumps(v).encode()),
+       grh_allowed=st.booleans())
+@example(line=b"[" * 100_000, grh_allowed=False)
+@example(line=b'{"id": ' + b"1" * 5001 + b', "outcome": "unknown", "certified": false, "grh": false}',
+         grh_allowed=False)
+@settings(max_examples=300, deadline=None)
+def test_any_answer_line_is_decided_or_a_backend_error(scripted_client, line, grh_allowed):
+    prob = NormProblem((1, 0, 1), 5)
+    try:
+        dec = scripted_client.decide(prob, 1, line, grh_allowed)
+    except BackendProtocolError as exc:
+        assert len(str(exc)) < 200  # it quotes a bounded piece of the line
+        return
+    except BackendVerificationError:
+        return
+    assert isinstance(dec, BackendDecision)
+    if dec.outcome == "solvable":
+        assert norm_of([1, 0, 1], list(dec.witness)) == 5

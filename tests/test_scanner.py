@@ -3,6 +3,7 @@ import json
 import os
 import re
 import sys
+import time
 from itertools import groupby, product
 
 import pytest
@@ -382,8 +383,8 @@ def test_backend_stage_builds_no_quadratic_fields(monkeypatch):
     sent, answers = [], {}
     decide = BackendClient.decide
 
-    def recording_decide(self, prob, grh_allowed=False):
-        dec = decide(self, prob, grh_allowed=grh_allowed)
+    def recording_decide(self, prob, *answer):
+        dec = decide(self, prob, *answer)
         sent.append((tuple(prob.minpoly), prob.target))
         answers[sent[-1]] = dec.outcome
         return dec
@@ -422,11 +423,11 @@ class StubClient:
         self.unsolvable = unsolvable
         self.sent, self.decided = [], []
 
-    def send(self, probs):
+    def send(self, probs, grh_allowed=False):
         self.sent.extend(probs)
+        return map(self.decide, probs)
 
-    def decide(self, prob, grh_allowed=False):
-        assert prob == self.sent[len(self.decided)], "decided out of request order"
+    def decide(self, prob):
         self.decided.append(prob)
         key = (prob.minpoly, prob.target)
         return BackendDecision("unsolvable" if key in self.unsolvable else "unknown", None, True, False)
@@ -585,6 +586,23 @@ def test_a_failed_batch_leaves_no_answer_for_the_next_prime(mode, error):
     rows = []
     scan(5500, 5508, ScanConfig(max_degree=8, backend=fake_backend(mode)), rows.append)
     assert [(r.p, r.error.split(":")[0]) for r in rows if isinstance(r, ScanError)] == [(5501, error), (5507, error)]
+
+
+def test_a_silent_backend_costs_a_scan_one_answer_deadline(alarm, monkeypatch):
+    # 5501 waits out the deadline, which kills the child; 5507 then fails
+    # at once instead of waiting a second time.  The deadline is long
+    # against the child's start and the field builds, so a second wait
+    # cannot hide in the margin of the time bound.
+    monkeypatch.setattr(BackendClient, "ANSWER_TIMEOUT_S", 2.0)
+    alarm(15)
+    rows = []
+    t0 = time.monotonic()
+    scan(5500, 5508, ScanConfig(max_degree=8, backend=fake_backend("silent")), rows.append)
+    assert time.monotonic() - t0 < 2 * BackendClient.ANSWER_TIMEOUT_S
+    assert [(r.p, r.error) for r in rows if isinstance(r, ScanError)] == [
+        (5501, "BackendUnavailableError: backend moved no byte for 2.0 s"),
+        (5507, "BackendUnavailableError: backend process has exited"),
+    ]
 
 
 def test_parallel_scan_reaps_every_child(monkeypatch, tmp_path):
