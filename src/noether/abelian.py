@@ -12,7 +12,7 @@ is duplicate-free by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm, prod
 
 from .arith import divisors, element_of_order, euler_phi, factor, power_table
@@ -100,12 +100,11 @@ class Subgroup:
     group: UnitGroup
     hnf: tuple[tuple[int, ...], ...]
 
-    @property
+    @cached_property
     def index(self) -> int:
-        out = 1
-        for i, row in enumerate(self.hnf):
-            out *= row[i]
-        return out
+        """The product of the HNF pivots, computed once per instance (kept
+        out of __eq__ and __hash__, which compare group and hnf only)."""
+        return prod(row[i] for i, row in enumerate(self.hnf))
 
     @property
     def order(self) -> int:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
 
 from .arith import is_prime, power_table, split_prime
-from .polyops import degree, is_squarefree_poly, normalize, poly_eval, resultant
+from .polyops import degree, normalize, poly_eval, resultant
 
 __all__ = [
     "NormProblem",
@@ -43,8 +43,8 @@ def norm_of(g: Sequence[int], a: Sequence[int]) -> int:
     roots of g, as the resultant Res(g, a).
 
     g must be monic (low-order coefficients first).  Squarefreeness of g is
-    the caller's responsibility; it is checked where problems are built, not
-    in this inner loop.
+    the caller's responsibility; it is proven where minimal polynomials are
+    made (see NormProblem), not in this inner loop.
     """
     gn = normalize(list(g))
     if degree(gn) < 1 or gn[-1] != 1:
@@ -54,34 +54,23 @@ def norm_of(g: Sequence[int], a: Sequence[int]) -> int:
 
 @dataclass(frozen=True)
 class NormProblem:
-    """Ask whether some algebraic integer in Q[x]/(minpoly) has norm target."""
+    """Ask whether some algebraic integer in Q[x]/(minpoly) has norm target.
+
+    minpoly (low-order coefficients first) must be monic of degree >= 1,
+    so its last entry is 1 and it has no trailing zeros, and |target| must
+    be prime; plain raises, which survive python -O, check both.  minpoly
+    must also be squarefree.  That is not proven again here: it is proven
+    where minimal polynomials are made, in cyclotomic, by raising checks
+    of their two producers: subfield_minpoly (conjugate images pairwise
+    distinct, or else a nonzero exact discriminant) and
+    cyclotomic_polynomial (an exact divisor of the separable x^n - 1)."""
 
     minpoly: tuple[int, ...]
     target: int
 
     def __post_init__(self) -> None:
-        self._check(prove_squarefree=True)
-
-    @classmethod
-    def from_squarefree(cls, minpoly: Sequence[int], target: int) -> "NormProblem":
-        """The problem for a minimal polynomial already proven squarefree,
-        by a plain branch that survives python -O: subfield_minpoly shows
-        a subfield's conjugates distinct, and cyclotomic_polynomial(n)
-        divides the separable x^n - 1 exactly or raises."""
-        prob = object.__new__(cls)
-        object.__setattr__(prob, "minpoly", tuple(minpoly))
-        object.__setattr__(prob, "target", target)
-        prob._check(prove_squarefree=False)
-        return prob
-
-    def _check(self, prove_squarefree: bool) -> None:
-        g = normalize(list(self.minpoly))
-        if degree(g) < 1 or g[-1] != 1:
+        if len(self.minpoly) < 2 or self.minpoly[-1] != 1:
             raise ValueError("minpoly must be monic of degree >= 1")
-        if tuple(g) != tuple(self.minpoly):
-            raise ValueError("minpoly must be given in normalized form")
-        if prove_squarefree and not is_squarefree_poly(g):
-            raise ValueError("minpoly must be squarefree")
         if not is_prime(abs(self.target)):
             raise ValueError("|target| must be prime")
 

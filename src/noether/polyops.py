@@ -146,8 +146,3 @@ def discriminant(g: Poly) -> int:
         return 1
     r = resultant(g, derivative(g))
     return -r if (d * (d - 1) // 2) % 2 else r
-
-
-def is_squarefree_poly(g: Poly) -> bool:
-    """True iff monic g has no repeated complex root."""
-    return discriminant(g) != 0

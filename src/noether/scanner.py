@@ -146,7 +146,7 @@ def _scan_backend(p: int, cfg: ScanConfig, sides: dict[int, Optional[dict]],
         if not open_signs:
             return
         batch = [(desc, sign) for desc in subfields(p - 1, degree, degree, store) for sign in open_signs]
-        decisions = client.send([NormProblem.from_squarefree(desc.minpoly, sign * p) for desc, sign in batch],
+        decisions = client.send([NormProblem(desc.minpoly, sign * p) for desc, sign in batch],
                                 cfg.allow_grh)
         for (desc, sign), dec in zip(batch, decisions):
             if dec.outcome == "unsolvable" and sides[sign] is None:
@@ -222,7 +222,7 @@ def classify_prime(p: int, cfg: ScanConfig = ScanConfig(),
     # positive: only +p can be a norm
     if plus is None and euler_phi(p - 1) <= CERTIFICATE_DEGREE_LIMIT:
         g = tuple(cyclotomic_polynomial(p - 1))
-        witness = certificate_search(NormProblem.from_squarefree(g, p), CERTIFICATE_BOUND)
+        witness = certificate_search(NormProblem(g, p), CERTIFICATE_BOUND)
         if witness is not None:
             return _certified(p, g, witness)
 

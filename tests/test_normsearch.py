@@ -24,7 +24,7 @@ from noether.normsearch import (
     certificate_search,
     norm_of,
 )
-from noether.polyops import is_squarefree_poly, poly_divmod_monic, poly_mul
+from noether.polyops import discriminant, poly_divmod_monic, poly_mul
 from noether.cyclotomic import subfields
 from oracles import companion_det_norm, naive_is_prime, prime_family, prime_family_first_hit
 from optimized import run_optimized
@@ -88,39 +88,26 @@ def test_norm_of_multiplicative():
 
 def test_norm_problem_validation():
     NormProblem((1, 0, 1), 5)
-    with pytest.raises(ValueError):
-        NormProblem((1, 2), 5)  # not monic
-    with pytest.raises(ValueError):
-        NormProblem((1, 2, 1), 5)  # (x+1)^2 not squarefree
-    with pytest.raises(ValueError):
-        NormProblem((1, 0, 1), 6)  # |target| not prime
-
-
-def test_norm_problem_from_squarefree_proves_no_squarefreeness(monkeypatch):
-    sd = next(sd for sd in subfields(5506, 8, 3) if sd.degree == 8)
-    phi = cyclotomic_polynomial(70)
-
-    def reproved(g):
-        raise AssertionError(f"{g} proven squarefree a second time")
-
-    monkeypatch.setattr(ns, "is_squarefree_poly", reproved)
-    prob = NormProblem.from_squarefree(sd.minpoly, -5507)
-    cert = NormProblem.from_squarefree(phi, 71)
-    with pytest.raises(ValueError, match="prime"):
-        NormProblem.from_squarefree(sd.minpoly, 5506)
     with pytest.raises(ValueError, match="monic"):
-        NormProblem.from_squarefree((1, 2), 5)
-    monkeypatch.undo()
-    assert prob == NormProblem(sd.minpoly, -5507) and prob.degree == 8
-    assert cert == NormProblem(tuple(phi), 71) and cert.degree == 24
+        NormProblem((1, 2), 5)  # not monic
+    with pytest.raises(ValueError, match="monic"):
+        NormProblem((1,), 5)  # degree 0
+    with pytest.raises(ValueError, match="monic"):
+        NormProblem((1, 0, 1, 0), 5)  # a trailing zero: its last entry is not 1
+    with pytest.raises(ValueError, match="prime"):
+        NormProblem((1, 0, 1), 6)  # |target| not prime
+    # the two producers of minimal polynomials: a subfield and Phi_(p-1)
+    sd = next(sd for sd in subfields(5506, 8, 3) if sd.degree == 8)
+    assert NormProblem(sd.minpoly, -5507).degree == 8
+    assert NormProblem(tuple(cyclotomic_polynomial(70)), 71).degree == 24
+    with pytest.raises(ValueError, match="prime"):
+        NormProblem(sd.minpoly, 5506)
 
 
-def test_bare_non_squarefree_minpoly_raises_under_optimize():
-    with pytest.raises(ValueError, match="squarefree"):
-        NormProblem((1, 2, 1), 5)
-    proc = run_optimized("from noether.normsearch import NormProblem\nNormProblem((1, 2, 1), 5)\n")
+def test_non_monic_minpoly_raises_under_optimize():
+    proc = run_optimized("from noether.normsearch import NormProblem\nNormProblem((1, 2), 5)\n")
     assert proc.returncode == 1, proc
-    assert "ValueError: minpoly must be squarefree" in proc.stderr
+    assert "ValueError: minpoly must be monic of degree >= 1" in proc.stderr
 
 
 def test_certificate_search_examples():
@@ -152,7 +139,7 @@ def test_certificate_search_matches_unpruned_scan():
     ]
     hits = 0
     for g in polys:
-        assert is_squarefree_poly(g)
+        assert discriminant(g) != 0  # squarefree
         for t in (2, -2, 3, -3, 5, -5, 7, -7, 11, -11, 47):
             want = prime_family_first_hit(g, t, 2)
             assert certificate_search(NormProblem(tuple(g), t), 2) == want, (g, t)

@@ -530,20 +530,6 @@ def test_a_scan_builds_no_field_above_the_degree_that_proves_its_prime(mode, bui
     assert set(built) == lowest
 
 
-def test_backend_problems_are_not_proven_squarefree_again(monkeypatch):
-    import noether.normsearch as ns
-
-    def reproved(g):
-        raise AssertionError(f"{g} proven squarefree a second time")
-
-    monkeypatch.setattr(ns, "is_squarefree_poly", reproved)
-    cfg = ScanConfig(max_degree=8, backend=fake_backend("scripted"))
-    assert classify_prime(5507, cfg).d_plus == 8
-    rows = []
-    scan(5500, 5508, cfg, rows.append)
-    assert [r.p for r in rows if isinstance(r, Verdict) and r.method == "BACKEND"] == [5507]
-
-
 def test_parallel_backend_scan_is_byte_identical(tmp_path):
     from noether.cli import main
 
