@@ -38,11 +38,14 @@ def primes_below(limit: int) -> list[int]:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test, exact for all n < 2^64."""
+    """Deterministic primality test, exact for all n < 2^64; from 2^64 on,
+    where the witness set proves nothing, ValueError is raised."""
     if n < 2:
         return False
     if n < _SMALL_PRIME_LIMIT:
         return bool(_small_sieve()[n])
+    if n >> 64:
+        raise ValueError(f"{n} is not below 2^64, where primality is proven")
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         if n % p == 0:
             return n == p
@@ -86,7 +89,8 @@ def _pollard_rho(n: int) -> int:
 
 
 def factor(n: int) -> list[tuple[int, int]]:
-    """Prime factorization of n >= 1 as sorted (prime, exponent) pairs."""
+    """Prime factorization of n >= 1 as sorted (prime, exponent) pairs.
+    What trial division leaves of n must lie below 2^64 (see is_prime)."""
     if n < 1:
         raise ValueError("factor() requires n >= 1")
     out: dict[int, int] = {}

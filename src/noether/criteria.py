@@ -128,40 +128,36 @@ def _read_rows(name: str) -> dict[int, ResultRow]:
     return rows
 
 
+# each bundled prime table, by its FixtureSets field and file stem, and the
+# number of primes it must hold
+_TABLE_SIZES = {
+    "known_rational": 17,
+    # 18 as transcribed, less three provable 8q+1 entries (README "Errata")
+    "undetermined": 15,
+    "grh_conditional": 28,
+    "hard_unconditional": 40,
+    "hard_grh": 8,
+    "hardest_unconditional": 20,
+    "hardest_grh": 1,
+    "em_table_i": 394,
+    "em_table_ii": 189,
+}
+
+
 @lru_cache(maxsize=1)
 def load_fixtures() -> FixtureSets:
-    fx = FixtureSets(
-        known_rational=_read_primes("known_rational.txt"),
-        undetermined=_read_primes("undetermined.txt"),
-        grh_conditional=_read_primes("grh_conditional.txt"),
-        hard_unconditional=_read_primes("hard_unconditional.txt"),
-        hard_grh=_read_primes("hard_grh.txt"),
-        hardest_unconditional=_read_primes("hardest_unconditional.txt"),
-        hardest_grh=_read_primes("hardest_grh.txt"),
-        em_table_i=_read_primes("em_table_i.txt"),
-        em_table_ii=_read_primes("em_table_ii.txt"),
-        result_rows=_read_rows("classification.txt"),
-    )
-    grh = set(fx.grh_conditional)
-    sizes = {
-        "known_rational": 17,
-        # 18 as transcribed, less three provable 8q+1 entries (README "Errata")
-        "undetermined": 15,
-        "grh_conditional": 28,
-        "hard_unconditional": 40,
-        "hard_grh": 8,
-        "hardest_unconditional": 20,
-        "hardest_grh": 1,
-        "result_rows": 2262,
-    }
-    for field, size in sizes.items():
+    fx = FixtureSets(**{name: _read_primes(f"{name}.txt") for name in _TABLE_SIZES},
+                     result_rows=_read_rows("classification.txt"))
+    for field, size in (*_TABLE_SIZES.items(), ("result_rows", 2262)):
         got = len(getattr(fx, field))
         _require(got == size, f"{field} has {got} entries, expected {size}")
+    grh = set(fx.grh_conditional)
     _require(set(fx.hard_grh) <= grh, "hard_grh must lie in grh_conditional")
     _require(set(fx.hardest_grh) <= grh, "hardest_grh must lie in grh_conditional")
-    for marker, primes in ((RATIONAL, fx.known_rational), (UNDETERMINED, fx.undetermined)):
-        bad = [p for p in primes if fx.result_rows.get(p) != marker]
-        _require(not bad, f"rows {bad} must be {marker}")
+    # cross_check reads these two sets as the markers of result_rows
+    for marker, name in ((RATIONAL, "known_rational"), (UNDETERMINED, "undetermined")):
+        bad = set(getattr(fx, name)) ^ {p for p, row in fx.result_rows.items() if row == marker}
+        _require(not bad, f"rows {sorted(bad)} must be {marker} exactly when in {name}")
     bad = [p for p, row in fx.result_rows.items()
            if isinstance(row, tuple) and (row[2] == 1) != (p in grh)]
     _require(not bad, f"GRH flags of rows {bad} disagree with grh_conditional")

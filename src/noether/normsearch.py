@@ -251,7 +251,6 @@ class BackendClient:
         args = shlex.split(command) if isinstance(command, str) else list(command)
         if not args:
             raise BackendUnavailableError("empty backend command")
-        self.command = args
         self._next_id = 0
         try:
             self._proc = subprocess.Popen(

@@ -25,7 +25,7 @@ from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .arith import euler_phi, is_prime, primes_below
-from .criteria import FixtureSets, em_criterion_i, em_criterion_ii, load_fixtures
+from .criteria import RATIONAL, UNDETERMINED, FixtureSets, em_criterion_i, em_criterion_ii, load_fixtures
 from .cyclotomic import FieldStore, cyclotomic_polynomial, subfields
 from .normsearch import BackendClient, NormProblem, certificate_search, norm_of
 from .quadforms import quadratic_subfield_discs, solve_norm
@@ -338,7 +338,11 @@ def check_row(row, index: int, seen: set[int]) -> None:
         raise bad("not a JSON object")
     if type(p) is not int:
         raise bad('no integer "p"')
-    if not is_prime(p):
+    try:
+        prime = is_prime(p)
+    except ValueError as exc:
+        raise bad(str(exc)) from None
+    if not prime:
         raise bad(f'"p" = {p} is not prime')
     if p in seen:
         raise bad(f"a second row for p = {p}")
@@ -383,6 +387,12 @@ def cross_check(results: Iterable, fixtures: Optional[FixtureSets] = None) -> Cr
     read from the scan's own degree-2 stage (_scan_quadratic), run here
     once per prime for all three rules, not taken from the stream.
 
+    The rules run in one pass over the primes, ascending, each read
+    against its own reference row (fixtures.result_rows alone; the two
+    sets are its RATIONAL and UNDETERMINED markers), so failures come by
+    prime, each prime's in rule order; a prime above the reference table
+    has no row and meets rule (c) only.
+
     Every row is checked by check_row first: a malformed row, or a second
     row for one prime, raises RowError naming its position in the stream
     (from 1) and its "p".
@@ -397,17 +407,11 @@ def cross_check(results: Iterable, fixtures: Optional[FixtureSets] = None) -> Cr
             rows[row["p"]] = row
 
     failures: list[str] = []
-    expected = set(fx.result_rows)
-    missing = expected - set(rows)
+    missing = sorted(fx.result_rows.keys() - rows.keys())
     if missing:
-        failures.append(
-            f"incomplete coverage: {len(missing)} primes missing "
-            f"(first: {sorted(missing)[:5]})"
-        )
+        failures.append(f"incomplete coverage: {len(missing)} primes missing (first: {missing[:5]})")
         return CrossCheckReport(False, tuple(failures), len(rows))
 
-    rational = set(fx.known_rational)
-    undetermined = set(fx.undetermined)
     quadratic = cache(_scan_quadratic)
 
     def degree_two_rule(rule: str, p: int, source: str, degrees) -> None:
@@ -422,47 +426,38 @@ def cross_check(results: Iterable, fixtures: Optional[FixtureSets] = None) -> Cr
                     f"obstructed by a quadratic subfield"
                 )
 
-    for p in sorted(rational):
-        if rows[p]["status"] == STATUS_NOT_STABLY_RATIONAL:
+    for p, row in sorted(rows.items()):
+        ref = fx.result_rows.get(p)  # None above the reference table
+        status = row["status"]
+        if ref == RATIONAL and status == STATUS_NOT_STABLY_RATIONAL:
             failures.append(f"(a) known-rational prime {p} classified NotStablyRational")
-    for p, ref in sorted(fx.result_rows.items()):
-        if isinstance(ref, tuple) and rows[p]["status"] == STATUS_RATIONAL:
+        if isinstance(ref, tuple) and status == STATUS_RATIONAL:
             failures.append(f"(a) prime {p}: reference row {ref} but classified Rational")
 
-    for p in sorted(rows):
-        row = rows[p]
-        if (
-            row["status"] == STATUS_NOT_STABLY_RATIONAL
-            and not row["grh"]
-            and p in (rational | undetermined)
-        ):
+        if status == STATUS_NOT_STABLY_RATIONAL and not row["grh"] and ref in (RATIONAL, UNDETERMINED):
             failures.append(
                 f"(b) unconditional NotStablyRational verdict for {p}, which is in "
-                f"the {'known-rational' if p in rational else 'undetermined'} set"
+                f"the {'known-rational' if ref == RATIONAL else 'undetermined'} set"
             )
 
-    for p, ref in sorted(fx.result_rows.items()):
         if ref == (2, 2, 0):
-            row = rows[p]
-            got = (row["status"], row["d_plus"], row["d_minus"], row["grh"])
+            got = (status, row["d_plus"], row["d_minus"], row["grh"])
             want = (STATUS_NOT_STABLY_RATIONAL, 2, 2, False)
             if got != want:
                 failures.append(f"(c) prime {p}: reference row (2,2,0) but verdict {got}")
-    for p, row in sorted(rows.items()):
         degree_two_rule("c", p, "verdict", (row["d_plus"], row["d_minus"]))
 
-    for p in sorted(undetermined):
-        # the discriminants ascend, so the first obstructed (D, sign) has
-        # the least D, and +1 before -1 at one D
-        obstructed = [(w["disc"], sign) for sign, w in quadratic(p).items() if w]
-        if obstructed:
-            disc, sign = min(obstructed, key=lambda ds: (ds[0], -ds[1]))
-            failures.append(
-                f"(d) undetermined-set prime {p} fails a degree-2 test "
-                f"(first: discriminant {disc}, sign {sign:+d})"
-            )
+        if ref == UNDETERMINED:
+            # the discriminants ascend, so the first obstructed (D, sign) has
+            # the least D, and +1 before -1 at one D
+            obstructed = [(w["disc"], sign) for sign, w in quadratic(p).items() if w]
+            if obstructed:
+                disc, sign = min(obstructed, key=lambda ds: (ds[0], -ds[1]))
+                failures.append(
+                    f"(d) undetermined-set prime {p} fails a degree-2 test "
+                    f"(first: discriminant {disc}, sign {sign:+d})"
+                )
 
-    for p, ref in sorted(fx.result_rows.items()):
         if isinstance(ref, tuple):
             degree_two_rule("e", p, "reference", ref[:2])
 

@@ -12,6 +12,7 @@ argument picks a behaviour:
   chatty          answer unknown twice per request, in one write
   die             exit immediately without answering
   silent          read every request and answer none
+  slow S          sleep S seconds before each answer, else as scripted
   answer O C G    answer outcome O, certified C and grh G (true/false) to
                   every request
 
@@ -22,6 +23,7 @@ unsolvability for +8837 (GRH only).
 
 import json
 import sys
+import time
 
 SCRIPT = {
     (8, 5507): ("unsolvable", True, False),
@@ -36,6 +38,9 @@ def main() -> None:
     mode = sys.argv[1] if len(sys.argv) > 1 else "scripted"
     if mode == "die":
         return
+    delay = 0.0
+    if mode == "slow":
+        mode, delay = "scripted", float(sys.argv[2])
     for line in sys.stdin:
         req = json.loads(line)
         rid = req["id"]
@@ -43,6 +48,8 @@ def main() -> None:
         target = req["target"]
         if mode == "silent":
             continue
+        if delay:  # a sleep(0) per answer slowed the deg8-low benchmark scans by a fifth
+            time.sleep(delay)
         if mode == "garbage":
             sys.stdout.write("this is not json\n")
             sys.stdout.flush()

@@ -1,3 +1,4 @@
+import re
 from math import gcd
 
 import pytest
@@ -32,6 +33,15 @@ def test_is_prime_large_values():
     assert not is_prime(2**61 + 1)
     assert is_prime(19997)
     assert not is_prime(19997 * 19997)
+
+
+def test_is_prime_answers_only_below_2_64():
+    # the seven Miller-Rabin bases prove primality below 2^64 and no further
+    assert is_prime(2**64 - 59)  # the largest prime below 2^64
+    assert not is_prime(2**64 - 1)
+    for n in (2**64, 2**64 + 13):
+        with pytest.raises(ValueError, match=re.escape(f"{n} is not below 2^64")):
+            is_prime(n)
 
 
 def test_primes_below_counts():

@@ -52,6 +52,14 @@ def test_classify_rejects_composite(capsys):
     assert "not prime" in capsys.readouterr().err
 
 
+def test_classify_rejects_a_number_above_2_64(capsys):
+    # primality is proven only below 2^64, so 2^64 + 13 gets no verdict
+    with pytest.raises(ValueError, match=re.escape("18446744073709551629 is not below 2^64")):
+        noether.classify_prime(2**64 + 13)
+    assert main(["classify", str(2**64 + 13)]) == 2
+    assert "noether: 18446744073709551629 is not below 2^64" in capsys.readouterr().err
+
+
 def test_classify_max_degree_needs_backend(capsys, monkeypatch):
     monkeypatch.delenv("NOETHER_BACKEND", raising=False)
     assert main(["classify", "59", "--max-degree", "4"]) == 2

@@ -1,3 +1,4 @@
+import re
 from math import isqrt
 
 import pytest
@@ -133,13 +134,19 @@ def test_row_grh_flags_match_conditional_set():
     assert flagged == set(fx.grh_conditional)
 
 
-def _data_with_extra_undetermined(tmp_path):
-    """A copy of the bundled tables whose undetermined list has 16 primes."""
+def _bundled_copy(tmp_path):
+    """A copy of the bundled tables in tmp_path."""
     from importlib import resources
 
     for entry in resources.files("noether.data").iterdir():
         if entry.name.endswith(".txt"):
             (tmp_path / entry.name).write_text(entry.read_text())
+    return tmp_path
+
+
+def _data_with_extra_undetermined(tmp_path):
+    """A copy of the bundled tables whose undetermined list has 16 primes."""
+    _bundled_copy(tmp_path)
     primes = sorted(load_fixtures().undetermined + (14281,))
     (tmp_path / "undetermined.txt").write_text("".join(f"{p}\n" for p in primes))
     return tmp_path
@@ -154,24 +161,49 @@ criteria.load_fixtures()
 """
 
 
-def test_wrong_size_table_is_rejected(tmp_path, monkeypatch):
+def _assert_tables_rejected(data, message, monkeypatch):
+    """load_fixtures raises ValueError(message) on the tables in data,
+    in-process and under python -O."""
     import types
 
     import noether.criteria as criteria
     from optimized import run_optimized
 
-    data = _data_with_extra_undetermined(tmp_path)
     monkeypatch.setattr(criteria, "resources", types.SimpleNamespace(files=lambda package: data))
     load_fixtures.cache_clear()
     try:
-        with pytest.raises(ValueError, match="undetermined has 16 entries, expected 15"):
+        with pytest.raises(ValueError, match=re.escape(message)):
             load_fixtures()
     finally:
         load_fixtures.cache_clear()
 
     proc = run_optimized(_FEED_TABLES, str(data))
     assert proc.returncode == 1, proc
-    assert "ValueError: bundled reference data: undetermined has 16 entries" in proc.stderr
+    assert f"ValueError: bundled reference data: {message}" in proc.stderr
+
+
+def test_wrong_size_table_is_rejected(tmp_path, monkeypatch):
+    _assert_tables_rejected(_data_with_extra_undetermined(tmp_path),
+                            "undetermined has 16 entries, expected 15", monkeypatch)
+
+
+def test_short_congruence_table_is_rejected(tmp_path, monkeypatch):
+    # the congruence tables are sized like every other bundled table
+    data = _bundled_copy(tmp_path)
+    table = data / "em_table_ii.txt"
+    table.write_text("".join(table.read_text().splitlines(keepends=True)[:-1]))
+    _assert_tables_rejected(data, "em_table_ii has 188 entries, expected 189", monkeypatch)
+
+
+def test_marker_rows_must_be_their_sets(tmp_path, monkeypatch):
+    # cross_check reads the known-rational set as the RATIONAL rows, so a
+    # RATIONAL row outside known_rational.txt is rejected at load
+    data = _bundled_copy(tmp_path)
+    rows = data / "classification.txt"
+    text = rows.read_text()
+    assert text.startswith("2,RATIONAL\n") and "\n47,2,2,0\n" in text
+    rows.write_text(text.replace("\n47,2,2,0\n", "\n47,RATIONAL\n"))
+    _assert_tables_rejected(data, "rows [47] must be RATIONAL exactly when in known_rational", monkeypatch)
 
 
 def test_unsorted_table_is_rejected(tmp_path, monkeypatch):

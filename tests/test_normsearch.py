@@ -421,6 +421,21 @@ def test_a_silent_backend_is_killed_at_the_answer_deadline(alarm, monkeypatch):
         assert time.monotonic() - t0 < BackendClient.ANSWER_TIMEOUT_S
 
 
+def test_the_answer_deadline_restarts_on_every_byte(alarm, monkeypatch):
+    # eight answers 0.2 s apart take 1.6 s, past the 1 s deadline, but no
+    # wait between two of them reaches it
+    monkeypatch.setattr(BackendClient, "ANSWER_TIMEOUT_S", 1.0)
+    alarm(10)
+    probs = [NormProblem((1, 0, 1), 5)] * 8
+    with BackendClient(fake_cmd("slow") + ["0.2"]) as client:
+        t0 = time.monotonic()
+        decisions = list(client.send(probs))
+        elapsed = time.monotonic() - t0
+        assert [d.outcome for d in decisions] == ["unknown"] * 8
+        assert client._proc.poll() is None
+    assert 8 * 0.2 <= elapsed < 8 * 0.2 + 2
+
+
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),

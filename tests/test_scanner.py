@@ -246,11 +246,30 @@ def test_cross_check_flags_injected_faults(full_scan):
             corrupted.append(v)
     rep = cross_check(corrupted, fx)
     assert not rep.ok
-    assert any(f.startswith("(c) prime 47") for f in rep.failures)
-    assert any(f.startswith("(a) known-rational prime 5") for f in rep.failures)
-    assert any("(b)" in f and " 5," in f for f in rep.failures)
-    assert "(c) prime 53: verdict d+ = 2, but sign +1 is not obstructed by a quadratic subfield" in rep.failures
-    assert not any("prime 53: verdict d-" in f for f in rep.failures)
+    # by prime, and each prime's failures in rule order
+    assert rep.failures == (
+        "(a) known-rational prime 5 classified NotStablyRational",
+        "(b) unconditional NotStablyRational verdict for 5, which is in the known-rational set",
+        "(c) prime 5: verdict d+ = 2, but sign +1 is not obstructed by a quadratic subfield",
+        "(a) prime 47: reference row (2, 2, 0) but classified Rational",
+        "(c) prime 47: reference row (2,2,0) but verdict ('Rational', None, None, False)",
+        "(c) prime 53: verdict d+ = 2, but sign +1 is not obstructed by a quadratic subfield",
+    )
+
+
+def test_cross_check_rows_above_the_reference_table(full_scan):
+    # the nine primes of 20000..20100 have no reference row, so only rule
+    # (c), the scan's own degree-2 stage, judges them
+    above = []
+    scan(20000, 20100, sink=above.append)
+    assert len(above) == 9 and above[0].p == 20011
+    rep = cross_check(full_scan + above)
+    assert rep.ok and rep.checked == 2271
+    honest = next(v for v in above if v.d_plus == v.d_minus == 2)
+    forged = Verdict(honest.p, STATUS_NOT_STABLY_RATIONAL, 4, 4, "BACKEND", False)
+    assert cross_check(full_scan + [forged if v is honest else v for v in above]).failures == tuple(
+        f"(c) prime {honest.p}: verdict d{s} = 4, but sign {s}1 is obstructed by a quadratic subfield"
+        for s in "+-")
 
 
 def test_cross_check_flags_a_rational_verdict_with_reference_degrees(full_scan):
@@ -302,6 +321,8 @@ def _without(key):
     (47, _without("p"), None, 'no integer "p"'),
     (47, _without("grh"), 47, 'no boolean "grh"'),
     (47, lambda row: {**row, "p": 4}, 4, '"p" = 4 is not prime'),
+    (47, lambda row: {**row, "p": 2**64 + 13}, 2**64 + 13,
+     "18446744073709551629 is not below 2^64, where primality is proven"),
     (47, lambda row: {**row, "status": "Bogus"}, 47, '"status" \'Bogus\' is none of the three'),
     (47, lambda row: {**row, "p": 43}, 43, "a second row for p = 43"),
     # rows of the right shape whose status, degrees, method and grh disagree
@@ -316,7 +337,7 @@ def _without(key):
     (47, lambda row: {**row, "grh": True}, 47, '"grh" true with method \'EM_I\''),
     (5, lambda row: {**row, "method": None}, 5,
      "Rational with degrees (None, None), method None and grh False"),
-], ids=["not-an-object", "no-p", "no-grh", "not-prime", "bogus-status", "second-row",
+], ids=["not-an-object", "no-p", "no-grh", "not-prime", "p-above-2-64", "bogus-status", "second-row",
         "nsr-without-degrees", "no-method", "undetermined-with-degrees", "bogus-method", "quadratic-above-2",
         "grh-without-backend", "rational-without-certificate"])
 def test_cross_check_rejects_a_malformed_row(full_scan, target, malform, p, why):
