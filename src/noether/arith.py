@@ -7,6 +7,7 @@ deterministic for the full range handled by the pipeline (inputs < 2^64).
 """
 from __future__ import annotations
 
+from functools import cache
 from math import gcd, isqrt
 
 # Deterministic Miller-Rabin witness set, complete for n < 2^64
@@ -14,19 +15,16 @@ from math import gcd, isqrt
 _MR_WITNESSES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
 _SMALL_PRIME_LIMIT = 1_000_000
-_sieve_cache: bytearray | None = None
 
 
+@cache
 def _small_sieve() -> bytearray:
-    global _sieve_cache
-    if _sieve_cache is None:
-        sieve = bytearray([1]) * _SMALL_PRIME_LIMIT
-        sieve[0] = sieve[1] = 0
-        for i in range(2, isqrt(_SMALL_PRIME_LIMIT) + 1):
-            if sieve[i]:
-                sieve[i * i::i] = bytearray(len(sieve[i * i::i]))
-        _sieve_cache = sieve
-    return _sieve_cache
+    sieve = bytearray([1]) * _SMALL_PRIME_LIMIT
+    sieve[0] = sieve[1] = 0
+    for i in range(2, isqrt(_SMALL_PRIME_LIMIT) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytearray(len(sieve[i * i::i]))
+    return sieve
 
 
 def primes_below(limit: int) -> list[int]:

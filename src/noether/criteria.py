@@ -104,7 +104,7 @@ def _require(ok: bool, what: str) -> None:
 def _read_primes(name: str) -> tuple[int, ...]:
     text = resources.files("noether.data").joinpath(name).read_text()
     vals = tuple(int(line) for line in text.split() if line)
-    _require(vals == tuple(sorted(vals)), f"{name} must be sorted")
+    _require(all(a < b for a, b in zip(vals, vals[1:])), f"{name} must be sorted, each prime once")
     return vals
 
 
@@ -116,6 +116,7 @@ def _read_rows(name: str) -> dict[int, ResultRow]:
             continue
         parts = line.split(",")
         p = int(parts[0])
+        _require(p not in rows, f"{name} has a second row for {p}")
         if len(parts) == 2:
             marker = parts[1]
             if marker not in (RATIONAL, UNDETERMINED):
@@ -148,9 +149,11 @@ _TABLE_SIZES = {
 def load_fixtures() -> FixtureSets:
     fx = FixtureSets(**{name: _read_primes(f"{name}.txt") for name in _TABLE_SIZES},
                      result_rows=_read_rows("classification.txt"))
-    for field, size in (*_TABLE_SIZES.items(), ("result_rows", 2262)):
+    for field, size in _TABLE_SIZES.items():
         got = len(getattr(fx, field))
         _require(got == size, f"{field} has {got} entries, expected {size}")
+    _require(list(fx.result_rows) == primes_below(20000),
+             "classification.txt must hold one row per prime below 20000, ascending")
     grh = set(fx.grh_conditional)
     _require(set(fx.hard_grh) <= grh, "hard_grh must lie in grh_conditional")
     _require(set(fx.hardest_grh) <= grh, "hardest_grh must lie in grh_conditional")

@@ -262,7 +262,6 @@ class BackendClient:
             )
         except OSError as exc:
             raise BackendUnavailableError(f"cannot start backend {args[0]!r}: {exc}") from exc
-        assert self._proc.stdin is not None and self._proc.stdout is not None
         self._wfd = self._proc.stdin.fileno()
         self._rfd = self._proc.stdout.fileno()
         os.set_blocking(self._wfd, False)

@@ -216,3 +216,30 @@ def test_unsorted_table_is_rejected(tmp_path, monkeypatch):
     monkeypatch.setattr(criteria, "resources", types.SimpleNamespace(files=lambda package: data))
     with pytest.raises(ValueError, match="hard_grh.txt must be sorted"):
         criteria._read_primes("hard_grh.txt")
+
+
+def test_second_row_for_a_prime_is_rejected(tmp_path, monkeypatch):
+    # a later row for 5987 must not overwrite the erratum row 5987,2,8,0
+    data = _bundled_copy(tmp_path)
+    rows = data / "classification.txt"
+    text = rows.read_text()
+    assert "\n5987,2,8,0\n" in text and text.endswith("\n")
+    rows.write_text(text + "5987,2,2,0\n")
+    _assert_tables_rejected(data, "classification.txt has a second row for 5987", monkeypatch)
+
+
+def test_repeated_prime_in_a_table_is_rejected(tmp_path, monkeypatch):
+    # the first prime twice and the last one gone keeps the size and the order
+    data = _bundled_copy(tmp_path)
+    table = data / "hard_grh.txt"
+    primes = table.read_text().split()
+    table.write_text("".join(f"{p}\n" for p in [primes[0], *primes[:-1]]))
+    _assert_tables_rejected(data, "hard_grh.txt must be sorted, each prime once", monkeypatch)
+
+
+def test_row_for_a_non_prime_is_rejected(tmp_path, monkeypatch):
+    data = _bundled_copy(tmp_path)
+    rows = data / "classification.txt"
+    rows.write_text(rows.read_text().replace("\n5987,2,8,0\n", "\n5986,2,8,0\n"))
+    _assert_tables_rejected(
+        data, "classification.txt must hold one row per prime below 20000, ascending", monkeypatch)

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import os
 import random
@@ -367,6 +368,16 @@ def test_closed_client_leaks_no_pipe():
         del client
         gc.collect()
     assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+def test_benchmark_backend_is_pinned():
+    # scanbench/run.py runs this helper's scripted mode as the solver of
+    # deg8-low and deg12-top, so an edit to it moves those workloads; whoever
+    # edits it re-pins this digest in the open, with a deg8-low before/after
+    # pair of runs in CHANGES.md
+    with open(FAKE, "rb") as f:
+        digest = hashlib.sha256(f.read()).hexdigest()
+    assert digest == "e66f6027efb02d0e2b30b2130d3c2978c3c6089ad6c2fc50719fcc778ddeaf5b"
 
 
 def test_backend_request_ids_advance():
