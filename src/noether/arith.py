@@ -8,6 +8,7 @@ deterministic for the full range handled by the pipeline (inputs < 2^64).
 from __future__ import annotations
 
 from functools import cache
+from itertools import compress
 from math import gcd, isqrt
 
 # Deterministic Miller-Rabin witness set, complete for n < 2^64
@@ -21,9 +22,11 @@ _SMALL_PRIME_LIMIT = 1_000_000
 def _small_sieve() -> bytearray:
     sieve = bytearray([1]) * _SMALL_PRIME_LIMIT
     sieve[0] = sieve[1] = 0
-    for i in range(2, isqrt(_SMALL_PRIME_LIMIT) + 1):
+    sieve[4::2] = bytearray(len(range(4, _SMALL_PRIME_LIMIT, 2)))
+    # odd multiples only: i*i + i is even and already cleared
+    for i in range(3, isqrt(_SMALL_PRIME_LIMIT) + 1, 2):
         if sieve[i]:
-            sieve[i * i::i] = bytearray(len(sieve[i * i::i]))
+            sieve[i * i::2 * i] = bytearray(len(range(i * i, _SMALL_PRIME_LIMIT, 2 * i)))
     return sieve
 
 
@@ -31,8 +34,7 @@ def primes_below(limit: int) -> list[int]:
     """All primes < limit, ascending. limit must stay under the sieve bound."""
     if limit > _SMALL_PRIME_LIMIT:
         raise ValueError(f"limit {limit} exceeds sieve bound {_SMALL_PRIME_LIMIT}")
-    sieve = _small_sieve()
-    return [i for i in range(limit) if sieve[i]]
+    return list(compress(range(limit), _small_sieve()))
 
 
 def is_prime(n: int) -> bool:

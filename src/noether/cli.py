@@ -8,7 +8,6 @@ and cross-check a result file against the packaged reference data.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -98,6 +97,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         nonlocal out, writer
         out = open(args.out, "w") if args.out else sys.stdout
         if args.format == "csv":
+            import csv
+
             writer = csv.writer(out)
             writer.writerow(ROW_FIELDS)
 

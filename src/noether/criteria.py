@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from importlib import resources
 from typing import Union
 
 from .arith import is_square, is_squarefree, primes_below
@@ -101,15 +100,23 @@ def _require(ok: bool, what: str) -> None:
         raise ValueError(f"bundled reference data: {what}")
 
 
+def _data_text(name: str) -> str:
+    """The text of the bundled table `name`; importlib.resources is imported
+    here, so only a load of the reference data pays for it."""
+    from importlib import resources
+
+    return resources.files("noether.data").joinpath(name).read_text()
+
+
 def _read_primes(name: str) -> tuple[int, ...]:
-    text = resources.files("noether.data").joinpath(name).read_text()
+    text = _data_text(name)
     vals = tuple(int(line) for line in text.split() if line)
     _require(all(a < b for a, b in zip(vals, vals[1:])), f"{name} must be sorted, each prime once")
     return vals
 
 
 def _read_rows(name: str) -> dict[int, ResultRow]:
-    text = resources.files("noether.data").joinpath(name).read_text()
+    text = _data_text(name)
     rows: dict[int, ResultRow] = {}
     for line in text.splitlines():
         if not line.strip():

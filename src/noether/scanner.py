@@ -15,9 +15,7 @@ small.  Anything left over is Undetermined.
 
 from __future__ import annotations
 
-import heapq
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cache
@@ -264,9 +262,11 @@ def scan(
     be started raises BackendUnavailableError before any record.  The scan
     owns one field store and, above degree 2, one backend client, whose
     child starts with the scan and is reaped before it returns, also when
-    the sink raises.  With parallelism J, each of min(J, #primes) pool
-    workers classifies every J-th prime with a store and a client of its
-    own, and the sink gets the records once every worker has finished.
+    the sink raises.  With parallelism J the scan starts jobs =
+    min(J, #primes) pool workers; worker i classifies primes[i::jobs] of
+    the ascending primes with a store and a client of its own, and the sink
+    gets the records once every worker has finished.  Parallelism 1, the
+    default, classifies in-process and starts and imports no pool.
     """
     if not 2 <= frm <= to:
         raise ValueError("need 2 <= frm <= to")
@@ -278,6 +278,11 @@ def scan(
     if jobs <= 1:
         records: Iterator[Record] = _classify_all(primes, cfg)
     else:
+        # the pool and the merge are imported here, so a serial scan never
+        # loads concurrent.futures or multiprocessing
+        import heapq
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             tasks = list(pool.map(_scan_task, [primes[i::jobs] for i in range(jobs)], [cfg] * jobs))
         records = heapq.merge(*tasks, key=attrgetter("p"))

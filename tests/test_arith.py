@@ -50,6 +50,19 @@ def test_primes_below_counts():
     assert ps[0] == 2 and ps[-1] == 19997
 
 
+def test_primes_below_matches_sympy():
+    assert primes_below(10**5) == list(sympy.primerange(2, 10**5))
+
+
+def test_primes_below_the_sieve_bound():
+    ps = primes_below(10**6)
+    assert len(ps) == 78498 and ps[-1] == 999983
+
+
+def test_primes_below_small_limits():
+    assert [primes_below(n) for n in (0, 1, 2, 3)] == [[], [], [], [2]]
+
+
 def test_factor_examples():
     assert factor(19996) == [(2, 2), (4999, 1)]
     assert factor(1) == []

@@ -233,3 +233,39 @@ def test_readme_library_example_runs_as_written(capsys):
     assert capsys.readouterr().out == "1 (-1, 1)\n2 (6, 1, 1)\n"
     assert sorted(noether.__all__) == sorted(
         ["classify_prime", "scan", "ScanConfig", "subfields", "solve_norm", "__version__"])
+
+
+# a fresh interpreter without the site hook, so nothing is loaded before
+# the program: it records the modules that noether.cli and three default
+# runs add, then scans with a pool and records what that adds on top
+_COLD_START = """
+import json, sys
+before = set(sys.modules)
+from noether.cli import main
+out, fake = sys.argv[1], sys.argv[2]
+codes = [main(["scan", "--from", "2", "--to", "500", "--out", out + "/serial.jsonl"]),
+         main(["scan", "--from", "2", "--to", "100", "--max-degree", "8",
+               "--backend", sys.executable + " " + fake + " scripted", "--out", out + "/deg8.jsonl"]),
+         main(["classify", "47"])]
+default = set(sys.modules) - before
+codes.append(main(["scan", "--from", "2", "--to", "500", "--jobs", "2", "--out", out + "/jobs2.jsonl"]))
+print(json.dumps([codes, sorted(default), sorted(set(sys.modules) - before - default)]))
+"""
+
+# modules that only --jobs N > 1, --format csv and cross-check use
+_NOT_ON_THE_DEFAULT_PATH = {"concurrent", "multiprocessing", "csv", "importlib.resources"}
+
+
+def test_default_runs_import_no_pool_csv_writer_or_resource_loader(tmp_path):
+    src = str(Path(noether.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-S", "-c", _COLD_START, str(tmp_path), FAKE],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    codes, default, pool = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0, 0, 0, 0]
+    default, pool = set(default), set(pool)
+    assert "noether.scanner" in default
+    assert sorted(default & _NOT_ON_THE_DEFAULT_PATH) == []
+    assert {"concurrent", "multiprocessing"} <= pool
+    assert (tmp_path / "jobs2.jsonl").read_bytes() == (tmp_path / "serial.jsonl").read_bytes()
+    assert json.loads((tmp_path / "deg8.jsonl").read_text().splitlines()[-1])["p"] == 97

@@ -153,10 +153,9 @@ def _data_with_extra_undetermined(tmp_path):
 
 
 _FEED_TABLES = """
-import types
 from pathlib import Path
 import noether.criteria as criteria
-criteria.resources = types.SimpleNamespace(files=lambda package: Path(sys.argv[1]))
+criteria._data_text = lambda name: (Path(sys.argv[1]) / name).read_text()
 criteria.load_fixtures()
 """
 
@@ -164,12 +163,10 @@ criteria.load_fixtures()
 def _assert_tables_rejected(data, message, monkeypatch):
     """load_fixtures raises ValueError(message) on the tables in data,
     in-process and under python -O."""
-    import types
-
     import noether.criteria as criteria
     from optimized import run_optimized
 
-    monkeypatch.setattr(criteria, "resources", types.SimpleNamespace(files=lambda package: data))
+    monkeypatch.setattr(criteria, "_data_text", lambda name: (data / name).read_text())
     load_fixtures.cache_clear()
     try:
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -207,13 +204,11 @@ def test_marker_rows_must_be_their_sets(tmp_path, monkeypatch):
 
 
 def test_unsorted_table_is_rejected(tmp_path, monkeypatch):
-    import types
-
     import noether.criteria as criteria
 
     data = _data_with_extra_undetermined(tmp_path)
     (data / "hard_grh.txt").write_text("\n".join(reversed((data / "hard_grh.txt").read_text().split())))
-    monkeypatch.setattr(criteria, "resources", types.SimpleNamespace(files=lambda package: data))
+    monkeypatch.setattr(criteria, "_data_text", lambda name: (data / name).read_text())
     with pytest.raises(ValueError, match="hard_grh.txt must be sorted"):
         criteria._read_primes("hard_grh.txt")
 
