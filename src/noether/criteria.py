@@ -1,17 +1,18 @@
-"""Elementary non-rationality criteria and the published reference data.
+"""Elementary non-rationality criteria and the published reference table.
 
 Two congruence-and-squarefree tests decide non-rationality for primes of
 the shapes p = 2q+1 and p = 8q+1 without any norm-equation work.  The
-package also ships the published classification reference data as plain
-text files: the known-rational and undetermined prime sets, the
-GRH-conditional set, the hard-instance sets, the two golden tables of
-criterion hits below 20000, and the full per-prime result table.
+package also ships one reference table, classification.txt, with a row
+for each prime below 20000.  The known-rational, undetermined and
+GRH-conditional sets of the paper are its RATIONAL rows, its UNDETERMINED
+rows and its rows flagged GRH; the loader checks their sizes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Union
 
 from .arith import is_square, is_squarefree, primes_below
@@ -20,7 +21,6 @@ __all__ = [
     "em_criterion_i",
     "em_criterion_ii",
     "em_tables",
-    "FixtureSets",
     "load_fixtures",
     "RATIONAL",
     "UNDETERMINED",
@@ -74,26 +74,6 @@ def em_tables(limit: int) -> tuple[list[int], list[int]]:
     return table_i, table_ii
 
 
-@dataclass(frozen=True)
-class FixtureSets:
-    """Published reference data, loaded from the packaged text files.
-
-    result_rows maps each prime below 20000 to either a (d_plus, d_minus,
-    grh) triple or one of the markers RATIONAL / UNDETERMINED.
-    """
-
-    known_rational: tuple[int, ...]
-    undetermined: tuple[int, ...]
-    grh_conditional: tuple[int, ...]
-    hard_unconditional: tuple[int, ...]
-    hard_grh: tuple[int, ...]
-    hardest_unconditional: tuple[int, ...]
-    hardest_grh: tuple[int, ...]
-    em_table_i: tuple[int, ...]
-    em_table_ii: tuple[int, ...]
-    result_rows: dict[int, ResultRow]
-
-
 def _require(ok: bool, what: str) -> None:
     """Reject malformed reference data; unlike assert, survives python -O."""
     if not ok:
@@ -108,67 +88,43 @@ def _data_text(name: str) -> str:
     return resources.files("noether.data").joinpath(name).read_text()
 
 
-def _read_primes(name: str) -> tuple[int, ...]:
-    text = _data_text(name)
-    vals = tuple(int(line) for line in text.split() if line)
-    _require(all(a < b for a, b in zip(vals, vals[1:])), f"{name} must be sorted, each prime once")
-    return vals
-
-
 def _read_rows(name: str) -> dict[int, ResultRow]:
-    text = _data_text(name)
     rows: dict[int, ResultRow] = {}
-    for line in text.splitlines():
+    for n, line in enumerate(_data_text(name).splitlines(), 1):
         if not line.strip():
             continue
-        parts = line.split(",")
-        p = int(parts[0])
+        where = f"{name} line {n} ({line!r})"
+        fields = line.split(",")
+        marker = fields[1:] in ([RATIONAL], [UNDETERMINED])
+        _require(marker or len(fields) == 4, f"{where}: want p,d+,d-,grh or p,{RATIONAL} or p,{UNDETERMINED}")
+        numbers = [int(f) for f in fields[:1 if marker else 4] if f.isascii() and f.removeprefix("-").isdecimal()]
+        _require(len(numbers) == (1 if marker else 4), f"{where}: a field is not an integer")
+        p, *row = numbers
         _require(p not in rows, f"{name} has a second row for {p}")
-        if len(parts) == 2:
-            marker = parts[1]
-            if marker not in (RATIONAL, UNDETERMINED):
-                raise ValueError(f"bad marker {marker!r} in {name}")
-            rows[p] = marker
-        elif len(parts) == 4:
-            rows[p] = (int(parts[1]), int(parts[2]), int(parts[3]))
-        else:
-            raise ValueError(f"bad row {line!r} in {name}")
+        if marker:
+            rows[p] = fields[1]
+            continue
+        # degree 1 never obstructs, so an obstructing subfield has degree >= 2
+        _require(min(row[:2]) >= 2, f"{where}: a degree is below 2")
+        _require(row[2] in (0, 1), f"{where}: GRH flag {row[2]} is not 0 or 1")
+        rows[p] = tuple(row)
     return rows
 
 
-# each bundled prime table, by its FixtureSets field and file stem, and the
-# number of primes it must hold
-_TABLE_SIZES = {
-    "known_rational": 17,
-    # 18 as transcribed, less three provable 8q+1 entries (README "Errata")
-    "undetermined": 15,
-    "grh_conditional": 28,
-    "hard_unconditional": 40,
-    "hard_grh": 8,
-    "hardest_unconditional": 20,
-    "hardest_grh": 1,
-    "em_table_i": 394,
-    "em_table_ii": 189,
-}
-
-
 @lru_cache(maxsize=1)
-def load_fixtures() -> FixtureSets:
-    fx = FixtureSets(**{name: _read_primes(f"{name}.txt") for name in _TABLE_SIZES},
-                     result_rows=_read_rows("classification.txt"))
-    for field, size in _TABLE_SIZES.items():
-        got = len(getattr(fx, field))
-        _require(got == size, f"{field} has {got} entries, expected {size}")
-    _require(list(fx.result_rows) == primes_below(20000),
-             "classification.txt must hold one row per prime below 20000, ascending")
-    grh = set(fx.grh_conditional)
-    _require(set(fx.hard_grh) <= grh, "hard_grh must lie in grh_conditional")
-    _require(set(fx.hardest_grh) <= grh, "hardest_grh must lie in grh_conditional")
-    # cross_check reads these two sets as the markers of result_rows
-    for marker, name in ((RATIONAL, "known_rational"), (UNDETERMINED, "undetermined")):
-        bad = set(getattr(fx, name)) ^ {p for p, row in fx.result_rows.items() if row == marker}
-        _require(not bad, f"rows {sorted(bad)} must be {marker} exactly when in {name}")
-    bad = [p for p, row in fx.result_rows.items()
-           if isinstance(row, tuple) and (row[2] == 1) != (p in grh)]
-    _require(not bad, f"GRH flags of rows {bad} disagree with grh_conditional")
-    return fx
+def load_fixtures() -> Mapping[int, ResultRow]:
+    """The reference table classification.txt, read-only: each prime below
+    20000, ascending, mapped to its (d_plus, d_minus, grh) triple or to one
+    of the markers RATIONAL / UNDETERMINED."""
+    name = "classification.txt"
+    rows = _read_rows(name)
+    _require(list(rows) == primes_below(20000), f"{name} must hold one row per prime below 20000, ascending")
+    # the paper's counts: 17 rational primes, and 46 undetermined, of which
+    # GRH settles 28; 15 stay undetermined, 18 as transcribed less three
+    # provable 8q+1 entries (README "Errata")
+    values = list(rows.values())
+    for kind, got, want in ((RATIONAL, values.count(RATIONAL), 17),
+                            (UNDETERMINED, values.count(UNDETERMINED), 15),
+                            ("GRH-flagged", sum(isinstance(row, tuple) and row[2] for row in values), 28)):
+        _require(got == want, f"{name} has {got} {kind} rows, expected {want}")
+    return MappingProxyType(rows)

@@ -20,10 +20,10 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cache
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
 from .arith import euler_phi, is_prime, primes_below
-from .criteria import RATIONAL, UNDETERMINED, FixtureSets, em_criterion_i, em_criterion_ii, load_fixtures
+from .criteria import RATIONAL, UNDETERMINED, ResultRow, em_criterion_i, em_criterion_ii, load_fixtures
 from .cyclotomic import FieldStore, cyclotomic_polynomial, subfields
 from .normsearch import BackendClient, NormProblem, certificate_search, norm_of
 from .quadforms import quadratic_subfield_discs, solve_norm
@@ -376,8 +376,9 @@ def check_row(row, index: int, seen: set[int]) -> None:
         raise bad(f"{status} with degrees {degrees}, method {method!r} and grh {grh}")
 
 
-def cross_check(results: Iterable, fixtures: Optional[FixtureSets] = None) -> CrossCheckReport:
-    """Validate a full scan result stream against the reference data.
+def cross_check(results: Iterable, rows: Optional[Mapping[int, ResultRow]] = None) -> CrossCheckReport:
+    """Validate a full scan result stream against the reference rows
+    (load_fixtures() unless given).
 
     Checks: (a) no known-rational prime is classified NotStablyRational,
     and no prime whose reference row has degrees is classified Rational;
@@ -393,8 +394,8 @@ def cross_check(results: Iterable, fixtures: Optional[FixtureSets] = None) -> Cr
     once per prime for all three rules, not taken from the stream.
 
     The rules run in one pass over the primes, ascending, each read
-    against its own reference row (fixtures.result_rows alone; the two
-    sets are its RATIONAL and UNDETERMINED markers), so failures come by
+    against its own reference row (the known-rational and undetermined
+    sets are the RATIONAL and UNDETERMINED rows), so failures come by
     prime, each prime's in rule order; a prime above the reference table
     has no row and meets rule (c) only.
 
@@ -402,20 +403,20 @@ def cross_check(results: Iterable, fixtures: Optional[FixtureSets] = None) -> Cr
     row for one prime, raises RowError naming its position in the stream
     (from 1) and its "p".
     """
-    fx = fixtures or load_fixtures()
-    rows: dict[int, dict] = {}
+    reference = load_fixtures() if rows is None else rows
+    verdicts: dict[int, dict] = {}
     seen: set[int] = set()
     for i, rec in enumerate(results, 1):
         row = rec.to_row() if isinstance(rec, (Verdict, ScanError)) else rec
         check_row(row, i, seen)
         if "status" in row:  # error records leave their prime uncovered
-            rows[row["p"]] = row
+            verdicts[row["p"]] = row
 
     failures: list[str] = []
-    missing = sorted(fx.result_rows.keys() - rows.keys())
+    missing = sorted(reference.keys() - verdicts.keys())
     if missing:
         failures.append(f"incomplete coverage: {len(missing)} primes missing (first: {missing[:5]})")
-        return CrossCheckReport(False, tuple(failures), len(rows))
+        return CrossCheckReport(False, tuple(failures), len(verdicts))
 
     quadratic = cache(_scan_quadratic)
 
@@ -431,8 +432,8 @@ def cross_check(results: Iterable, fixtures: Optional[FixtureSets] = None) -> Cr
                     f"obstructed by a quadratic subfield"
                 )
 
-    for p, row in sorted(rows.items()):
-        ref = fx.result_rows.get(p)  # None above the reference table
+    for p, row in sorted(verdicts.items()):
+        ref = reference.get(p)  # None above the reference table
         status = row["status"]
         if ref == RATIONAL and status == STATUS_NOT_STABLY_RATIONAL:
             failures.append(f"(a) known-rational prime {p} classified NotStablyRational")
@@ -466,4 +467,4 @@ def cross_check(results: Iterable, fixtures: Optional[FixtureSets] = None) -> Cr
         if isinstance(ref, tuple):
             degree_two_rule("e", p, "reference", ref[:2])
 
-    return CrossCheckReport(not failures, tuple(failures), len(rows))
+    return CrossCheckReport(not failures, tuple(failures), len(verdicts))

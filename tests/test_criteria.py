@@ -1,5 +1,7 @@
+import hashlib
 import re
 from math import isqrt
+from pathlib import Path
 
 import pytest
 
@@ -35,38 +37,41 @@ def test_em_tables_examples():
     assert em_tables(3) == ([], [])
 
 
+# sha256 of `noether em-tables --limit 20000`: the two congruence tables,
+# one prime a line, separated by a blank line
+EM_TABLES_SHA256 = "58c74a3756f136205191d172eb6977b06699ae47804661018b8ee1483cab1366"
+
+
 def test_em_tables_match_fixtures():
-    fx = load_fixtures()
+    # the tables are pinned by digest, not shipped
     t1, t2 = em_tables(20000)
-    assert tuple(t1) == fx.em_table_i
-    assert tuple(t2) == fx.em_table_ii
+    text = "".join(f"{p}\n" for p in t1) + "\n" + "".join(f"{p}\n" for p in t2)
+    assert (len(t1), len(t2)) == (394, 189)
+    assert hashlib.sha256(text.encode()).hexdigest() == EM_TABLES_SHA256
 
 
 def test_tables_disjoint_from_known_rational():
-    fx = load_fixtures()
-    rset = set(fx.known_rational)
-    assert not rset & set(fx.em_table_i)
-    assert not rset & set(fx.em_table_ii)
+    rows = load_fixtures()
+    t1, t2 = em_tables(20000)
     # the two shapes p = 2q+1 and p = 8q+1 cannot coincide
-    assert not set(fx.em_table_i) & set(fx.em_table_ii)
-    # a criterion hit is proved non-rational, so it is never undetermined
-    uset = set(fx.undetermined)
-    assert not uset & set(fx.em_table_i)
-    assert not uset & set(fx.em_table_ii)
+    assert not set(t1) & set(t2)
+    # a criterion hit is proved non-rational by two degree-2 obstructions,
+    # so its row is never RATIONAL or UNDETERMINED
+    assert {rows[p] for p in t1 + t2} == {(2, 2, 0)}
 
 
 def test_fixture_shapes():
-    fx = load_fixtures()
-    assert fx.known_rational == (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 61, 67, 71)
-    assert fx.result_rows[47] == (2, 2, 0)
-    assert fx.result_rows[59] == (28, 4, 1)
-    assert fx.result_rows[5507] == (8, 8, 0)
-    assert fx.result_rows[5987] == (2, 8, 0)
-    assert fx.result_rows[8837] == (46, 2, 1)
-    assert fx.result_rows[5] == RATIONAL
-    assert fx.result_rows[251] == UNDETERMINED
-    assert 14281 in fx.em_table_ii and 14281 not in fx.undetermined
-    assert fx.result_rows[14281] == (2, 2, 0)
+    rows = load_fixtures()
+    assert tuple(p for p, row in rows.items() if row == RATIONAL) == (
+        2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 61, 67, 71)
+    assert rows[47] == (2, 2, 0)
+    assert rows[59] == (28, 4, 1)
+    assert rows[5507] == (8, 8, 0)
+    assert rows[5987] == (2, 8, 0)
+    assert rows[8837] == (46, 2, 1)
+    assert rows[5] == RATIONAL
+    assert rows[251] == UNDETERMINED
+    assert em_criterion_ii(14281) and rows[14281] == (2, 2, 0)
 
 
 def test_errata_primes_are_not_undetermined():
@@ -76,7 +81,7 @@ def test_errata_primes_are_not_undetermined():
     # discriminant -4q; 4q divides p-1, so it lies in Q(zeta_{p-1}).  If
     # x^2 + q y^2 represents neither p nor -p, neither sign is a norm from
     # the full cyclotomic field.
-    fx = load_fixtures()
+    rows = load_fixtures()
     for p in (14281, 17681, 18481):
         q, r = divmod(p - 1, 8)
         assert r == 0
@@ -86,8 +91,7 @@ def test_errata_primes_are_not_undetermined():
         bound = isqrt(p) + 1
         assert represents_oracle(-4 * q, p, bound) is None, p
         assert represents_oracle(-4 * q, -p, bound) is None, p
-        assert p not in fx.undetermined
-        assert fx.result_rows[p] == (2, 2, 0)
+        assert rows[p] == (2, 2, 0)
 
 
 def test_row_5987_has_d_plus_2():
@@ -107,20 +111,20 @@ def test_row_5987_has_d_plus_2():
     x, y = 313, 12
     assert x * x + x * y - 748 * y * y == -p
     assert (2 * x + y, y) in diop_DN(D, -4 * p)
-    assert load_fixtures().result_rows[p] == (2, 8, 0)
+    assert load_fixtures()[p] == (2, 8, 0)
 
 
 def test_criterion_hits_are_quadratic_obstructions():
     # every table prime must show a two-sided degree-2 obstruction: shape
     # p = 2q+1 at discriminant -q, shape p = 8q+1 at discriminant -4q
-    fx = load_fixtures()
-    sample = list(fx.em_table_i[:25]) + list(fx.em_table_i[-5:])
+    t1, t2 = em_tables(20000)
+    sample = t1[:25] + t1[-5:]
     for p in sample:
         q = (p - 1) // 2
         assert -q in quadratic_subfield_discs(p - 1), p
         assert not solve_norm(-q, p, 1).solvable, p
         assert not solve_norm(-q, p, -1).solvable, p
-    sample = list(fx.em_table_ii[:25]) + list(fx.em_table_ii[-5:])
+    sample = t2[:25] + t2[-5:]
     for p in sample:
         q = (p - 1) // 8
         assert -4 * q in quadratic_subfield_discs(p - 1), p
@@ -128,14 +132,34 @@ def test_criterion_hits_are_quadratic_obstructions():
         assert not solve_norm(-4 * q, p, -1).solvable, p
 
 
-def test_row_grh_flags_match_conditional_set():
-    fx = load_fixtures()
-    flagged = {p for p, row in fx.result_rows.items() if isinstance(row, tuple) and row[2] == 1}
-    assert flagged == set(fx.grh_conditional)
+def test_package_ships_one_table():
+    # _bundled_copy copies every table shipped, so one left behind or added
+    # would go unnoticed by the corruption tests below; the table changes
+    # only with a proof (README "Errata"), and then its digest here and in
+    # README "Bundled reference table" with it
+    from importlib import resources
+
+    data = resources.files("noether.data")
+    assert {e.name for e in data.iterdir() if e.name.endswith(".txt")} == {"classification.txt"}
+    assert hashlib.sha256(data.joinpath("classification.txt").read_bytes()).hexdigest() == (
+        "f902048d10d5fc5d247fa9ba8a31e9d72e1d8d309fbfa75684648a501e15d4ae")
+
+
+def test_hard_instance_lists():
+    # transcribed with the reference table; their selection rule is not in
+    # the repository, and no code reads them
+    data = Path(__file__).with_name("data")
+    rows = load_fixtures()
+    for name, size, grh in (("hard_unconditional", 40, 0), ("hard_grh", 8, 1),
+                            ("hardest_unconditional", 20, 0), ("hardest_grh", 1, 1)):
+        primes = [int(p) for p in (data / f"{name}.txt").read_text().split()]
+        assert len(primes) == size, name
+        assert primes == sorted(set(primes)), f"{name} must be sorted, each prime once"
+        assert all(isinstance(rows[p], tuple) and rows[p][2] == grh for p in primes), name
 
 
 def _bundled_copy(tmp_path):
-    """A copy of the bundled tables in tmp_path."""
+    """A copy of every table the package ships, in tmp_path."""
     from importlib import resources
 
     for entry in resources.files("noether.data").iterdir():
@@ -144,11 +168,12 @@ def _bundled_copy(tmp_path):
     return tmp_path
 
 
-def _data_with_extra_undetermined(tmp_path):
-    """A copy of the bundled tables whose undetermined list has 16 primes."""
-    _bundled_copy(tmp_path)
-    primes = sorted(load_fixtures().undetermined + (14281,))
-    (tmp_path / "undetermined.txt").write_text("".join(f"{p}\n" for p in primes))
+def _row_replaced(tmp_path, old, new):
+    """A copy of the bundled table whose row `old` reads `new`."""
+    rows = _bundled_copy(tmp_path) / "classification.txt"
+    text = rows.read_text()
+    assert f"\n{old}\n" in text
+    rows.write_text(text.replace(f"\n{old}\n", f"\n{new}\n"))
     return tmp_path
 
 
@@ -180,37 +205,36 @@ def _assert_tables_rejected(data, message, monkeypatch):
 
 
 def test_wrong_size_table_is_rejected(tmp_path, monkeypatch):
-    _assert_tables_rejected(_data_with_extra_undetermined(tmp_path),
-                            "undetermined has 16 entries, expected 15", monkeypatch)
+    # a 16th UNDETERMINED row
+    _assert_tables_rejected(_row_replaced(tmp_path, "14281,2,2,0", "14281,UNDETERMINED"),
+                            "classification.txt has 16 UNDETERMINED rows, expected 15", monkeypatch)
 
 
-def test_short_congruence_table_is_rejected(tmp_path, monkeypatch):
-    # the congruence tables are sized like every other bundled table
-    data = _bundled_copy(tmp_path)
-    table = data / "em_table_ii.txt"
-    table.write_text("".join(table.read_text().splitlines(keepends=True)[:-1]))
-    _assert_tables_rejected(data, "em_table_ii has 188 entries, expected 189", monkeypatch)
+def test_eighteenth_rational_row_is_rejected(tmp_path, monkeypatch):
+    _assert_tables_rejected(_row_replaced(tmp_path, "47,2,2,0", "47,RATIONAL"),
+                            "classification.txt has 18 RATIONAL rows, expected 17", monkeypatch)
 
 
-def test_marker_rows_must_be_their_sets(tmp_path, monkeypatch):
-    # cross_check reads the known-rational set as the RATIONAL rows, so a
-    # RATIONAL row outside known_rational.txt is rejected at load
-    data = _bundled_copy(tmp_path)
-    rows = data / "classification.txt"
-    text = rows.read_text()
-    assert text.startswith("2,RATIONAL\n") and "\n47,2,2,0\n" in text
-    rows.write_text(text.replace("\n47,2,2,0\n", "\n47,RATIONAL\n"))
-    _assert_tables_rejected(data, "rows [47] must be RATIONAL exactly when in known_rational", monkeypatch)
+def test_cleared_grh_flag_is_rejected(tmp_path, monkeypatch):
+    _assert_tables_rejected(_row_replaced(tmp_path, "59,28,4,1", "59,28,4,0"),
+                            "classification.txt has 27 GRH-flagged rows, expected 28", monkeypatch)
+
+
+@pytest.mark.parametrize("row, why", [
+    ("47,2,2,7", "GRH flag 7 is not 0 or 1"),
+    ("47,1,0,0", "a degree is below 2"),
+    ("47,-2,2,0", "a degree is below 2"),
+    ("47,x,2,0", "a field is not an integer"),
+], ids=["grh-flag-7", "degree-1", "negative-degree", "not-an-integer"])
+def test_malformed_row_is_rejected(row, why, tmp_path, monkeypatch):
+    # 47 is the 15th prime, so its row is line 15
+    _assert_tables_rejected(_row_replaced(tmp_path, "47,2,2,0", row),
+                            f"classification.txt line 15 ({row!r}): {why}", monkeypatch)
 
 
 def test_unsorted_table_is_rejected(tmp_path, monkeypatch):
-    import noether.criteria as criteria
-
-    data = _data_with_extra_undetermined(tmp_path)
-    (data / "hard_grh.txt").write_text("\n".join(reversed((data / "hard_grh.txt").read_text().split())))
-    monkeypatch.setattr(criteria, "_data_text", lambda name: (data / name).read_text())
-    with pytest.raises(ValueError, match="hard_grh.txt must be sorted"):
-        criteria._read_primes("hard_grh.txt")
+    _assert_tables_rejected(_row_replaced(tmp_path, "47,2,2,0\n53,6,2,0", "53,6,2,0\n47,2,2,0"),
+                            "classification.txt must hold one row per prime below 20000, ascending", monkeypatch)
 
 
 def test_second_row_for_a_prime_is_rejected(tmp_path, monkeypatch):
@@ -224,17 +248,14 @@ def test_second_row_for_a_prime_is_rejected(tmp_path, monkeypatch):
 
 
 def test_repeated_prime_in_a_table_is_rejected(tmp_path, monkeypatch):
-    # the first prime twice and the last one gone keeps the size and the order
+    # the first row twice and the last one gone keeps the size
     data = _bundled_copy(tmp_path)
-    table = data / "hard_grh.txt"
-    primes = table.read_text().split()
-    table.write_text("".join(f"{p}\n" for p in [primes[0], *primes[:-1]]))
-    _assert_tables_rejected(data, "hard_grh.txt must be sorted, each prime once", monkeypatch)
+    rows = data / "classification.txt"
+    lines = rows.read_text().splitlines(keepends=True)
+    rows.write_text("".join([lines[0], *lines[:-1]]))
+    _assert_tables_rejected(data, "classification.txt has a second row for 2", monkeypatch)
 
 
 def test_row_for_a_non_prime_is_rejected(tmp_path, monkeypatch):
-    data = _bundled_copy(tmp_path)
-    rows = data / "classification.txt"
-    rows.write_text(rows.read_text().replace("\n5987,2,8,0\n", "\n5986,2,8,0\n"))
-    _assert_tables_rejected(
-        data, "classification.txt must hold one row per prime below 20000, ascending", monkeypatch)
+    _assert_tables_rejected(_row_replaced(tmp_path, "5987,2,8,0", "5986,2,8,0"),
+                            "classification.txt must hold one row per prime below 20000, ascending", monkeypatch)

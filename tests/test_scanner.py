@@ -9,7 +9,7 @@ from itertools import groupby, product
 import pytest
 
 from noether.arith import primes_below
-from noether.criteria import load_fixtures
+from noether.criteria import RATIONAL, load_fixtures
 from noether.cyclotomic import FieldStore, subfields
 from noether.normsearch import (
     BackendClient,
@@ -84,7 +84,7 @@ def test_classify_reads_no_reference_data(monkeypatch):
     import noether.criteria
     import noether.scanner
 
-    rational = load_fixtures().known_rational
+    rational = tuple(p for p, row in load_fixtures().items() if row == RATIONAL)
 
     def refuse():
         raise RuntimeError("reference data read")
@@ -232,7 +232,6 @@ def test_cross_check_full_scan(full_scan):
 
 
 def test_cross_check_flags_injected_faults(full_scan):
-    fx = load_fixtures()
     corrupted = []
     for v in full_scan:
         if v.p == 47:
@@ -244,7 +243,7 @@ def test_cross_check_flags_injected_faults(full_scan):
             corrupted.append(Verdict(53, STATUS_NOT_STABLY_RATIONAL, 2, 2, "QUADRATIC", False))
         else:
             corrupted.append(v)
-    rep = cross_check(corrupted, fx)
+    rep = cross_check(corrupted)
     assert not rep.ok
     # by prime, and each prime's failures in rule order
     assert rep.failures == (
@@ -285,12 +284,8 @@ def test_cross_check_flags_a_rational_verdict_with_reference_degrees(full_scan):
 def test_cross_check_rule_e_reads_every_degree_row(full_scan):
     # a reference d_s = 2 that no quadratic subfield bears out, and a
     # reference d_s > 2 where one does, are both flagged; 5987 as transcribed
-    import dataclasses
-
-    fx = load_fixtures()
-    rows = dict(fx.result_rows)
-    rows.update({47: (2, 4, 0), 5939: (2, 8, 0), 5987: (8, 8, 0)})
-    rep = cross_check(full_scan, dataclasses.replace(fx, result_rows=rows))
+    rows = {**load_fixtures(), 47: (2, 4, 0), 5939: (2, 8, 0), 5987: (8, 8, 0)}
+    rep = cross_check(full_scan, rows)
     assert rep.failures == (
         "(e) prime 47: reference d- = 4, but sign -1 is obstructed by a quadratic subfield",
         "(e) prime 5939: reference d+ = 2, but sign +1 is not obstructed by a quadratic subfield",
