@@ -157,12 +157,12 @@ def element_of_order(f: int, ell: int) -> int:
     raise ArithmeticError(f"no unit of order {f} modulo {ell}: {ell} is not prime")
 
 
-def split_prime(m: int, avoid: int = 0) -> tuple[int, int]:
-    """The least prime ℓ ≡ 1 (mod m) other than avoid, and
-    element_of_order(m, ℓ), of exact order m modulo ℓ. Unless ℓ lies below
-    2^64, where is_prime is exact, ArithmeticError is raised first."""
+def split_prime(m: int) -> tuple[int, int]:
+    """The least prime ℓ ≡ 1 (mod m) and element_of_order(m, ℓ), of exact
+    order m modulo ℓ. Unless ℓ lies below 2^64, where is_prime is exact,
+    ArithmeticError is raised first."""
     ell = m + 1
-    while ell < 1 << 64 and (ell == avoid or not is_prime(ell)):
+    while ell < 1 << 64 and not is_prime(ell):
         ell += m
     if ell >> 64:
         raise ArithmeticError(f"least prime = 1 mod {m} is not below 2^64")

@@ -10,8 +10,9 @@ conductor f | n and is the fixed field of one subgroup h of (Z/f)* that
 holds no reduction kernel, a function of f alone; its descriptor is h with
 the minimal polynomial, and subfield_minpoly(h) is the one way to build it.
 The fields of one conductor share one ring map of their own, so nothing in
-a build depends on n. Exact elements of Z[x]/(x^n - 1) (CycElement) remain
-for checking the periods.
+a build depends on n. The same ring map gives normsearch the exact norms of
+its certificate candidates. Exact elements of Z[x]/(x^n - 1) (CycElement)
+remain for checking the periods.
 
 A scan that builds the subfields of many moduli can hand subfields() a
 FieldStore it owns, made for the scan's degree cap: it lists the subgroups
@@ -148,14 +149,16 @@ def _primitive(h: Subgroup, kernels: list[tuple[int, ...]]) -> bool:
     return not any(h.contains(v) for v in kernels)
 
 
-def _period_ring(f: int, bound: int) -> tuple[int, list[int]]:
-    """The ring map Z[ζ_f] → Z/M, ζ_f ↦ z, of one conductor, as
-    (M, powers) with powers[e] = z^e mod M for 0 <= e < f (z = powers[1]
-    when f > 1).
+def period_ring(f: int, bound: int) -> tuple[int, list[int]]:
+    """The ring map Z[ζ_f] → Z/M, ζ_f ↦ z, as (M, powers) with
+    powers[e] = z^e mod M for 0 <= e < f (z = powers[1] when f > 1),
+    through which a scan forms its products of conjugates: those of the
+    periods of one conductor here, and those of each certificate candidate
+    in normsearch.certificate_search.
 
     M = ℓ^j is the least power (j >= 1) above bound, ℓ that of
-    arith.split_prime(f), so the period sums and products run on integers
-    no wider than the fields of f need. z is the Hensel lift, on x^f - 1,
+    arith.split_prime(f), so the sums and products run on integers no
+    wider than the caller's bound needs. z is the Hensel lift, on x^f - 1,
     of a root of Φ_f modulo ℓ. As ℓ ≡ 1 (mod f), ℓ ∤ f: x^f - 1 is
     separable modulo ℓ and f z^(f-1) is a unit, so each Newton step
     doubles the precision (capped at M) and the lift is unique. The other
@@ -217,13 +220,13 @@ def subfield_minpoly(h: Subgroup, ring: tuple[int, list[int]] | None = None) -> 
       so <S> ⊇ ker r and r(<S>) is everything: <S> = X.  ∎
 
     The product of x - σ_c(η) is formed in Z/M through `ring`, the
-    (M, powers) of _period_ring(f, ...) that subfields() shares among the
+    (M, powers) of period_ring(f, ...) that subfields() shares among the
     fields of conductor f (a fresh one, sized for h, when none is given).
     A ring of another conductor f' holds f' powers, not f, and raises
     ValueError: read as powers of ζ_f they would give a wrong polynomial
     that the distinct-roots check need not catch. The product is exact: ℓ
     is a proven prime (below 2^64, where is_prime is deterministic) and
-    ζ_f ↦ z is a ring map Z[ζ_f] → Z/M (see _period_ring). As
+    ζ_f ↦ z is a ring map Z[ζ_f] → Z/M (see period_ring). As
     |σ_c(η)| <= |h|, the k-th coefficient is at most
     C(d, k) |h|^k <= (|h| + 1)^d < M/2 in absolute value, and the
     symmetric lift recovers it; a ring with M at or below that bound
@@ -246,7 +249,7 @@ def subfield_minpoly(h: Subgroup, ring: tuple[int, list[int]] | None = None) -> 
                 raise ArithmeticError(
                     f"representatives {a} and {b} of an index-{d} subgroup mod {f} share a coset")
     bound = _coefficient_bound(h)
-    m, zpow = _period_ring(f, bound) if ring is None else ring
+    m, zpow = period_ring(f, bound) if ring is None else ring
     if len(zpow) != f:
         raise ValueError(f"a ring of {len(zpow)} powers is not the ring map of conductor {f}")
     if m <= bound:
@@ -266,7 +269,7 @@ class FieldStore(dict):
     dict from each built field's subgroup h to its descriptor, with three
     memos: `lattices`, the HNF memo of abelian.subgroups at the cap;
     `listed`, the primitive subgroups of index <= cap of each conductor
-    met; `rings`, the _period_ring, sized for every field listed there,
+    met; `rings`, the period_ring, sized for every field listed there,
     of each conductor of the last modulus asked with a built field. A
     scan owns one; nothing in it is global."""
 
@@ -322,7 +325,7 @@ def subfields(n: int, max_degree: int, min_degree: int = 1,
                 if h not in store:
                     if f not in store.rings:
                         # one ring for every field listed at f
-                        store.rings[f] = _period_ring(f, max(map(_coefficient_bound, store.listed[f])))
+                        store.rings[f] = period_ring(f, max(map(_coefficient_bound, store.listed[f])))
                     store[h] = subfield_minpoly(h, store.rings[f])
                 out.append(store[h])
     out.sort(key=lambda s: (s.degree, s.minpoly))

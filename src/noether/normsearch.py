@@ -1,9 +1,12 @@
 """Norm-equation tooling: exact norms, certificate search, backend client.
 
 The norm of an element a(t) in the number field Q[x]/(g) is the product of
-a over all roots of g, computed exactly as a resultant.  An element whose
-norm hits a target integer is a positive certificate; `certificate_search`
-looks for a sparse one inside a prime above the target.  Negative
+a over all roots of g, computed exactly as a resultant by `norm_of`, which
+re-checks every witness the scanner certifies or a backend returns.  An
+element whose norm hits a target integer is a positive certificate;
+`certificate_search` looks for a sparse one in Z[zeta_n] inside a prime
+above the target, and takes each candidate's exact norm as a product of
+conjugates through the ring map of `cyclotomic.period_ring`.  Negative
 (unsolvability) answers for fields of degree > 2 are delegated to an
 external solver process speaking a line-delimited JSON protocol; every
 claim it makes is either re-verified locally (witnesses) or tagged with its
@@ -18,10 +21,12 @@ import selectors
 import shlex
 import subprocess
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterator, Optional, Sequence, Union
 
-from .arith import is_prime, power_table, split_prime
-from .polyops import degree, normalize, poly_eval, resultant
+from .arith import is_prime
+from .cyclotomic import cyclotomic_polynomial, period_ring
+from .polyops import degree, normalize, poly_divmod_monic, poly_eval, resultant
 
 __all__ = [
     "NormProblem",
@@ -111,105 +116,72 @@ class BackendVerificationError(BackendError):
     pass
 
 
-def _split_prime(g: Sequence[int], m: int, q: int) -> tuple[int, list[int], list[int]]:
-    """The data of the norm filter of `certificate_search`: (ell, zpow, ks)
-    for (ell, z) = arith.split_prime(m, q), with zpow[k] = z^k mod ell for
-    0 <= k < m and ks the k, ascending, with g(z^k) = 0 (mod ell): at most
-    deg g of them, as the z^k are distinct."""
-    ell, z = split_prime(m, q)
-    zpow = power_table(z, m, ell)
-    ks = [k for k in range(m) if poly_eval(g, zpow[k]) % ell == 0]
-    return ell, zpow, ks
-
-
 def certificate_search(prob: NormProblem, bound: int) -> Optional[tuple[int, ...]]:
-    """Search the elements 1 + a*theta^i + b*theta^j for one of exact norm
-    prob.target, where theta is the root of prob.minpoly.
+    """Search the elements 1 + a*zeta^i + b*zeta^j of Z[zeta_n] for one of
+    exact norm prob.target, where prob.minpoly is Phi_n.
 
-    Let q = |target| and let r be the least nonzero root of minpoly mod q,
-    of multiplicative order m.  Candidates have 0 < i < j < m and nonzero
-    a, b in [-bound, bound] with b a unit mod q; an element of norm ±q
-    generates a prime above q, so only the members of the prime
-    (q, theta - r) are tried: 1 + a*r^i + b*r^j = 0 (mod q) fixes r^j, and a
+    Let q = |target| and let r be the least nonzero root of minpoly mod q;
+    n is its multiplicative order, and a minpoly other than Phi_n (or one
+    with no such root) raises ValueError: the search serves the problem the
+    scanner asks, Phi_(p-1) at p.  Candidates have 0 < i < j < n and
+    nonzero a, b in [-bound, bound] with b a unit mod q; an element of norm
+    ±q generates a prime above q, so only the members of the prime
+    (q, zeta - r) are tried: 1 + a*r^i + b*r^j = 0 (mod q) fixes r^j, and a
     table of discrete logarithms of the powers of r gives j.  Candidates
     are taken in the order of i, a, b (each ascending) and the first one of
     exact norm target is returned as its coefficients in the power basis.
 
-    For the cyclotomic polynomial of Q(zeta_n) and q not dividing n, r has
-    order n and the family is the set of 1 + a*zeta^i + b*zeta^j, which the
-    Galois group permutes.  The group moves the primes above q transitively
-    and keeps norms, so if a member has norm target, a conjugate member lies
-    in (q, theta - r): testing one prime is enough.  None proves nothing:
-    an element of norm target may lie outside the family.
+    The Galois group permutes the family, moves the primes above q
+    transitively and keeps norms, so if a member has norm target, a
+    conjugate member lies in (q, zeta - r): testing one prime is enough.
+    None proves nothing: an element of norm target may lie outside the
+    family.
 
-    A member is skipped before its exact norm when a split prime shows the
-    norm is not target.  Let ell be the least prime = 1 (mod m) other than
-    q, z of exact order m mod ell, and k_1..k_s the exponents with
-    minpoly(z^k) = 0 (mod ell) (see `_split_prime`).  The z^k are distinct,
-    so if s = d = deg minpoly then minpoly = prod_k (x - z^k) (mod ell),
-    because minpoly is monic.  The norm of alpha is Res(minpoly, alpha), the
-    determinant of an integer Sylvester matrix, and it reduces mod ell to
-    the resultant over F_ell, which for a monic first argument is the
-    product of alpha over its roots: N(alpha) = prod_k alpha(z^k) (mod ell).
-    Reducing alpha mod minpoly leaves each alpha(z^k) unchanged, so for the
-    member 1 + a*theta^i + b*theta^j the residue is
-    prod_k (1 + a*z^(k*i) + b*z^(k*j)), and a member whose residue is not
-    target mod ell cannot have norm target.  With s < d nothing is skipped.
-    ell differs from q because target = 0 (mod q) and every member of the
-    prime has a root of minpoly mod q as a zero, so mod q nothing would be
-    skipped.  The filter only prunes: the order of candidates and the exact
-    norm of the one returned are unchanged.  An ell not below 2^64 raises
-    ArithmeticError (arith.split_prime); for q < 20000 ell is below 10^6.
+    A member's norm is the product of its conjugates
+    1 + a*zeta^(k*i) + b*zeta^(k*j) over k in (Z/n)*, taken in Z/M through
+    the ring map zeta -> z of cyclotomic.period_ring.  Each conjugate is at
+    most 2*bound + 1 in absolute value, so with d = deg minpoly and
+    M > 2*max(q, (2*bound + 1)^d) the norm and target both lie in
+    (-M/2, M/2), and their residues are equal iff they are.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
     g = list(prob.minpoly)
     d = prob.degree
     t = prob.target
-    if d == 1:
-        # norm of the constant a0 is a0 itself
-        return (t,) if abs(t) <= bound else None
-
     q = abs(t)
     r = next((x for x in range(1, q) if poly_eval(g, x) % q == 0), None)
     if r is None:
-        # no prime (q, theta - r) with r a unit, and (q, theta) holds no
-        # member: 1 + a*0 + b*0 = 1
-        return None
+        raise ValueError(f"minpoly has no nonzero root mod {q}")
     log = {1: 0}
-    powers = [[1] + [0] * (d - 1)]  # theta^k reduced mod minpoly
     x = r
     while x != 1:
-        log[x] = len(powers)
-        top = powers[-1][-1]
-        shifted = [0] + powers[-1][:-1]
-        powers.append([c - top * gc for c, gc in zip(shifted, g)] if top else shifted)
+        log[x] = len(log)
         x = x * r % q
-    m = len(powers)
-    ell, zpow, ks = _split_prime(g, m, q)
-    if len(ks) < d:
-        ks = []
-    t_ell = t % ell
+    n = len(log)
+    units = [k for k in range(n) if gcd(k, n) == 1]
+    if len(units) != d or g != cyclotomic_polynomial(n):
+        raise ValueError(f"minpoly is not Phi_{n}, {n} the order of its least root mod {q}")
+    m, zpow = period_ring(n, 2 * max(q, (2 * bound + 1) ** d))
+    t_m = t % m
     coeffs = [c for c in range(-bound, bound + 1) if c]
     inverse = {b: pow(b, -1, q) for b in coeffs if b % q}
-    for i in range(1, m):
+    for i in range(1, n):
         ri = pow(r, i, q)
-        zi = [zpow[k * i % m] for k in ks]
         for a in coeffs:
             for b, b_inv in inverse.items():
                 j = log.get(-(1 + a * ri) * b_inv % q)
                 if j is None or j <= i:
                     continue
-                if ks:
-                    residue = 1
-                    for k, u in zip(ks, zi):
-                        residue = residue * (1 + a * u + b * zpow[k * j % m]) % ell
-                    if residue != t_ell:
-                        continue
-                alpha = [a * u + b * v for u, v in zip(powers[i], powers[j])]
-                alpha[0] += 1
-                if norm_of(g, alpha) == t:
-                    return tuple(alpha)
+                norm = 1
+                for k in units:
+                    norm = norm * (1 + a * zpow[k * i % n] + b * zpow[k * j % n]) % m
+                if norm == t_m:
+                    alpha = [1] + [0] * j
+                    alpha[i] += a
+                    alpha[j] += b
+                    rem = poly_divmod_monic(alpha, g)[1]
+                    return tuple(rem + [0] * (d - len(rem)))
     return None
 
 

@@ -18,7 +18,7 @@ from math import isqrt
 
 # divisors is unused here, but scanbench/layers.py wraps it in every module
 # that imports it, this one included, so the import stays
-from .arith import _sqrt_mod_residue, divisors, factor, is_square, jacobi
+from .arith import _sqrt_mod_residue, divisors, factor, is_prime, is_square, jacobi
 
 
 def fundamental_discriminant(d: int) -> int:
@@ -205,14 +205,16 @@ def solve_norm(D: int, p: int, sign: int) -> NormDecision:
     """Decide x^2 + bxy + cy^2 = sign*p over the integers, with witness.
 
     Total for odd primes p not dividing fundamental D; never returns an
-    unknown verdict.
+    unknown verdict. Any other p raises ValueError: the square root below
+    exists only modulo a prime, and its search would not end modulo a
+    square.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     if not is_fundamental(D):
         raise ValueError(f"{D} is not a fundamental discriminant")
-    if p == 2 or D % p == 0:
-        raise ValueError("solve_norm() requires an odd prime not dividing D")
+    if p == 2 or not is_prime(p) or D % p == 0:
+        raise ValueError(f"solve_norm() requires an odd prime not dividing D, not {p}")
 
     if D < 0 and sign == -1:
         return NormDecision(D, sign, False)  # positive definite norm form

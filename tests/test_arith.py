@@ -223,16 +223,6 @@ def test_split_prime_matches_naive_search():
         assert split_prime(m) == _least_prime_and_root(m), m
 
 
-def test_split_prime_avoids_the_given_prime():
-    # for 53 and 73 the least prime = 1 (mod p - 1) is p itself; the next
-    # are 157 = 3*52 + 1 (105 = 3*5*7) and 433 = 6*72 + 1 (145, 217 = 7*31,
-    # 289 = 17^2, 361 = 19^2)
-    for p, ell in ((53, 157), (73, 433)):
-        assert split_prime(p - 1) == _least_prime_and_root(p - 1) and split_prime(p - 1)[0] == p
-        got, z = split_prime(p - 1, p)
-        assert got == ell and z == element_of_order(p - 1, ell)
-
-
 def test_split_prime_stays_below_2_64(monkeypatch):
     import noether.arith as arith
 

@@ -47,6 +47,21 @@ def test_classify_without_numpy():
     assert len(w["minpoly"]) == 25 and norm_of(w["minpoly"], w["coefficients"]) == 71
 
 
+# sha256 of the 17 lines `classify` prints for the Rational primes, in
+# ascending order: it pins every certificate's coefficients
+_RATIONAL = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 61, 67, 71)
+_WITNESS_DIGEST = "4bc9a79f1c737ab1d6c57c2330e1bb04e4d9685b6e629909748143cc4c5c69b0"
+
+
+def test_rational_witnesses_are_pinned(capsys):
+    lines = []
+    for p in _RATIONAL:
+        assert main(["classify", str(p)]) == 0
+        lines.append(capsys.readouterr().out)
+    assert all(json.loads(line)["status"] == "Rational" for line in lines)
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == _WITNESS_DIGEST
+
+
 def test_classify_rejects_composite(capsys):
     assert main(["classify", "8"]) == 2
     assert "not prime" in capsys.readouterr().err

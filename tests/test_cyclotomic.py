@@ -12,10 +12,10 @@ from noether.arith import euler_phi, factor, primes_below, split_prime
 from noether.cyclotomic import (
     CycElement,
     FieldStore,
-    _period_ring,
     _primitive,
     _top_kernels,
     cyclotomic_polynomial,
+    period_ring,
     subfield_minpoly,
     subfields,
 )
@@ -364,7 +364,7 @@ def test_minpoly_matches_complex_oracle_large_conductors(case):
 @settings(max_examples=60, deadline=None)
 def test_root_of_unity_modulus(f, bound):
     ell, _ = split_prime(f)
-    m, powers = _period_ring(f, bound)
+    m, powers = period_ring(f, bound)
     z = powers[1 % f]
     assert naive_is_prime(ell) and ell < 2**64
     assert ell % f == 1 % f and not any(naive_is_prime(k * f + 1) for k in range(1, (ell - 1) // f))
@@ -390,7 +390,7 @@ def test_root_of_unity_modulus_stays_below_2_64(monkeypatch):
 
     monkeypatch.setattr(arith, "element_of_order", no_root)
     with pytest.raises(ArithmeticError, match="2\\^64"):
-        _period_ring(2**64 - 1, 10)
+        period_ring(2**64 - 1, 10)
 
 
 def test_subfield_minpoly_degree_checks_raise(monkeypatch):
@@ -405,7 +405,7 @@ def test_subfield_minpoly_degree_checks_raise(monkeypatch):
     # 2 (|H| + 1)^d = 250 of the cubic field: its coefficients would wrap
     cubic = [s for s in subgroups(unit_group(13)) if s.index == 3][0]
     with pytest.raises(ValueError, match="ring modulus 53 does not exceed the coefficient bound 250"):
-        subfield_minpoly(cubic, cyc._period_ring(13, 10))
+        subfield_minpoly(cubic, cyc.period_ring(13, 10))
 
 
 def test_a_ring_of_another_conductor_raises():
@@ -415,8 +415,8 @@ def test_a_ring_of_another_conductor_raises():
     cubic = [s for s in subgroups(unit_group(13)) if s.index == 3][0]
     for other in (26, 7):
         with pytest.raises(ValueError, match=f"a ring of {other} powers is not the ring map of conductor 13"):
-            subfield_minpoly(cubic, _period_ring(other, 10**6))
-    assert subfield_minpoly(cubic, _period_ring(13, 10**6)) == subfield_minpoly(cubic)
+            subfield_minpoly(cubic, period_ring(other, 10**6))
+    assert subfield_minpoly(cubic, period_ring(13, 10**6)) == subfield_minpoly(cubic)
 
 
 def test_subfields_match_field_by_field_oracle():
@@ -474,13 +474,13 @@ def test_one_power_table_per_conductor(monkeypatch):
     import noether.cyclotomic as cyc
 
     built = []
-    period_ring = cyc._period_ring
+    real_ring = cyc.period_ring
 
     def counting_ring(f, bound):
         built.append(f)
-        return period_ring(f, bound)
+        return real_ring(f, bound)
 
-    monkeypatch.setattr(cyc, "_period_ring", counting_ring)
+    monkeypatch.setattr(cyc, "period_ring", counting_ring)
     # from degree 2, so that Q and its own ring at n are left out
     for n, max_degree in ((60, 16), (8836, 12), (19948, 12)):
         built.clear()

@@ -25,9 +25,9 @@ from noether.normsearch import (
     certificate_search,
     norm_of,
 )
-from noether.polyops import discriminant, poly_divmod_monic, poly_mul
+from noether.polyops import poly_divmod_monic, poly_mul
 from noether.cyclotomic import subfields
-from oracles import companion_det_norm, naive_is_prime, prime_family, prime_family_first_hit
+from oracles import companion_det_norm, naive_is_prime, prime_family_first_hit
 from optimized import run_optimized
 
 FAKE = os.path.join(os.path.dirname(__file__), "fake_backend.py")
@@ -116,158 +116,88 @@ def test_certificate_search_examples():
         got = certificate_search(NormProblem(g, t), bound)
         assert got is not None and len(got) == len(g) - 1
         assert norm_of(list(g), list(got)) == t
-    assert certificate_search(NormProblem((6, 1, 1), 47), 10) is None
 
 
-def test_certificate_search_degree_one():
-    assert certificate_search(NormProblem((3, 1), 5), 5) == (5,)
-    assert certificate_search(NormProblem((3, 1), -5), 5) == (-5,)
-    assert certificate_search(NormProblem((3, 1), 7), 5) is None
+# Phi_n at primes q = 1 (mod n), where the least root mod q has order n; up
+# to 12n, so that at degree 2 q also exceeds (2*bound + 1)^2 for bound 2
+SPLIT_CYCLOTOMIC = [
+    (tuple(cyclotomic_polynomial(n)), q)
+    for n in (3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 15, 16, 18, 20, 22, 24, 28, 30)
+    for q in range(n + 1, 12 * n + 1, n)
+    if naive_is_prime(q)
+]
 
 
 def test_certificate_search_matches_unpruned_scan():
     # the discrete-log lookup may only skip candidates outside the prime
-    # (q, x - r), so the search must return exactly the first hit of the
-    # plain scan of the same family
-    polys = [
-        [1, 0, 1],
-        [-1, 1, 1],
-        [1, -1, 1],
-        [6, 1, 1],
-        [1, 1, 0, 1],
-        [-2, 0, 1, 1],
-        [1, 0, 0, 0, 1],
-    ]
-    hits = 0
-    for g in polys:
-        assert discriminant(g) != 0  # squarefree
-        for t in (2, -2, 3, -3, 5, -5, 7, -7, 11, -11, 47):
-            want = prime_family_first_hit(g, t, 2)
-            assert certificate_search(NormProblem(tuple(g), t), 2) == want, (g, t)
-            hits += want is not None
-    assert hits == 9  # the comparison is not vacuous
+    # (q, x - r), and the norm taken through the ring map must decide as
+    # the exact one does, so the search returns exactly the first hit of
+    # the plain scan of the same family
+    hits = above = 0
+    for g, q in SPLIT_CYCLOTOMIC:
+        for t in (q, -q):
+            for bound in (1, 2):
+                want = prime_family_first_hit(list(g), t, bound)
+                assert certificate_search(NormProblem(g, t), bound) == want, (g, t, bound)
+                hits += want is not None
+                # no norm reaches q here, so a hit could only be a wrong one
+                above += q > (2 * bound + 1) ** (len(g) - 1)
+    # the comparison is not vacuous, and covers targets above the bound on
+    # the norms, the larger of the two sizes the ring modulus exceeds
+    assert hits == 100 and above == 56, (hits, above)
+
+
+def test_certificate_search_serves_only_cyclotomic_problems():
+    # x^2 + 3 at 31, x^2 + x + 6 at 47, the real cubic subfield of
+    # Q(zeta_7) at 13; Phi_4 at 7, which has no root mod 7; and Phi_6 at 3,
+    # whose root 2 mod 3 has order 2
+    cubic = subfields(7, 3, 3)[0].minpoly
+    for g, t in [((3, 0, 1), 31), ((6, 1, 1), 47), (cubic, 13), ((1, 0, 1), 7), ((1, -1, 1), 3)]:
+        with pytest.raises(ValueError, match="root mod"):
+            certificate_search(NormProblem(g, t), 1)
 
 
 def test_certificate_search_finds_verified_witnesses():
     for g, t, b in [
         ((1, 0, 1), 5, 3),
         ((1, 1, 1), 7, 3),  # cyclotomic field of the cube roots of unity
-        ((-1, 1, 1), 11, 3),
-        ((-1, 1, 1), -11, 3),
+        ((1, -1, 1), 13, 3),
+        ((1, 1, 1, 1, 1), 11, 3),
     ]:
         got = certificate_search(NormProblem(g, t), b)
         assert got is not None
         assert norm_of(list(g), list(got)) == t
-
-
-def _root_order(g, q):
-    """The multiplicative order m of the least nonzero root of g mod q."""
-    r = next(x for x in range(1, q) if sum(c * x**k for k, c in enumerate(g)) % q == 0)
-    return next(m for m in range(1, q) if pow(r, m, q) == 1)
-
-
-# (g, q) whose least root mod q has an order m such that g splits mod the
-# split prime of m into powers of z: cyclotomic polynomials Phi_n at
-# q = n + 1 and 2n + 1, and non-cyclotomic polynomials that happen to split
-SPLIT_CYCLOTOMIC = [
-    (tuple(cyclotomic_polynomial(n)), q)
-    for n in (3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 15, 16, 18, 20, 22, 24, 28, 30)
-    for q in (n + 1, 2 * n + 1)
-    if naive_is_prime(q)
-]
-SPLIT_OTHER = [
-    ((2, 2, 1), 29),  # x^2 + 2x + 2
-    ((2, 2, 1), 53),
-    ((3, 0, 1), 31),  # x^2 + 3
-    ((-3, -2, 1), 19),  # (x - 3)(x + 1)
-    ((-2, 0, 0, 1), 43),  # x^3 - 2
-    ((-2, 1, -2, 1), 37),
-    ((1, 0, 0, 1), 31),  # x^3 + 1
-]
-
-
-@given(st.sampled_from(SPLIT_CYCLOTOMIC + SPLIT_OTHER), st.sampled_from((1, -1)), st.integers(1, 2))
-@settings(max_examples=80, deadline=None)
-def test_filter_skips_only_wrong_norms(case, sign, bound):
-    # run the search past every member (norm_of never answers target) and
-    # record which members reach the exact norm; every other member of the
-    # prime was skipped and must have an exact norm other than target
-    g, q = case
-    t = sign * q
-    _, _, ks = ns._split_prime(g, _root_order(list(g), q), q)
-    assert len(ks) == len(g) - 1  # the filter is on
-    reached = []
-
-    def recorder(g_, alpha):
-        reached.append(tuple(alpha))
-        return 0
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ns, "norm_of", recorder)
-        assert certificate_search(NormProblem(g, t), bound) is None
-    family = list(prime_family(list(g), t, bound))
-    assert set(reached) <= set(family)
-    skipped = [alpha for alpha in family if alpha not in set(reached)]
-    for alpha in skipped:
-        assert companion_det_norm(list(g), list(alpha)) != t, (g, t, alpha)
-    if bound == 2:
-        assert skipped  # the comparison is not vacuous
-
-
-def test_split_prime_data():
-    cases = [(tuple(cyclotomic_polynomial(p - 1)), p) for p in (5, 7, 13, 41, 53, 61, 73)]
-    for g, q in cases + SPLIT_OTHER:
-        d = len(g) - 1
-        m = _root_order(list(g), q)
-        ell, zpow, ks = ns._split_prime(g, m, q)
-        assert naive_is_prime(ell) and ell % m == 1 and ell != q
-        # the least such prime
-        assert not any(naive_is_prime(x) and x != q for x in range(m + 1, ell, m))
-        z = zpow[1]
-        assert len(zpow) == m and zpow == [pow(z, k, ell) for k in range(m)]
-        assert pow(z, m, ell) == 1 and all(pow(z, k, ell) != 1 for k in range(1, m))
-        assert ks == [k for k in range(m) if sum(c * zpow[k] ** e for e, c in enumerate(g)) % ell == 0]
-        assert len(ks) == d and len({zpow[k] for k in ks}) == d, (g, q)
-    # for 53 and 73 the least prime = 1 (mod p - 1) is p itself; the next
-    # are 157 = 3*52 + 1 (105 = 3*5*7) and 433 = 6*72 + 1 (145, 217 = 7*31,
-    # 289 = 17^2, 361 = 19^2)
-    for p, ell in ((53, 157), (73, 433)):
-        assert ns._split_prime(cyclotomic_polynomial(p - 1), p - 1, p)[0] == ell
-
-
-def test_unsplit_polynomial_gets_no_filter(monkeypatch):
-    # x^2 - 2 has the root 3 mod 7 of order 6, but 2 is not a square mod 13,
-    # the split prime of 6: nothing is skipped
-    g = (-2, 0, 1)
-    assert ns._split_prime(g, 6, 7)[::2] == (13, [])
-    calls = []
-    monkeypatch.setattr(ns, "norm_of", lambda g_, a: calls.append(tuple(a)) or norm_of(g_, a))
-    for bound in (1, 2, 3):
-        calls.clear()
-        want = prime_family_first_hit(list(g), 7, bound)
-        assert certificate_search(NormProblem(g, 7), bound) == want
-        family = list(prime_family(list(g), 7, bound))
-        assert calls == family[: family.index(want) + 1 if want else len(family)]
-    assert want is not None
+        # Q(zeta_n) is totally imaginary for n > 2: no norm is negative
+        assert certificate_search(NormProblem(g, -t), b) is None
 
 
 RATIONAL_FROM_5 = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 61, 67, 71)
 
 
 def test_certificate_search_computes_only_the_hit(monkeypatch):
-    counts = {}
+    # no candidate's norm is a resultant, and only the hit is put into the
+    # power basis
+    def refused(g, a):
+        raise AssertionError("the search took a resultant")
 
-    def counted(g, a):
-        counts[p] = counts.get(p, 0) + 1
-        return norm_of(g, a)
+    divisions = []
 
-    monkeypatch.setattr(ns, "norm_of", counted)
+    def counted(a, g):
+        divisions.append(p)
+        return poly_divmod_monic(a, g)
+
+    monkeypatch.setattr(ns, "norm_of", refused)
+    monkeypatch.setattr(ns, "poly_divmod_monic", counted)
+    # the least prime = 1 (mod p - 1) is p itself at 53 and 73, so there
+    # the ring modulus is a power of the target
     for p in RATIONAL_FROM_5 + (53, 73):
-        witness = certificate_search(NormProblem(tuple(cyclotomic_polynomial(p - 1)), p), 1)
+        g = tuple(cyclotomic_polynomial(p - 1))
+        witness = certificate_search(NormProblem(g, p), 1)
         if p in (53, 73):
-            assert witness is None and p not in counts, p
+            assert witness is None, p
         else:
-            assert witness is not None and counts[p] == 1, p
+            assert witness is not None and norm_of(list(g), list(witness)) == p, p
+    assert divisions == list(RATIONAL_FROM_5)
 
 
 DEG8 = (1, 0, 0, 0, 0, 0, 0, 0, 1)  # x^8 + 1, squarefree

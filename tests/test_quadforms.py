@@ -194,7 +194,7 @@ def test_negative_definite_minus_sign_computes_no_symbol(monkeypatch):
                 assert not want.solvable and want.witness is None
 
 
-def test_solve_norm_rejects_bad_inputs():
+def test_solve_norm_rejects_bad_inputs(alarm):
     with pytest.raises(ValueError):
         solve_norm(5, 2, 1)
     with pytest.raises(ValueError):
@@ -203,6 +203,13 @@ def test_solve_norm_rejects_bad_inputs():
         solve_norm(45, 11, 1)
     with pytest.raises(ValueError):
         solve_norm(5, 11, 2)
+    # a composite p: modulo the square 9 no z has Jacobi symbol -1, so the
+    # square root search would never end; modulo 15 it reached a
+    # misleading ArithmeticError
+    alarm(10)
+    for D, p in ((-4, 9), (5, 15)):
+        with pytest.raises(ValueError, match=f"odd prime not dividing D, not {p}"):
+            solve_norm(D, p, 1)
 
 
 def test_solve_norm_witnesses_verify():
