@@ -212,27 +212,44 @@ def jacobi(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-def _sqrt_mod_residue(a: int, p: int) -> int:
-    """A square root of a modulo p (Tonelli-Shanks), for an odd prime p and
-    a nonzero quadratic residue a mod p, without checking either; the
-    caller has decided both."""
+def sqrt_mod(a: int, p: int) -> int | None:
+    """A square root of a modulo the odd prime p, or None when a is not a
+    square mod p; p is not checked.
+
+    Tonelli-Shanks with Euler's criterion folded into its first step: with
+    p - 1 = q * 2^s (q odd) and t = a^q, a is a square iff
+    a^((p-1)/2) = t^(2^(s-1)) is 1, i.e. iff t reaches 1 in fewer than s
+    squarings. A non-residue z is searched for only when t != 1. For
+    p ≡ 3 (mod 4), r = a^((p+1)/4) is a root iff r^2 ≡ a.
+    """
     if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    # write p-1 = q * 2^s with q odd
+        r = pow(a, (p + 1) // 4, p)
+        return r if (r * r - a) % p == 0 else None
     q, s = p - 1, 0
     while q % 2 == 0:
         q //= 2
         s += 1
-    z = 2
-    while jacobi(z, p) != -1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    # r = a^((q+1)/2) and t = a^q from one power
+    x = pow(a, q // 2, p)
+    r = x * a % p
+    t = x * r % p
+    if t == 0:
+        return 0  # a ≡ 0
+    m = s
+    c = 0  # z^q for the least non-residue z, once it is needed
     while t != 1:
         t2 = t
         i = 0
         while t2 != 1:
             t2 = t2 * t2 % p
             i += 1
+        if i == s:
+            return None  # t has order 2^s: a^((p-1)/2) = -1
+        if not c:
+            z = 2
+            while jacobi(z, p) != -1:
+                z += 1
+            c = pow(z, q, p)
         b = pow(c, 1 << (m - i - 1), p)
         m, c = i, b * b % p
         t = t * c % p

@@ -1,13 +1,13 @@
 """Unconditional norm-equation decisions over quadratic fields via binary
 quadratic forms.
 
-Representability of sign*p by the principal form of discriminant D is
-decided by reduction: build a form (sign*p, b, c) of discriminant D from a
-modular square root, reduce it (Gauss reduction if D < 0, rho-steps if
-D > 0), and compare against the principal form (definite case) or look it
-up in the principal cycle (indefinite case). Witnesses are recovered by
-threading the 2x2 change-of-basis matrix through every reduction step, and
-every Solvable answer is re-verified by direct evaluation before it is
+Representability of sign*p by the principal form of discriminant D starts
+from one square root of D modulo p; none means sign*p is no norm. For
+D < 0 the modified Cornacchia algorithm then decides X^2 + |D| Y^2 = 4p by
+one short Euclidean run. For D > 0 a form (sign*p, b, c) of discriminant D
+is rho-reduced and looked up in the principal cycle, its witness recovered
+by threading the 2x2 change-of-basis matrix through every reduction step.
+Every Solvable answer is re-verified by direct evaluation before it is
 returned.
 """
 from __future__ import annotations
@@ -18,7 +18,7 @@ from math import isqrt
 
 # divisors is unused here, but scanbench/layers.py wraps it in every module
 # that imports it, this one included, so the import stays
-from .arith import _sqrt_mod_residue, divisors, factor, is_prime, is_square, jacobi
+from .arith import divisors, factor, is_prime, is_square, sqrt_mod
 
 
 def fundamental_discriminant(d: int) -> int:
@@ -68,7 +68,8 @@ def quadratic_subfield_discs(n: int) -> list[int]:
         else:
             qs = q if q % 4 == 1 else -q
             odd += [d * qs for d in odd]
-    return sorted(d * t for d in odd for t in even if d * t != 1)
+    # the first product is 1 * 1, the discriminant of Q itself
+    return sorted([d * t for t in even for d in odd][1:])
 
 
 def _principal(D: int) -> tuple[int, int, int]:
@@ -78,7 +79,7 @@ def _principal(D: int) -> tuple[int, int, int]:
     return 1, b, (b - D) // 4
 
 
-# A reduction step rewrites a form (a, b, c) through a unimodular change of
+# A rho-step rewrites a form (a, b, c) through a unimodular change of
 # basis; the accumulated matrix M = (p, q, r, s) sends coordinates of the new
 # form to coordinates of the original one: original(M @ (x, y)) = new(x, y).
 # The reduction walks run on plain integer triples and 4-tuples.
@@ -86,29 +87,6 @@ Form = tuple[int, int, int]
 Mat = tuple[int, int, int, int]
 
 _ID: Mat = (1, 0, 0, 1)
-
-
-def _reduce_definite(a: int, b: int, c: int) -> tuple[Form, Mat]:
-    """Gauss reduction of a positive definite form; returns (reduced, M)
-    with f(M @ z) = reduced(z)."""
-    p, q, r, s = _ID
-    while True:
-        if c < a:
-            a, b, c = c, -b, a
-            p, q, r, s = q, -p, s, -r  # M @ (0, -1, 1, 0)
-        elif b > a or b <= -a:
-            # translate x -> x - ky to land b in (-a, a]: M @ (1, -k, 0, 1)
-            k = (b + a) // (2 * a)
-            if b - 2 * k * a == -a:
-                k -= 1
-            b, c = b - 2 * k * a, a * k * k - b * k + c
-            q -= k * p
-            s -= k * r
-        elif a == c and b < 0:
-            a, b, c = c, -b, a
-            p, q, r, s = q, -p, s, -r
-        else:
-            return (a, b, c), (p, q, r, s)
 
 
 def _is_reduced_indefinite(a: int, b: int, s: int) -> bool:
@@ -197,7 +175,7 @@ def _verify(D: int, sign: int, p: int, xy: tuple[int, int]) -> None:
     _, b, c = _principal(D)
     x, y = xy
     if x * x + b * x * y + c * y * y != sign * p:
-        raise AssertionError(
+        raise ArithmeticError(
             f"witness check failed: disc {D}, target {sign * p}, xy {xy}")
 
 
@@ -206,8 +184,16 @@ def solve_norm(D: int, p: int, sign: int) -> NormDecision:
 
     Total for odd primes p not dividing fundamental D; never returns an
     unknown verdict. Any other p raises ValueError: the square root below
-    exists only modulo a prime, and its search would not end modulo a
-    square.
+    is taken modulo a prime.
+
+    For D < 0 and sign +1 this is the modified Cornacchia algorithm (Cohen,
+    A Course in Computational Algebraic Number Theory, GTM 138, Alg.
+    1.5.3): with x = (X - (D mod 2) Y)/2 and y = Y, the equation reads
+    X^2 + |D| Y^2 = 4p. Cohen asks |D| < 4p; here |D| >= 4p needs no
+    special case. The Euclidean run ends at r <= isqrt(4p), so the quotient
+    (4p - r^2)/|D| is never negative, and Y = 0 would need r^2 = 4p, which
+    no prime p allows. So |D| would have to divide 4p - r^2, positive and
+    below |D|: such D answer unsolvable, as they must.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -219,38 +205,42 @@ def solve_norm(D: int, p: int, sign: int) -> NormDecision:
     if D < 0 and sign == -1:
         return NormDecision(D, sign, False)  # positive definite norm form
 
-    # no prime of degree one above p: no integral element has norm ±p
-    if jacobi(D % p, p) == -1:
+    # no square root of D mod p: no prime of degree one above p, so no
+    # integral element has norm ±p
+    b = sqrt_mod(D % p, p)
+    if b is None:
         return NormDecision(D, sign, False)
-
-    # square root of D mod 4p with the parity of D; (D/p) = 1 was decided
-    # above, as p does not divide D
-    b = _sqrt_mod_residue(D % p, p)
+    # the square root of D mod 4p with the parity of D
     if (b - D) % 2:
         b += p
     if (b * b - D) % (4 * p):
         raise ArithmeticError(f"{b} is not a square root of {D} mod {4 * p}")
 
-    # a form with leading coefficient sign*p, reduced: sign*p is a norm iff
-    # it is properly equivalent to the principal form. The reduced
-    # principal form of D < 0 is the principal form itself; for D > 0 the
-    # reduced forms of its class are exactly its rho-cycle.
-    t = sign * p
     if D < 0:
-        red, m = _reduce_definite(t, b, (b * b - D) // (4 * t))
-        if red != _principal(D):
+        # Euclid on (2p, b) down to the first remainder r <= sqrt(4p):
+        # 4p = X^2 + |D| Y^2 has a solution iff it has one with X = r, that
+        # is iff (4p - r^2)/|D| is a square Y^2
+        a, r, bound = 2 * p, b, isqrt(4 * p)
+        while r > bound:
+            a, r = r, a % r
+        y2, rest = divmod(4 * p - r * r, -D)
+        y = isqrt(y2)
+        if rest or y * y != y2:
             return NormDecision(D, sign, False)
-        mp = _ID
+        xy = ((r - (D & 1) * y) // 2, y)
     else:
-        red, m = _reduce_indefinite(t, b, (b * b - D) // (4 * t), D, isqrt(D))
+        # a form with leading coefficient sign*p, reduced: sign*p is a norm
+        # iff it lies on the principal cycle, the reduced forms of the
+        # principal class
+        red, m = _reduce_indefinite(sign * p, b, (b * b - D) // (4 * sign * p), D, isqrt(D))
         mp = principal_cycle(D).get(red)
         if mp is None:
             return NormDecision(D, sign, False)
-    # cand(M @ z) = red(z) = principal(Mp @ z) and cand(1, 0) = sign*p, so
-    # z = M^{-1} @ (1, 0) gives principal(Mp @ z) = sign*p
-    inv = _mat_inv_unimodular(m)
-    z0, z1 = inv[0], inv[2]
-    xy = (mp[0] * z0 + mp[1] * z1, mp[2] * z0 + mp[3] * z1)
+        # cand(M @ z) = red(z) = principal(Mp @ z) and cand(1, 0) = sign*p,
+        # so z = M^{-1} @ (1, 0) gives principal(Mp @ z) = sign*p
+        inv = _mat_inv_unimodular(m)
+        z0, z1 = inv[0], inv[2]
+        xy = (mp[0] * z0 + mp[1] * z1, mp[2] * z0 + mp[3] * z1)
     _verify(D, sign, p, xy)
     return NormDecision(D, sign, True, xy)
 

@@ -120,14 +120,14 @@ def _scan_quadratic(p: int) -> dict[int, Optional[dict]]:
     quadratic_subfield_discs(p - 1) at which sign*p is not a norm, or None
     when there is none, as for every p < 5, where Q(zeta_{p-1}) = Q.  A
     sign is tested only until its D is found."""
-    sides: dict[int, Optional[dict]] = {1: None, -1: None}
-    if p < 5:
-        return sides
-    for disc in quadratic_subfield_discs(p - 1):
-        for sign, witness in sides.items():
-            if witness is None and not solve_norm(disc, p, sign).solvable:
-                sides[sign] = {"degree": 2, "disc": disc}
-    return sides
+    plus = minus = None
+    if p >= 5:
+        for disc in quadratic_subfield_discs(p - 1):
+            if plus is None and not solve_norm(disc, p, 1).solvable:
+                plus = {"degree": 2, "disc": disc}
+            if minus is None and not solve_norm(disc, p, -1).solvable:
+                minus = {"degree": 2, "disc": disc}
+    return {1: plus, -1: minus}
 
 
 def _scan_backend(p: int, cfg: ScanConfig, sides: dict[int, Optional[dict]],

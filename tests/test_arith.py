@@ -1,5 +1,4 @@
 import re
-from math import gcd
 
 import pytest
 import sympy
@@ -7,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noether.arith import (
-    _sqrt_mod_residue,
     divisors,
     element_of_order,
     euler_phi,
@@ -19,6 +17,7 @@ from noether.arith import (
     power_table,
     primes_below,
     split_prime,
+    sqrt_mod,
 )
 from oracles import _least_prime_and_root, moebius, naive_factor, naive_is_prime, naive_phi
 
@@ -155,27 +154,34 @@ def test_jacobi_rejects_even_modulus():
 
 
 def test_sqrt_mod_prime_examples():
-    assert _sqrt_mod_residue(5, 11) in (4, 7)
-    assert _sqrt_mod_residue(2, 7) in (3, 4)
-    assert _sqrt_mod_residue(10, 13) in (6, 7)  # p ≡ 1 (mod 4): the Tonelli-Shanks loop
+    assert sqrt_mod(5, 11) in (4, 7)
+    assert sqrt_mod(2, 7) in (3, 4)
+    assert sqrt_mod(10, 13) in (6, 7)  # p ≡ 1 (mod 4): the Tonelli-Shanks loop
+    assert sqrt_mod(6, 11) is None
+    assert sqrt_mod(5, 13) is None  # t = 5^3 ≡ 8 reaches 1 only after s = 2 squarings
+    assert sqrt_mod(0, 13) == 0 and sqrt_mod(0, 11) == 0
 
 
 def test_sqrt_mod_prime_all_residues():
-    for p in primes_below(200):
-        if p == 2:
-            continue
+    # Euler's criterion inside Tonelli-Shanks: None exactly for the
+    # non-squares, a root otherwise, for every odd p < 500
+    for p in primes_below(500)[1:]:
         for a in range(1, p):
-            if jacobi(a, p) == 1:
-                r = _sqrt_mod_residue(a, p)
-                assert r * r % p == a, (a, p)
+            r = sqrt_mod(a, p)
+            if pow(a, (p - 1) // 2, p) == 1:
+                assert r is not None and r * r % p == a, (a, p)
+            else:
+                assert r is None, (a, p)
 
 
 def test_sqrt_mod_prime_large():
     p = 2**61 - 1
     for a in (2, 3, 5, 7):
+        r = sqrt_mod(a, p)
         if jacobi(a, p) == 1:
-            r = _sqrt_mod_residue(a, p)
             assert r * r % p == a
+        else:
+            assert r is None
 
 
 @given(st.integers(min_value=2, max_value=10**9))

@@ -19,7 +19,7 @@ from noether.cyclotomic import (
     subfield_minpoly,
     subfields,
 )
-from noether.polyops import discriminant, poly_eval
+from noether.polyops import discriminant
 from oracles import (
     SUBGROUP_CASES,
     conductor_oracle,

@@ -3,7 +3,7 @@ from math import isqrt
 import pytest
 
 import noether.quadforms as qf
-from noether.arith import is_prime, jacobi, primes_below
+from noether.arith import jacobi, primes_below
 from noether.quadforms import (
     fundamental_discriminant,
     is_fundamental,
@@ -180,16 +180,17 @@ def test_solve_norm_negative_definite_always_unsolvable():
 
 
 def test_negative_definite_minus_sign_computes_no_symbol(monkeypatch):
-    # x^2 + bxy + cy^2 >= 0 for D < 0 decides sign -1 before (D/p)
-    def no_symbol(a, n):
-        raise AssertionError(f"jacobi({a}, {n}) computed")
+    # x^2 + bxy + cy^2 >= 0 for D < 0 decides sign -1 before the square
+    # root of D mod p, which is where (D/p) is decided
+    def no_root(a, n):
+        raise AssertionError(f"sqrt_mod({a}, {n}) computed")
 
     for p in primes_below(2000)[2:]:
         for D in quadratic_subfield_discs(p - 1):
             if D < 0:
                 want = solve_norm(D, p, -1)
                 with monkeypatch.context() as m:
-                    m.setattr(qf, "jacobi", no_symbol)
+                    m.setattr(qf, "sqrt_mod", no_root)
                     assert solve_norm(D, p, -1) == want
                 assert not want.solvable and want.witness is None
 
@@ -242,6 +243,30 @@ def test_solve_norm_against_oracle_slice():
                     assert represents_oracle(D, sign * p, 10 * p) is None, (D, p, sign)
 
 
+def test_solve_norm_decides_every_imaginary_case_of_the_paper_range():
+    # every decision of a D < 0 that the scan of 2..20000 can ask, against a
+    # complete search: |y| <= sqrt(4p/|D|) for x^2 + bxy + cy^2 = p
+    for p in primes_below(20000)[2:]:
+        for D in quadratic_subfield_discs(p - 1):
+            if D < 0:
+                want = represents_oracle(D, p, isqrt(4 * p) + 1) is not None
+                assert solve_norm(D, p, 1).solvable == want, (D, p)
+
+
+def test_solve_norm_imaginary_discriminants_beyond_4p():
+    # Cornacchia is stated for |D| < 4p; |D| > 4p must still answer
+    # unsolvable, and the sweep crosses that boundary for every p < 100
+    for D in range(-400, -2):
+        if not is_fundamental(D):
+            continue
+        for p in primes_below(100)[1:]:
+            if D % p:
+                dec = solve_norm(D, p, 1)
+                assert dec.solvable == (represents_oracle(D, p, isqrt(4 * p) + 1) is not None), (D, p)
+                if -D > 4 * p:
+                    assert not dec.solvable, (D, p)
+
+
 def test_solve_norm_jacobi_gate():
     # jacobi(D,p) = -1 must force unsolvable for both signs
     for D in (-23, 5, 13):
@@ -266,10 +291,11 @@ def test_em_quadratic_bridge_examples():
 # Each check that guards a verdict raises ArithmeticError, also under -O:
 # a wrong modular square root, a rho-step that is not the change of basis
 # (0, -1, 1, k) (here: a form of discriminant 5 stepped as if it were 13),
-# a principal cycle that never closes, and a non-unimodular transform.
+# a principal cycle that never closes, a non-unimodular transform, and a
+# witness that does not evaluate to the target ((1, 1) gives 8, not 59).
 _CHECKS_UNDER_O = """
 import noether.quadforms as qf
-from noether.arith import _sqrt_mod_residue
+from noether.arith import sqrt_mod
 
 
 def fires(call):
@@ -281,22 +307,23 @@ def fires(call):
         raise SystemExit("no ArithmeticError")
 
 
-qf._sqrt_mod_residue = lambda a, p: _sqrt_mod_residue(a, p) + 1
+qf.sqrt_mod = lambda a, p: sqrt_mod(a, p) + 1
 fires(lambda: qf.solve_norm(5, 11, 1))
-qf._sqrt_mod_residue = _sqrt_mod_residue
+qf.sqrt_mod = sqrt_mod
 fires(lambda: qf._rho_step(1, 1, -1, 13, 3))
 rho_step = qf._rho_step
 qf._rho_step = lambda a, b, c, D, s: (a, b, c + 1, 0)
 fires(lambda: qf.principal_cycle(5))
 qf._rho_step = rho_step
 fires(lambda: qf._mat_inv_unimodular((2, 0, 0, 1)))
+fires(lambda: qf._verify(-23, 1, 59, (1, 1)))
 """
 
 
 def test_wrong_square_root_raises(monkeypatch):
-    from noether.arith import _sqrt_mod_residue
+    from noether.arith import sqrt_mod
 
-    monkeypatch.setattr(qf, "_sqrt_mod_residue", lambda a, p: _sqrt_mod_residue(a, p) + 1)
+    monkeypatch.setattr(qf, "sqrt_mod", lambda a, p: sqrt_mod(a, p) + 1)
     with pytest.raises(ArithmeticError, match="is not a square root of 5 mod 44"):
         solve_norm(5, 11, 1)
 
@@ -330,39 +357,43 @@ def test_quadforms_checks_survive_optimize():
     proc = run_optimized(_CHECKS_UNDER_O)
     assert proc.returncode == 0, proc
     lines = proc.stdout.splitlines()
-    assert len(lines) == 4, proc
+    assert len(lines) == 5, proc
     assert "is not a square root" in lines[0]
     assert "is not a change of basis" in lines[1]
     assert "does not close" in lines[2]
     assert "is not unimodular" in lines[3]
+    assert "witness check failed" in lines[4]
 
 
-def test_solve_norm_computes_the_legendre_symbol_once(monkeypatch):
-    # (D/p) decides solvability mod p and licenses the square root, which
-    # computes no symbol but those of its search for a non-residue z
+def test_solve_norm_computes_no_symbol_of_its_own(monkeypatch):
+    # (D/p) is decided by the square root itself (Euler's criterion in the
+    # first Tonelli-Shanks step), so the only symbols computed are those of
+    # the search for a non-residue z, and that search runs only when p ≡ 1
+    # (mod 4), D is a square mod p and a^q ≢ 1 for a = D mod p, p - 1 = q * 2^s
     import noether.arith as arith
 
-    own, inner = [], []
+    assert not hasattr(qf, "jacobi")
+    inner = []
 
-    def counting(log):
-        def counted(a, n):
-            log.append((a, n))
-            return jacobi(a, n)
-        return counted
+    def counted(a, n):
+        inner.append((a, n))
+        return jacobi(a, n)
 
-    monkeypatch.setattr(qf, "jacobi", counting(own))
-    monkeypatch.setattr(arith, "jacobi", counting(inner))
+    monkeypatch.setattr(arith, "jacobi", counted)
     for p in primes_below(2000)[2:]:
         z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
-        search = [(x, p) for x in range(2, z + 1)] if p % 4 == 1 else []
+        q = p - 1
+        while q % 2 == 0:
+            q //= 2
         for D in quadratic_subfield_discs(p - 1):
+            a = D % p
+            searched = p % 4 == 1 and pow(a, (p - 1) // 2, p) == 1 and pow(a, q, p) != 1
             for sign in (1, -1):
-                own.clear()
                 inner.clear()
                 dec = solve_norm(D, p, sign)
                 definite_minus = D < 0 and sign == -1
-                assert own == ([] if definite_minus else [(D % p, p)]), (D, p, sign)
-                assert inner in ([], search), (D, p, sign)
+                want = [(x, p) for x in range(2, z + 1)] if searched and not definite_minus else []
+                assert inner == want, (D, p, sign)
                 if dec.solvable:
                     x, y = dec.witness
                     assert principal(D).value(x, y) == sign * p
