@@ -5,10 +5,11 @@ Representability of sign*p by the principal form of discriminant D starts
 from one square root of D modulo p; none means sign*p is no norm. For
 D < 0 the modified Cornacchia algorithm then decides X^2 + |D| Y^2 = 4p by
 one short Euclidean run. For D > 0 a form (sign*p, b, c) of discriminant D
-is rho-reduced and looked up in the principal cycle, its witness recovered
-by threading the 2x2 change-of-basis matrix through every reduction step.
-Every Solvable answer is re-verified by direct evaluation before it is
-returned.
+is rho-reduced and looked up in the principal cycle, which starts at its
+own reduced form and maps each form to the matrix that carries the
+principal form to it. The candidate carries only its point (1, 0) through
+the reduction, and that matrix sends the point to the witness. Every
+Solvable answer is re-verified by direct evaluation before it is returned.
 """
 from __future__ import annotations
 
@@ -18,32 +19,16 @@ from math import isqrt
 
 # divisors is unused here, but scanbench/layers.py wraps it in every module
 # that imports it, this one included, so the import stays
-from .arith import divisors, factor, is_prime, is_square, sqrt_mod
-
-
-def fundamental_discriminant(d: int) -> int:
-    """The fundamental discriminant D0 with d = f^2 * D0 (d a discriminant)."""
-    if d == 0 or d % 4 in (2, 3):
-        raise ValueError(f"{d} is not a discriminant")
-    d0 = 1
-    for q, e in factor(abs(d)):
-        if e % 2:
-            d0 *= q
-    if d < 0:
-        d0 = -d0
-    if d0 % 4 != 1:
-        d0 *= 4
-    return d0
+from .arith import divisors, factor, is_prime, is_squarefree, sqrt_mod
 
 
 @lru_cache(maxsize=None)
 def is_fundamental(d: int) -> bool:
-    if d == 1 or d == 0:
-        return False
-    try:
-        return fundamental_discriminant(d) == d
-    except ValueError:
-        return False
+    """d ≡ 1 (mod 4), d != 1 and |d| squarefree, or d ≡ 8, 12 (mod 16)
+    and |d|/4 squarefree."""
+    if d % 4 == 1:
+        return d != 1 and is_squarefree(abs(d))
+    return d % 16 in (8, 12) and is_squarefree(abs(d) // 4)
 
 
 def quadratic_subfield_discs(n: int) -> list[int]:
@@ -79,20 +64,19 @@ def _principal(D: int) -> tuple[int, int, int]:
     return 1, b, (b - D) // 4
 
 
-# A rho-step rewrites a form (a, b, c) through a unimodular change of
-# basis; the accumulated matrix M = (p, q, r, s) sends coordinates of the new
-# form to coordinates of the original one: original(M @ (x, y)) = new(x, y).
-# The reduction walks run on plain integer triples and 4-tuples.
+# A rho-step rewrites a form (a, b, c) through the unimodular change of
+# basis (0, -1, 1, k); a matrix M = (p, q, r, s) of the cycle sends
+# coordinates of its form to principal-form coordinates:
+# principal(M @ (x, y)) = form(x, y). The walks run on plain integer
+# triples and 4-tuples.
 Form = tuple[int, int, int]
 Mat = tuple[int, int, int, int]
-
-_ID: Mat = (1, 0, 0, 1)
 
 
 def _is_reduced_indefinite(a: int, b: int, s: int) -> bool:
     """Reduced for D > 0, via s = isqrt(D): 0 < b < sqrt(D) and
     sqrt(D) - b < 2|a| < sqrt(D) + b, all compared exactly."""
-    # b < sqrt(D) <=> b <= s unless b*b = D (excluded: D non-square)
+    # b < sqrt(D) <=> b <= s unless b*b = D (excluded: no fundamental D is a square)
     if b <= 0 or b > s:
         return False
     t = 2 * abs(a)
@@ -123,32 +107,33 @@ def _rho_step(a: int, b: int, c: int, D: int, s: int) -> tuple[int, int, int, in
     return c, b2, c2, k
 
 
-def _reduce_indefinite(a: int, b: int, c: int, D: int, s: int) -> tuple[Form, Mat]:
-    """rho-steps until the form is reduced; returns (reduced, M) with
-    f(M @ z) = reduced(z)."""
-    p, q, r, t = _ID
+def _reduce_indefinite(a: int, b: int, c: int, D: int, s: int) -> tuple[Form, tuple[int, int]]:
+    """rho-steps until the form is reduced; returns (reduced, v) with
+    reduced(v) = a, v the image of the point (1, 0) of the start."""
+    v0, v1 = 1, 0
     while not _is_reduced_indefinite(a, b, s):
         a, b, c, k = _rho_step(a, b, c, D, s)
-        p, q, r, t = q, k * q - p, t, k * t - r  # M @ (0, -1, 1, k)
-    return (a, b, c), (p, q, r, t)
+        v0, v1 = k * v0 + v1, -v0  # (0, -1, 1, k)^-1 @ v
+    return (a, b, c), (v0, v1)
 
 
 @lru_cache(maxsize=None)
 def principal_cycle(D: int) -> dict[Form, Mat]:
-    """The rho-cycle of the principal form of a positive non-square
-    fundamental discriminant D: every reduced form (a, b, c) properly
-    equivalent to it, in cycle order, to the transform M that maps its
-    coordinates back to principal-form coordinates, principal(M @ z) =
-    form(z)."""
-    if D <= 0 or is_square(D) or not is_fundamental(D):
-        raise ValueError("principal_cycle() needs a positive non-square "
-                         "fundamental discriminant")
+    """The rho-cycle of the principal form of a positive fundamental
+    discriminant D: every reduced form (a, b, c) properly equivalent to it,
+    in cycle order, to the transform M that maps its coordinates back to
+    principal-form coordinates, principal(M @ z) = form(z)."""
+    if D <= 0 or not is_fundamental(D):
+        raise ValueError("principal_cycle() needs a positive fundamental discriminant")
     s = isqrt(D)
-    # bring the principal form onto the cycle first
-    first, m = _reduce_indefinite(*_principal(D), D, s)
-    transform_of = {first: m}
-    a, b, c = first
-    p, q, r, t = m
+    # the cycle starts at (1, b, c) with b the largest b <= s, b ≡ D (mod 2):
+    # reduced, as s - b + 1 <= 2 <= s + b, and the principal form through
+    # x -> x + (b - (D mod 2))/2 y
+    b = s - (s - D) % 2
+    a, c = 1, (b * b - D) // 4
+    p, q, r, t = 1, (b - (D & 1)) // 2, 0, 1
+    first = a, b, c
+    transform_of = {first: (p, q, r, t)}
     limit = 10 * (s + 2) * len(bin(D))
     while True:
         a, b, c, k = _rho_step(a, b, c, D, s)
@@ -232,24 +217,12 @@ def solve_norm(D: int, p: int, sign: int) -> NormDecision:
         # a form with leading coefficient sign*p, reduced: sign*p is a norm
         # iff it lies on the principal cycle, the reduced forms of the
         # principal class
-        red, m = _reduce_indefinite(sign * p, b, (b * b - D) // (4 * sign * p), D, isqrt(D))
+        red, (v0, v1) = _reduce_indefinite(sign * p, b, (b * b - D) // (4 * sign * p), D, isqrt(D))
         mp = principal_cycle(D).get(red)
         if mp is None:
             return NormDecision(D, sign, False)
-        # cand(M @ z) = red(z) = principal(Mp @ z) and cand(1, 0) = sign*p,
-        # so z = M^{-1} @ (1, 0) gives principal(Mp @ z) = sign*p
-        inv = _mat_inv_unimodular(m)
-        z0, z1 = inv[0], inv[2]
-        xy = (mp[0] * z0 + mp[1] * z1, mp[2] * z0 + mp[3] * z1)
+        # principal(Mp @ v) = red(v) = sign*p
+        xy = (mp[0] * v0 + mp[1] * v1, mp[2] * v0 + mp[3] * v1)
     _verify(D, sign, p, xy)
     return NormDecision(D, sign, True, xy)
 
-
-def _mat_inv_unimodular(m: Mat) -> Mat:
-    a, b, c, d = m
-    det = a * d - b * c
-    if det == 1:
-        return (d, -b, -c, a)
-    if det == -1:
-        return (-d, b, c, -a)
-    raise ArithmeticError(f"{m} is not unimodular (determinant {det})")

@@ -5,7 +5,7 @@ from math import gcd, lcm, prod
 import pytest
 
 import noether.abelian as abelian
-from noether.abelian import Subgroup, subgroup_elements, subgroups, unit_group
+from noether.abelian import subgroup_elements, subgroups, unit_group
 from noether.arith import divisors, euler_phi, factor
 from oracles import (
     SUBGROUP_CASES,

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noether.abelian import coset_representatives, subgroup_elements, subgroups, unit_group
-from noether.arith import euler_phi, factor, primes_below, split_prime
+from noether.arith import euler_phi, factor, is_square, primes_below, split_prime
 from noether.cyclotomic import (
     CycElement,
     FieldStore,
@@ -293,18 +293,24 @@ def test_degree2_counts_match_even_cyclic_orders():
 
 
 def test_degree2_minpolys_match_quadratic_discs():
-    from noether.quadforms import fundamental_discriminant, quadratic_subfield_discs
+    from noether.quadforms import quadratic_subfield_discs
 
-    # 8836 = 4 * 47^2: all three quadratic subfields are imprimitive, so
-    # conductor reduction is what keeps their periods nonzero at all
+    # each degree-2 minpoly x^2 + bx + c has discriminant D y^2 for exactly
+    # one D of the list, and each D is met once. 8836 = 4 * 47^2: all three
+    # quadratic subfields are imprimitive, so conductor reduction is what
+    # keeps their periods nonzero at all
     for n in (12, 40, 46, 8836):
-        found = set()
+        discs = quadratic_subfield_discs(n)
+        found = []
         for sd in subfields(n, 2):
             if sd.degree != 2:
                 continue
             b, c = sd.minpoly[1], sd.minpoly[0]
-            found.add(fundamental_discriminant(b * b - 4 * c))
-        assert found == set(quadratic_subfield_discs(n)), n
+            disc = b * b - 4 * c
+            match = [D for D in discs if disc % D == 0 and is_square(disc // D)]
+            assert len(match) == 1, (n, sd.minpoly, match)
+            found += match
+        assert sorted(found) == discs, n
 
 
 def test_minpoly_irreducible_over_q():

@@ -5,7 +5,6 @@ import pytest
 import noether.quadforms as qf
 from noether.arith import jacobi, primes_below
 from noether.quadforms import (
-    fundamental_discriminant,
     is_fundamental,
     principal_cycle,
     quadratic_subfield_discs,
@@ -14,6 +13,7 @@ from noether.quadforms import (
 from oracles import (
     OracleForm,
     is_reduced_indefinite_oracle,
+    naive_is_fundamental,
     norm_decision_oracle,
     principal_form_coeffs,
     quadratic_discs_oracle,
@@ -21,18 +21,6 @@ from oracles import (
     rho_step_oracle,
 )
 from optimized import run_optimized
-
-
-def test_fundamental_discriminant():
-    assert fundamental_discriminant(5) == 5
-    assert fundamental_discriminant(-4) == -4
-    assert fundamental_discriminant(-23) == -23
-    assert fundamental_discriminant(12) == 12
-    assert fundamental_discriminant(45) == 5  # 45 = 9*5
-    assert fundamental_discriminant(-12) == -3
-    assert fundamental_discriminant(16) == 1  # square discriminant
-    with pytest.raises(ValueError):
-        fundamental_discriminant(7)  # 7 ≡ 3 (mod 4): not a discriminant
 
 
 def test_is_fundamental():
@@ -46,6 +34,9 @@ def test_is_fundamental():
     assert not is_fundamental(9)
     assert not is_fundamental(-12)
     assert not is_fundamental(45)
+    # every D the paper's range meets divides some p - 1 < 20000
+    for d in range(-20000, 20001):
+        assert is_fundamental(d) == naive_is_fundamental(d), d
 
 
 def test_quadratic_subfield_discs_examples():
@@ -107,9 +98,15 @@ def test_principal_cycle_structure():
     # every fundamental D in 5..3000: the stored forms are reduced, of
     # discriminant D and distinct; each transform is unimodular and carries
     # the principal form to its form; the rho-step of the last form closes
-    # the cycle
+    # the cycle, which starts at (1, b, (b^2 - D)/4), b the largest b <= sqrt(D)
+    # with b ≡ D (mod 2), reached from the principal form by
+    # x -> x + (b - (D mod 2))/2 y
     for D in _real_fundamental(5, 3000):
         cyc = principal_cycle(D)
+        b = max(b for b in range(isqrt(D) + 1) if (b - D) % 2 == 0)
+        first, m = next(iter(cyc.items()))
+        assert first == (1, b, (b * b - D) // 4), D
+        assert m == (1, (b - (D & 1)) // 2, 0, 1), D
         forms = [OracleForm(*f) for f in cyc]
         assert len(set(forms)) == len(forms), D
         pf = principal(D)
@@ -291,8 +288,8 @@ def test_em_quadratic_bridge_examples():
 # Each check that guards a verdict raises ArithmeticError, also under -O:
 # a wrong modular square root, a rho-step that is not the change of basis
 # (0, -1, 1, k) (here: a form of discriminant 5 stepped as if it were 13),
-# a principal cycle that never closes, a non-unimodular transform, and a
-# witness that does not evaluate to the target ((1, 1) gives 8, not 59).
+# a principal cycle that never closes, and a witness that does not evaluate
+# to the target ((1, 1) gives 8, not 59).
 _CHECKS_UNDER_O = """
 import noether.quadforms as qf
 from noether.arith import sqrt_mod
@@ -315,7 +312,6 @@ rho_step = qf._rho_step
 qf._rho_step = lambda a, b, c, D, s: (a, b, c + 1, 0)
 fires(lambda: qf.principal_cycle(5))
 qf._rho_step = rho_step
-fires(lambda: qf._mat_inv_unimodular((2, 0, 0, 1)))
 fires(lambda: qf._verify(-23, 1, 59, (1, 1)))
 """
 
@@ -346,23 +342,15 @@ def test_runaway_cycle_raises(monkeypatch):
         principal_cycle.__wrapped__(5)
 
 
-def test_non_unimodular_transform_raises():
-    assert qf._mat_inv_unimodular((2, 1, 1, 1)) == (1, -1, -1, 2)
-    assert qf._mat_inv_unimodular((1, 2, 1, 1)) == (-1, 2, 1, -1)
-    with pytest.raises(ArithmeticError, match="determinant 2"):
-        qf._mat_inv_unimodular((2, 0, 0, 1))
-
-
 def test_quadforms_checks_survive_optimize():
     proc = run_optimized(_CHECKS_UNDER_O)
     assert proc.returncode == 0, proc
     lines = proc.stdout.splitlines()
-    assert len(lines) == 5, proc
+    assert len(lines) == 4, proc
     assert "is not a square root" in lines[0]
     assert "is not a change of basis" in lines[1]
     assert "does not close" in lines[2]
-    assert "is not unimodular" in lines[3]
-    assert "witness check failed" in lines[4]
+    assert "witness check failed" in lines[3]
 
 
 def test_solve_norm_computes_no_symbol_of_its_own(monkeypatch):
