@@ -17,9 +17,25 @@ from .arith import euler_phi
 from .criteria import em_tables
 from .cyclotomic import subfields
 from .normsearch import BACKEND_ENV_VAR, BackendError
-from .scanner import RowError, ScanConfig, ScanError, cross_check, scan, classify_prime
+from .scanner import RowError, ScanConfig, ScanError, Verdict, cross_check, scan, classify_prime
 
 ROW_FIELDS = ("p", "status", "d_plus", "d_minus", "method", "grh")
+
+
+def jsonl_line(rec: Verdict | ScanError) -> str:
+    """rec's row as one JSONL line, byte for byte json.dumps(rec.to_row())
+    and a newline. A Verdict's six keys are fixed, its status and method
+    are ASCII constants (or a null method) and its other fields ints, None
+    or a bool, so its line is written directly; only a ScanError's text
+    needs json.dumps to escape it."""
+    if isinstance(rec, ScanError):
+        return json.dumps(rec.to_row()) + "\n"
+    d_plus = "null" if rec.d_plus is None else rec.d_plus
+    d_minus = "null" if rec.d_minus is None else rec.d_minus
+    method = "null" if rec.method is None else f'"{rec.method}"'
+    grh = "true" if rec.grh else "false"
+    return (f'{{"p": {rec.p}, "status": "{rec.status}", "d_plus": {d_plus}, '
+            f'"d_minus": {d_minus}, "method": {method}, "grh": {grh}}}\n')
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -114,7 +130,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     def jsonl_sink(rec) -> None:
         if out is None:
             start()
-        out.write(json.dumps(rec.to_row()) + "\n")
+        out.write(jsonl_line(rec))
 
     try:
         summary = scan(args.frm, args.to, cfg, csv_sink if args.format == "csv" else jsonl_sink)

@@ -5,10 +5,11 @@ Representability of sign*p by the principal form of discriminant D starts
 from one square root of D modulo p; none means sign*p is no norm. For
 D < 0 the modified Cornacchia algorithm then decides X^2 + |D| Y^2 = 4p by
 one short Euclidean run. For D > 0 a form (sign*p, b, c) of discriminant D
-is rho-reduced and looked up in the principal cycle, which starts at its
-own reduced form and maps each form to the matrix that carries the
-principal form to it. The candidate carries only its point (1, 0) through
-the reduction, and that matrix sends the point to the witness. Every
+is rho-reduced and looked up, as itself or as its reflection (c, b, a), in
+the first half of the principal cycle, which starts at its own reduced form
+and maps each form to the matrix that carries the principal form to it.
+The candidate carries only its point (1, 0) through the reduction, and that
+matrix sends the point, swapped on a reflected hit, to the witness. Every
 Solvable answer is re-verified by direct evaluation before it is returned.
 """
 from __future__ import annotations
@@ -119,10 +120,31 @@ def _reduce_indefinite(a: int, b: int, c: int, D: int, s: int) -> tuple[Form, tu
 
 @lru_cache(maxsize=None)
 def principal_cycle(D: int) -> dict[Form, Mat]:
-    """The rho-cycle of the principal form of a positive fundamental
-    discriminant D: every reduced form (a, b, c) properly equivalent to it,
-    in cycle order, to the transform M that maps its coordinates back to
-    principal-form coordinates, principal(M @ z) = form(z)."""
+    """The first half of the rho-cycle of the principal form of a positive
+    fundamental discriminant D: its first L/2 reduced forms (a, b, c), L
+    the cycle length, in cycle order, each to the transform M that maps
+    its coordinates back to principal-form coordinates, principal(M @ z) =
+    form(z). A reduced form is properly equivalent to the principal form
+    iff it or its reflection (c, b, a) is a key.
+
+    Why half suffices: write sigma(a, b, c) = (c, b, a) and F_0 .. F_(L-1)
+    for the cycle, F_0 = (1, b, c) below. sigma keeps a form reduced (the
+    bounds on 2|a| hold for 2|c| as well), and sigma rho sigma = rho^-1 on
+    reduced forms: there |c| <= s, so rho takes the largest b' <= s with
+    b' ≡ -b (mod 2c); hence rho^-1 (a', b', c') = (a, b, a') and
+    rho (c', b', a') = (a', b, .) with the same b, the largest b <= s with
+    b ≡ -b' (mod 2a'). rho (c, b, 1) = (1, b, c), as b is again the largest
+    b <= s with b ≡ D (mod 2); so F_(L-1) = rho^-1 F_0 = sigma F_0, and by
+    induction sigma F_i = F_(L-1-i). L is even: a reduced form has ac < 0
+    and rho moves c to the front, so the sign of the first coefficient
+    alternates along the cycle. The walk stores F_0, F_1, .. and stops at
+    the first F_m that is the reflection of F_(m-1); as sigma F_m =
+    F_(L-1-m) and the forms of the cycle are distinct, that is m = L/2. So
+    it keeps F_0 .. F_(L/2-1), and every F_i with i >= L/2 is the
+    reflection of the stored F_(L-1-i). A form missing from the half would
+    turn into a false "unsolvable" answer; a walk that never meets its stop
+    runs into the limit and raises.
+    """
     if D <= 0 or not is_fundamental(D):
         raise ValueError("principal_cycle() needs a positive fundamental discriminant")
     s = isqrt(D)
@@ -132,14 +154,14 @@ def principal_cycle(D: int) -> dict[Form, Mat]:
     b = s - (s - D) % 2
     a, c = 1, (b * b - D) // 4
     p, q, r, t = 1, (b - (D & 1)) // 2, 0, 1
-    first = a, b, c
-    transform_of = {first: (p, q, r, t)}
+    transform_of = {(a, b, c): (p, q, r, t)}
     limit = 10 * (s + 2) * len(bin(D))
     while True:
+        last = a, b, c
         a, b, c, k = _rho_step(a, b, c, D, s)
-        p, q, r, t = q, k * q - p, t, k * t - r
-        if (a, b, c) == first:
+        if (c, b, a) == last:
             return transform_of
+        p, q, r, t = q, k * q - p, t, k * t - r
         transform_of[a, b, c] = (p, q, r, t)
         if len(transform_of) >= limit:
             raise ArithmeticError(f"principal cycle of {D} does not close "
@@ -216,11 +238,16 @@ def solve_norm(D: int, p: int, sign: int) -> NormDecision:
     else:
         # a form with leading coefficient sign*p, reduced: sign*p is a norm
         # iff it lies on the principal cycle, the reduced forms of the
-        # principal class
+        # principal class, that is iff it or its reflection is stored
         red, (v0, v1) = _reduce_indefinite(sign * p, b, (b * b - D) // (4 * sign * p), D, isqrt(D))
-        mp = principal_cycle(D).get(red)
+        cycle = principal_cycle(D)
+        mp = cycle.get(red)
         if mp is None:
-            return NormDecision(D, sign, False)
+            mp = cycle.get(red[::-1])
+            if mp is None:
+                return NormDecision(D, sign, False)
+            # reflection(S @ v) = red(v) for the swap S
+            v0, v1 = v1, v0
         # principal(Mp @ v) = red(v) = sign*p
         xy = (mp[0] * v0 + mp[1] * v1, mp[2] * v0 + mp[3] * v1)
     _verify(D, sign, p, xy)

@@ -176,7 +176,8 @@ def classify_prime(p: int, cfg: ScanConfig = ScanConfig(),
     both signs have one, the one NotStablyRational verdict reads d_s and
     grh from them, and its method is the congruence criterion the prime
     meets (EM_I, EM_II), else BACKEND if a degree is above 2, else
-    QUADRATIC.
+    QUADRATIC.  An Undetermined verdict keeps the one-sided witnesses it
+    has, {"plus": ..., "minus": ...} with an open sign None.
 
     store and client are the field store and the backend client of the scan
     this prime belongs to (see cyclotomic.subfields and _classify_all).
@@ -224,7 +225,7 @@ def classify_prime(p: int, cfg: ScanConfig = ScanConfig(),
         if witness is not None:
             return _certified(p, g, witness)
 
-    return Verdict(p, STATUS_UNDETERMINED)
+    return Verdict(p, STATUS_UNDETERMINED, witnesses={"plus": plus, "minus": minus})
 
 
 Record = Union[Verdict, ScanError]

@@ -262,6 +262,25 @@ def is_reduced_indefinite_oracle(f: OracleForm) -> bool:
     return 0 < f.b and f.b * f.b < D and (t + f.b) ** 2 > D and (t - f.b < 0 or (t - f.b) ** 2 < D)
 
 
+def reduce_indefinite_oracle(f: OracleForm) -> OracleForm:
+    """Oracle rho-steps until f is reduced."""
+    while not is_reduced_indefinite_oracle(f):
+        f = rho_step_oracle(f)[0]
+    return f
+
+
+@lru_cache(maxsize=None)
+def principal_cycle_oracle(D: int) -> tuple[OracleForm, ...]:
+    """The full rho-cycle of the principal form of D > 0, in cycle order:
+    oracle rho-steps from the principal form until it is reduced, then
+    until the walk returns to that first reduced form."""
+    first = reduce_indefinite_oracle(OracleForm(*principal_form_coeffs(D)))
+    cycle = [first]
+    while (f := rho_step_oracle(cycle[-1])[0]) != first:
+        cycle.append(f)
+    return tuple(cycle)
+
+
 def norm_decision_oracle(D: int, target: int) -> bool:
     """Whether x^2 + bxy + cy^2 = target (the principal form of D > 0) has
     an integer solution, decided by sympy's diop_DN on u^2 - D v^2 =

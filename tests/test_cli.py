@@ -7,10 +7,24 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import noether
-from noether.cli import main
+from noether.cli import jsonl_line, main
 from noether.normsearch import norm_of
+from noether.scanner import (
+    METHOD_BACKEND,
+    METHOD_CERTIFICATE,
+    METHOD_EM_I,
+    METHOD_EM_II,
+    METHOD_QUADRATIC,
+    STATUS_NOT_STABLY_RATIONAL,
+    STATUS_RATIONAL,
+    STATUS_UNDETERMINED,
+    ScanError,
+    Verdict,
+)
 
 FAKE = os.path.join(os.path.dirname(__file__), "fake_backend.py")
 
@@ -22,6 +36,17 @@ def test_classify_json(capsys):
     assert row["status"] == "NotStablyRational"
     assert (row["d_plus"], row["d_minus"], row["grh"]) == (2, 2, False)
     assert row["witnesses"]["plus"]["disc"] == -23
+
+
+@pytest.mark.parametrize("p, sign, disc", [(5987, "plus", 2993), (53, "minus", -52)])
+def test_classify_undetermined_keeps_its_one_sided_witness(capsys, p, sign, disc):
+    # reference rows 5987,2,8,0 and 53,6,2,0: one sign is obstructed at
+    # degree 2, the other stays open at the default cap
+    assert main(["classify", str(p)]) == 0
+    row = json.loads(capsys.readouterr().out)
+    assert row["status"] == "Undetermined" and row["d_plus"] is row["d_minus"] is None
+    other = "minus" if sign == "plus" else "plus"
+    assert row["witnesses"] == {sign: {"degree": 2, "disc": disc}, other: None}
 
 
 def test_classify_rational_with_witness(capsys):
@@ -107,6 +132,29 @@ def test_scan_jsonl(capsys):
     )
     summary = json.loads(captured.err)
     assert summary["primes"] == 25
+
+
+_DEGREES = st.none() | st.integers(2, 60)
+
+
+@given(p=st.integers(2, 2**64),
+       status=st.sampled_from([STATUS_RATIONAL, STATUS_NOT_STABLY_RATIONAL, STATUS_UNDETERMINED]),
+       d_plus=_DEGREES, d_minus=_DEGREES,
+       method=st.sampled_from([None, METHOD_EM_I, METHOD_EM_II, METHOD_QUADRATIC,
+                               METHOD_BACKEND, METHOD_CERTIFICATE]),
+       grh=st.booleans())
+def test_verdict_line_is_json_dumps(p, status, d_plus, d_minus, method, grh):
+    rec = Verdict(p, status, d_plus, d_minus, method, grh, witnesses={"plus": None, "minus": None})
+    assert jsonl_line(rec) == json.dumps(rec.to_row()) + "\n"
+
+
+@given(p=st.integers(2, 20000), error=st.text())
+@example(p=53, error='ValueError: "quoted" \\ back\\slash, ünïcødé ∑ and \U0001f600\n')
+def test_error_line_is_json_dumps(p, error):
+    rec = ScanError(p, error)
+    line = jsonl_line(rec)
+    assert line == json.dumps(rec.to_row()) + "\n"
+    assert line.count("\n") == 1 and json.loads(line) == {"p": p, "error": error}
 
 
 # sha256 of the JSONL output of `noether scan` over reference ranges:

@@ -3,7 +3,7 @@ from math import isqrt
 import pytest
 
 import noether.quadforms as qf
-from noether.arith import jacobi, primes_below
+from noether.arith import jacobi, primes_below, sqrt_mod
 from noether.quadforms import (
     is_fundamental,
     principal_cycle,
@@ -15,8 +15,10 @@ from oracles import (
     is_reduced_indefinite_oracle,
     naive_is_fundamental,
     norm_decision_oracle,
+    principal_cycle_oracle,
     principal_form_coeffs,
     quadratic_discs_oracle,
+    reduce_indefinite_oracle,
     represents_oracle,
     rho_step_oracle,
 )
@@ -95,12 +97,13 @@ def _real_fundamental(lo, hi):
 
 
 def test_principal_cycle_structure():
-    # every fundamental D in 5..3000: the stored forms are reduced, of
-    # discriminant D and distinct; each transform is unimodular and carries
-    # the principal form to its form; the rho-step of the last form closes
-    # the cycle, which starts at (1, b, (b^2 - D)/4), b the largest b <= sqrt(D)
-    # with b ≡ D (mod 2), reached from the principal form by
-    # x -> x + (b - (D mod 2))/2 y
+    # every fundamental D in 5..3000: the stored forms are consecutive
+    # rho-steps from (1, b, (b^2 - D)/4), b the largest b <= sqrt(D) with
+    # b ≡ D (mod 2), reached from the principal form by
+    # x -> x + (b - (D mod 2))/2 y; they are reduced, of discriminant D and
+    # distinct; each transform is unimodular and carries the principal form
+    # to its form; and the stored forms with their reflections (c, b, a) are
+    # the full cycle that oracle rho-steps walk, of which they are half
     for D in _real_fundamental(5, 3000):
         cyc = principal_cycle(D)
         b = max(b for b in range(isqrt(D) + 1) if (b - D) % 2 == 0)
@@ -109,12 +112,16 @@ def test_principal_cycle_structure():
         assert m == (1, (b - (D & 1)) // 2, 0, 1), D
         forms = [OracleForm(*f) for f in cyc]
         assert len(set(forms)) == len(forms), D
+        for f, g in zip(forms, forms[1:]):
+            assert rho_step_oracle(f)[0] == g, (D, f)
         pf = principal(D)
         for f, m in zip(forms, cyc.values()):
             assert f.disc == D and is_reduced_indefinite_oracle(f), (D, f)
             assert m[0] * m[3] - m[1] * m[2] == 1, (D, m)
             assert pf.transform(m) == f, (D, f, m)
-        assert rho_step_oracle(forms[-1])[0] == forms[0], D
+        full = principal_cycle_oracle(D)
+        assert set(forms) | {OracleForm(f.c, f.b, f.a) for f in forms} == set(full), D
+        assert 2 * len(forms) == len(full), D
 
 
 def test_rho_step_matches_oracle_along_cycles():
@@ -131,7 +138,7 @@ def test_rho_step_matches_oracle_along_cycles():
         for start in starts:
             f = OracleForm(*start)
             a, b, c = start
-            for _ in range(2 * len(principal_cycle(D)) + 20):
+            for _ in range(2 * len(principal_cycle_oracle(D)) + 20):
                 g, m = rho_step_oracle(f)
                 a, b, c, k = qf._rho_step(a, b, c, D, s)
                 assert (a, b, c) == (g.a, g.b, g.c) and m == (0, -1, 1, k), (D, start, f)
@@ -145,13 +152,43 @@ def test_solve_norm_on_long_cycles_against_diop_dn():
     # cycles where +p or -p is not a norm. diop_DN takes ~0.5 s per D.
     pairs = [(D, p) for p in primes_below(20000) if p > 3
              for D in quadratic_subfield_discs(p - 1) if D > 1000]
-    pairs.sort(key=lambda dp: -len(principal_cycle(dp[0])))
+    pairs.sort(key=lambda dp: -len(principal_cycle_oracle(dp[0])))
     for D, p in pairs[:3] + [(2545, 10181), (9489, 18979), (6609, 13219)]:
-        assert len(principal_cycle(D)) >= 50, D
+        assert len(principal_cycle_oracle(D)) >= 50, D
         for sign in (1, -1):
             assert solve_norm(D, p, sign).solvable == norm_decision_oracle(D, sign * p), (D, p, sign)
     assert not solve_norm(2545, 10181, 1).solvable
     assert not solve_norm(9489, 18979, -1).solvable
+
+
+def test_solve_norm_reflected_lookups_of_the_degree_2_stage():
+    # every (D > 0, p, sign) of the quadratic subfields of Q(zeta_{p-1}),
+    # 5 <= p < 3000: solve_norm's candidate (sign*p, b, c), b its square
+    # root of D mod 4p, reduced by oracle rho-steps, lies on the full oracle
+    # cycle iff the answer is solvable, and every witness evaluates to
+    # sign*p; some candidates are found only through the reflection of
+    # their reduced form
+    reflected = 0
+    for p in primes_below(3000)[2:]:
+        for D in quadratic_subfield_discs(p - 1):
+            if D < 0:
+                continue
+            b = sqrt_mod(D % p, p)
+            assert (b is None) == all((x * x - D) % (4 * p) for x in range(D % 2, 2 * p, 2)), (D, p)
+            if b is not None and (b - D) % 2:
+                b += p
+            for sign in (1, -1):
+                dec = solve_norm(D, p, sign)
+                if b is None:
+                    assert not dec.solvable, (D, p, sign)
+                    continue
+                red = reduce_indefinite_oracle(OracleForm(sign * p, b, (b * b - D) // (4 * sign * p)))
+                assert dec.solvable == (red in principal_cycle_oracle(D)), (D, p, sign)
+                if dec.solvable:
+                    assert principal(D).value(*dec.witness) == sign * p, (D, p, sign)
+                    key = (red.a, red.b, red.c)
+                    reflected += key not in principal_cycle(D)
+    assert reflected > 0
 
 
 def test_solve_norm_examples():
